@@ -95,7 +95,8 @@ fuzz-smoke:
 	for tgt in internal/model:FuzzDecodeSystem internal/model:FuzzDecodeAllocation \
 	           internal/timeunit:FuzzMillisConversions internal/timeunit:FuzzTickRoundTrips \
 	           internal/timeunit:FuzzGCDLCM internal/workload:FuzzGenerate \
-	           internal/alloc:FuzzIncrementalChurn internal/obs:FuzzPromParse; do \
+	           internal/alloc:FuzzIncrementalChurn internal/obs:FuzzPromParse \
+	           internal/csa:FuzzMinBudget; do \
 		pkg=$${tgt%%:*}; fn=$${tgt##*:}; \
 		$(GO) test -run=^$$ -fuzz="^$$fn$$" -fuzztime=300x ./$$pkg || exit 1; \
 	done

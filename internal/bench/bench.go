@@ -1,11 +1,11 @@
 // Package bench is the repository's macro-benchmark harness: a fixed suite
 // of seeded workloads measuring the hot paths every experiment leans on —
-// the hypervisor simulator's event loop, the existing CSA's demand
-// evaluation, each allocator's end-to-end Allocate cost, and the
+// the hypervisor simulator's event loop, the existing CSA's budget-table
+// derivation, each allocator's end-to-end Allocate cost, and the
 // schedulability sweep's taskset throughput.
 //
 // Where an optimization kept its pre-optimization reference implementation
-// (the simulator's linear dispatch, the per-candidate demand recomputation)
+// (the simulator's linear dispatch, the minimum-budget bisection)
 // the suite runs both and reports the speedup, so every committed
 // BENCH_*.json carries its own before/after evidence. Workloads are seeded
 // and fixed; throughput values drift with the machine but the benchmark
@@ -69,7 +69,7 @@ type Baseline struct {
 
 // Result is one benchmark's measurement.
 type Result struct {
-	// Name identifies the benchmark, e.g. "csa/demand-sweep".
+	// Name identifies the benchmark, e.g. "csa/min-budget".
 	Name string `json:"name"`
 	// Metric names the unit of Value, e.g. "events_per_sec".
 	Metric string `json:"metric"`
@@ -119,7 +119,7 @@ func RunAll(opts Options) (*Report, error) {
 		prefix string // name prefix of every Result the group produces
 		fn     func(Options) ([]Result, error)
 	}{
-		{"csa/", single(benchCSADemand)},
+		{"csa/", single(benchCSAMinBudget)},
 		{"hypersim/", single(benchHypersimEvents)},
 		{"experiment/", single(benchSweep)},
 		{"alloc/", benchAllocators},

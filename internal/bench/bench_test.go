@@ -39,7 +39,7 @@ func TestRunAllQuick(t *testing.T) {
 			t.Errorf("%s: baseline present but speedup %v", r.Name, r.Speedup)
 		}
 	}
-	for _, want := range []string{"csa/demand-sweep", "hypersim/event-loop", "experiment/sweep"} {
+	for _, want := range []string{"csa/min-budget", "hypersim/event-loop", "experiment/sweep"} {
 		if !seen[want] {
 			t.Errorf("suite missing benchmark %q", want)
 		}

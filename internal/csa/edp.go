@@ -54,7 +54,8 @@ func EDPSBF(pi, theta, delta, t float64) float64 {
 // bandwidth-optimal EDP configuration: the supply arrives as one
 // contiguous chunk per period, minimizing the blackout to pi - theta.
 // The boolean result is false when even a dedicated supply cannot meet
-// the demand.
+// the demand. Each checkpoint's budget has a closed form
+// (minEDPBudgetAt); a final EDPSBF pass guards it.
 func MinBudgetEDPForDemand(pi float64, checkpoints, demands []float64) (float64, bool) {
 	if pi <= 0 {
 		return 0, false
@@ -68,27 +69,28 @@ func MinBudgetEDPForDemand(pi float64, checkpoints, demands []float64) (float64,
 		if d > t+1e-9 {
 			return 0, false
 		}
-		lo, hi := 0.0, pi
-		for iter := 0; iter < 64 && hi-lo > budgetEps/4; iter++ {
-			mid := (lo + hi) / 2
-			if EDPSBF(pi, mid, mid, t) >= d {
-				hi = mid
-			} else {
-				lo = mid
-			}
-		}
-		if EDPSBF(pi, hi, hi, t) < d-1e-9 {
-			return 0, false
-		}
-		if hi > need {
-			need = hi
+		if th := minEDPBudgetAt(pi, t, d); th > need {
+			need = th
 		}
 	}
-	need = math.Min(pi, need+budgetEps/2)
 	for i, t := range checkpoints {
 		if demands[i] > 0 && EDPSBF(pi, need, need, t) < demands[i]-1e-9 {
 			return 0, false
 		}
 	}
 	return need, true
+}
+
+// minEDPBudgetAt returns the least theta in [0, pi] with EDPSBF(pi, theta,
+// theta, t) >= d, for 0 < d <= t. With t = n*pi + r (0 <= r < pi) and
+// g = pi - r, the supply is n*theta for theta <= g and (n+1)*theta - g
+// above, continuous at n*g; the piece holding d is inverted directly.
+func minEDPBudgetAt(pi, t, d float64) float64 {
+	n := math.Floor(t / pi)
+	g := pi - (t - n*pi)
+	theta := (d + g) / (n + 1)
+	if d <= n*g {
+		theta = d / n
+	}
+	return math.Min(theta, pi)
 }

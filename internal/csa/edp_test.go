@@ -132,3 +132,35 @@ func TestEDPZeroCases(t *testing.T) {
 		t.Error("zero interval should supply nothing")
 	}
 }
+
+func TestMinBudgetEDPIsMinimal(t *testing.T) {
+	// The closed-form EDP budget satisfies every checkpoint, and a budget
+	// smaller by a relative 1e-7 violates at least one.
+	f := func(piRaw uint16, raw [4]uint16) bool {
+		pi := float64(piRaw%200)/4 + 0.5
+		cps := make([]float64, len(raw))
+		dem := make([]float64, len(raw))
+		for i, r := range raw {
+			cps[i] = float64(i+1) * pi * 0.6
+			dem[i] = (float64(r%1000)/1000*0.99 + 0.01) * cps[i]
+		}
+		theta, ok := MinBudgetEDPForDemand(pi, cps, dem)
+		if !ok {
+			return false
+		}
+		smaller := theta * (1 - 1e-7)
+		violated := false
+		for i, tt := range cps {
+			if EDPSBF(pi, theta, theta, tt) < dem[i]-1e-9 {
+				return false
+			}
+			if EDPSBF(pi, smaller, smaller, tt) < dem[i] {
+				violated = true
+			}
+		}
+		return violated
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}

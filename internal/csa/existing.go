@@ -45,8 +45,8 @@ func ExistingVCPU(tasks []*model.Task, index int, plat model.Platform) (*model.V
 // VCPU's budget table are recorded on rec (nil-safe). These counters are
 // what makes the existing CSA's running-time premium over the overhead-free
 // analyses (Figure 4) attributable: every (c,b) allocation triggers a full
-// demand evaluation plus a bisection search, while Theorems 1 and 2 need
-// neither.
+// demand evaluation plus a minimum-budget search, while Theorems 1 and 2
+// need neither.
 func ExistingVCPUMetered(tasks []*model.Task, index int, plat model.Platform, rec *metrics.Recorder) (*model.VCPU, bool, error) {
 	return ExistingVCPUProv(tasks, index, plat, rec, nil)
 }
@@ -65,10 +65,10 @@ func ExistingVCPUProv(tasks []*model.Task, index int, plat model.Platform, rec *
 // ExistingVCPUObs is ExistingVCPUProv with wall-clock span annotation:
 // when sp is non-nil (an open csa.derive span owned by the caller), the
 // derivation's cost drivers — candidate (c,b) count, dbf checkpoint
-// evaluations, bisection iterations — are attached as span attributes, so
-// a span export explains why this stage dominates the existing CSA's
-// running time (Figure 4). A nil sp costs nothing; the derivation itself
-// is unaffected either way.
+// evaluations, sbf evaluations, closed-form budget solves — are attached
+// as span attributes, so a span export explains why this stage dominates
+// the existing CSA's running time (Figure 4). A nil sp costs nothing; the
+// derivation itself is unaffected either way.
 func ExistingVCPUObs(tasks []*model.Task, index int, plat model.Platform, rec *metrics.Recorder, prov *provenance.Recorder, sp *obs.Span) (*model.VCPU, bool, error) {
 	if len(tasks) == 0 {
 		return nil, false, errors.New("csa: ExistingVCPU with no tasks")
@@ -95,11 +95,16 @@ func ExistingVCPUObs(tasks []*model.Task, index int, plat model.Platform, rec *m
 	wcets := make([]float64, len(tasks))
 	dem := make([]float64, len(cps))
 	feasibleAllocs, totalAllocs := 0, 0
+	// Demand changes little from one candidate to the next, so the
+	// checkpoint that decided one budget usually decides the next: each
+	// search starts there and most other checkpoints become skips.
+	decisive := 0
 	for c := plat.Cmin; c <= plat.C; c++ {
 		for b := plat.Bmin; b <= plat.B; b++ {
 			demand.DBFInto(dem, TaskWCETsInto(wcets, tasks, c, b))
 			dbfEvals += int64(len(cps))
-			theta, ok, se, it := minBudgetForDemand(pi, cps, dem)
+			theta, ok, next, se, it := minBudgetForDemand(pi, cps, dem, decisive)
+			decisive = next
 			searches++
 			sbfEvals += se
 			iters += it
@@ -124,7 +129,7 @@ func ExistingVCPUObs(tasks []*model.Task, index int, plat model.Platform, rec *m
 		sp.SetInt("feasible", int64(feasibleAllocs))
 		sp.SetInt("dbf_evals", dbfEvals)
 		sp.SetInt("sbf_evals", sbfEvals)
-		sp.SetInt("bisect_iters", iters)
+		sp.SetInt("budget_solves", iters)
 	}
 
 	v := &model.VCPU{

@@ -31,14 +31,16 @@ const (
 	// MetricDBFEvals counts demand-bound evaluations, one per (checkpoint,
 	// WCET-vector) pair.
 	MetricDBFEvals = "csa.dbf.checkpoint_evals"
-	// MetricSBFEvals counts supply-bound evaluations performed by the
-	// minimum-budget search.
+	// MetricSBFEvals counts the minimum-budget search's supply-bound
+	// evaluations: the skip tests against the running maximum plus the
+	// final feasibility verification.
 	MetricSBFEvals = "csa.sbf.evals"
 	// MetricMinBudgetCalls counts minimum-budget searches (one per (c,b)
 	// allocation of every existing-CSA VCPU).
 	MetricMinBudgetCalls = "csa.minbudget.calls"
-	// MetricMinBudgetIters counts bisection iterations across all
-	// minimum-budget searches.
+	// MetricMinBudgetIters counts per-checkpoint closed-form solves across
+	// all minimum-budget searches. The name predates the closed form, when
+	// each solve was a bisection, and is kept for stable dashboards.
 	MetricMinBudgetIters = "csa.minbudget.bisect_iters"
 	// MetricExistingVCPUs counts VCPUs parameterized with the existing CSA.
 	MetricExistingVCPUs = "csa.existing.vcpus"
@@ -61,7 +63,13 @@ func SBF(pi, theta, t float64) float64 {
 		return 0
 	}
 	k := math.Floor((t - blackout) / pi)
-	supply := k*theta + math.Max(0, t-2*blackout-k*pi)
+	// A plain compare rather than math.Max: identical for finite inputs,
+	// without math.Max's NaN and signed-zero handling on the hot path.
+	partial := t - 2*blackout - k*pi
+	if partial < 0 {
+		partial = 0
+	}
+	supply := k*theta + partial
 	if supply < 0 {
 		return 0
 	}
@@ -85,84 +93,117 @@ func LinearSBF(pi, theta, t float64) float64 {
 	return v
 }
 
-// budgetEps is the absolute tolerance (in ms) for the bisection search in
-// MinBudgetForDemand. One nanosecond of budget is far below scheduler
-// resolution.
-const budgetEps = 1e-6
-
 // MinBudgetForDemand returns the minimum budget theta such that the
 // periodic resource (pi, theta) satisfies dbf(t) <= sbf(t) at every
 // checkpoint, where demands[i] is the EDF demand bound at checkpoints[i].
 // The boolean result is false when no theta <= pi suffices (the taskset
 // overloads a dedicated core). Checkpoints with zero demand are skipped.
 //
-// SBF is non-decreasing in theta for fixed t, so the minimum budget for
-// each checkpoint is found by bisection and the overall minimum is the
-// maximum over checkpoints.
+// For fixed t, SBF is continuous, non-decreasing and piecewise linear in
+// theta, so each checkpoint's minimum budget has a closed form
+// (minBudgetAt) and the overall minimum is the maximum over checkpoints.
 func MinBudgetForDemand(pi float64, checkpoints, demands []float64) (float64, bool) {
-	theta, ok, _, _ := minBudgetForDemand(pi, checkpoints, demands)
+	theta, ok, _, _, _ := minBudgetForDemand(pi, checkpoints, demands, 0)
 	return theta, ok
 }
 
 // MinBudgetForDemandMetered is MinBudgetForDemand with search-effort
 // accounting: it additionally records the number of sbf evaluations and
-// bisection iterations on rec (nil-safe).
+// closed-form solves on rec (nil-safe).
 func MinBudgetForDemandMetered(pi float64, checkpoints, demands []float64, rec *metrics.Recorder) (float64, bool) {
-	theta, ok, sbfEvals, iters := minBudgetForDemand(pi, checkpoints, demands)
+	theta, ok, _, sbfEvals, solves := minBudgetForDemand(pi, checkpoints, demands, 0)
 	if rec != nil {
 		rec.Inc(MetricMinBudgetCalls)
 		rec.Add(MetricSBFEvals, sbfEvals)
-		rec.Add(MetricMinBudgetIters, iters)
+		rec.Add(MetricMinBudgetIters, solves)
 	}
 	return theta, ok
 }
 
-// minBudgetForDemand is the shared implementation; it tallies its sbf
-// evaluations and bisection iterations in plain locals so the disabled-
-// metrics path pays nothing beyond two integer increments.
-func minBudgetForDemand(pi float64, checkpoints, demands []float64) (theta float64, ok bool, sbfEvals, iters int64) {
+// minBudgetForDemand is the shared implementation. It walks the
+// checkpoints cyclically from index start (0, or an index a previous call
+// on the same checkpoints returned), solving only those the running
+// maximum does not already satisfy (one SBF call decides that), and
+// returns the decisive index — the checkpoint that set the maximum, or
+// the one that proved infeasibility. Starting a similar demand vector at
+// the previous call's decisive index makes nearly every other checkpoint
+// a skip. The maximum does not depend on the order. A final SBF pass over
+// every checkpoint guards the closed form. Effort is tallied in plain
+// locals so the disabled-metrics path pays nothing beyond integer
+// increments.
+func minBudgetForDemand(pi float64, checkpoints, demands []float64, start int) (theta float64, ok bool, decisive int, sbfEvals, solves int64) {
 	if pi <= 0 {
-		return 0, false, 0, 0
+		return 0, false, start, 0, 0
 	}
-	var need float64
-	for i, t := range checkpoints {
+	n := len(checkpoints)
+	decisive = start
+	for j := 0; j < n; j++ {
+		i := start + j
+		if i >= n {
+			i -= n
+		}
 		d := demands[i]
 		if d <= 0 {
 			continue
 		}
+		t := checkpoints[i]
 		// Even a dedicated core (theta = pi) supplies at most t by time t.
 		if d > t+1e-9 {
-			return 0, false, sbfEvals, iters
+			return 0, false, i, sbfEvals, solves
 		}
-		lo, hi := 0.0, pi
-		for iter := 0; iter < 64 && hi-lo > budgetEps/4; iter++ {
-			iters++
+		if theta > 0 {
 			sbfEvals++
-			mid := (lo + hi) / 2
-			if SBF(pi, mid, t) >= d {
-				hi = mid
-			} else {
-				lo = mid
+			if SBF(pi, theta, t) >= d {
+				continue
 			}
 		}
-		sbfEvals++
-		if SBF(pi, hi, t) < d-1e-9 {
-			return 0, false, sbfEvals, iters
-		}
-		if hi > need {
-			need = hi
+		solves++
+		if th := minBudgetAt(pi, t, d); th > theta {
+			theta, decisive = th, i
 		}
 	}
-	// Nudge up so that the returned budget is on the feasible side of the
-	// bisection tolerance at every checkpoint.
-	need = math.Min(pi, need+budgetEps/2)
 	for i, t := range checkpoints {
-		if demands[i] > 0 {
+		if d := demands[i]; d > 0 {
 			sbfEvals++
-			if SBF(pi, need, t) < demands[i]-1e-9 {
-				return 0, false, sbfEvals, iters
+			if SBF(pi, theta, t) < d-1e-9 {
+				return 0, false, decisive, sbfEvals, solves
 			}
 		}
 	}
-	return need, true, sbfEvals, iters
+	return theta, true, decisive, sbfEvals, solves
+}
+
+// minBudgetAt returns the least theta in [0, pi] with SBF(pi, theta, t) >=
+// d, for 0 < d <= t (a d barely above t yields pi). Write t = n*pi + r
+// with 0 <= r < pi and g = pi - r. As theta grows from 0 to pi, the
+// blackout pi - theta passes g, where floor((t - blackout)/pi) steps from
+// n-1 to n, so sbf is continuous and piecewise linear in theta:
+//
+//	theta in [0, g/2]:          sbf = (n-1)*theta
+//	theta in [g/2, g]:          sbf = (n+1)*theta - g
+//	theta in [g, (pi+g)/2]:     sbf = n*theta
+//	theta in [(pi+g)/2, pi]:    sbf = (n+2)*theta - (pi+g)
+//
+// reaching (n-1)g/2, n*g, n(pi+g)/2 and t at the piece ends. The piece
+// whose range holds d is inverted directly. For n <= 1 the leading pieces
+// supply nothing and d > 0, so they are never chosen and no division by
+// zero occurs.
+func minBudgetAt(pi, t, d float64) float64 {
+	n := math.Floor(t / pi)
+	g := pi - (t - n*pi)
+	var theta float64
+	switch {
+	case d <= (n-1)*g/2:
+		theta = d / (n - 1)
+	case d <= n*g:
+		theta = (d + g) / (n + 1)
+	case d <= n*(pi+g)/2:
+		theta = d / n
+	default:
+		theta = (d + pi + g) / (n + 2)
+	}
+	if theta > pi {
+		return pi
+	}
+	return theta
 }

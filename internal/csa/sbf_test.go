@@ -115,7 +115,7 @@ func TestMinBudgetPaperExample(t *testing.T) {
 	if !ok {
 		t.Fatal("feasible instance reported infeasible")
 	}
-	if math.Abs(theta-5.5) > 1e-4 {
+	if math.Abs(theta-5.5) > 1e-9 {
 		t.Errorf("minimum budget = %v, want 5.5", theta)
 	}
 }
@@ -139,8 +139,8 @@ func TestMinBudgetInfeasible(t *testing.T) {
 
 func TestMinBudgetZeroDemand(t *testing.T) {
 	theta, ok := MinBudgetForDemand(10, []float64{10, 20}, []float64{0, 0})
-	if !ok || theta > budgetEps {
-		t.Errorf("zero demand should need (near-)zero budget, got %v ok=%v", theta, ok)
+	if !ok || theta > 0 {
+		t.Errorf("zero demand should need zero budget, got %v ok=%v", theta, ok)
 	}
 }
 
@@ -151,8 +151,8 @@ func TestMinBudgetInvalidPeriod(t *testing.T) {
 }
 
 func TestMinBudgetIsMinimal(t *testing.T) {
-	// The returned budget satisfies all checkpoints, and a slightly smaller
-	// budget violates at least one: minimality up to tolerance.
+	// The returned budget satisfies all checkpoints, and a budget smaller
+	// by a relative 1e-7 violates at least one: the closed form is exact.
 	f := func(eRaw, pRaw uint16) bool {
 		p := float64(pRaw%90) + 10
 		e := (float64(eRaw%900)/1000 + 0.05) * p // demand within capacity
@@ -163,16 +163,13 @@ func TestMinBudgetIsMinimal(t *testing.T) {
 			return false
 		}
 		for i, t := range cps {
-			if SBF(p, theta, t) < dem[i]-1e-6 {
+			if SBF(p, theta, t) < dem[i]-1e-9 {
 				return false // returned budget must be feasible
 			}
 		}
-		smaller := theta - 1e-3
-		if smaller <= 0 {
-			return true
-		}
+		smaller := theta * (1 - 1e-7)
 		for i, t := range cps {
-			if SBF(p, smaller, t) < dem[i]-1e-9 {
+			if SBF(p, smaller, t) < dem[i] {
 				return true // minimality witnessed
 			}
 		}
@@ -193,9 +190,35 @@ func TestMinBudgetMonotoneInDemand(t *testing.T) {
 		if !ok1 || !ok2 {
 			return false
 		}
-		return t1 <= t2+budgetEps
+		return t1 <= t2
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestMinBudgetStartIndependent(t *testing.T) {
+	// The search walks the checkpoints cyclically from a start index and
+	// skips those the running maximum satisfies; the result must not
+	// depend on where the walk starts.
+	f := func(piRaw uint16, raw [6]uint16) bool {
+		pi := float64(piRaw%200)/4 + 0.5
+		cps := make([]float64, len(raw))
+		dem := make([]float64, len(raw))
+		for i, r := range raw {
+			cps[i] = float64(i+1) * pi * 0.75
+			dem[i] = float64(r%1000) / 1000 * cps[i]
+		}
+		want, wantOK, _, _, _ := minBudgetForDemand(pi, cps, dem, 0)
+		for start := range cps {
+			got, ok, _, _, _ := minBudgetForDemand(pi, cps, dem, start)
+			if ok != wantOK || math.Abs(got-want) > 1e-12*pi {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
 }
