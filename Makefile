@@ -93,6 +93,7 @@ churn-bench:
 fuzz-smoke:
 	@set -e; \
 	for tgt in internal/model:FuzzDecodeSystem internal/model:FuzzDecodeAllocation \
+	           internal/model:FuzzResourceTableJSON internal/report:FuzzReportMarshal \
 	           internal/timeunit:FuzzMillisConversions internal/timeunit:FuzzTickRoundTrips \
 	           internal/timeunit:FuzzGCDLCM internal/workload:FuzzGenerate \
 	           internal/alloc:FuzzIncrementalChurn internal/obs:FuzzPromParse \

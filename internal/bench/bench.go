@@ -1,11 +1,13 @@
 // Package bench is the repository's macro-benchmark harness: a fixed suite
 // of seeded workloads measuring the hot paths every experiment leans on —
 // the hypervisor simulator's event loop, the existing CSA's budget-table
-// derivation, each allocator's end-to-end Allocate cost, and the
-// schedulability sweep's taskset throughput.
+// derivation, each allocator's end-to-end Allocate cost, the
+// schedulability sweep's taskset throughput, and the served path's request
+// decoding and report encoding.
 //
 // Where an optimization kept its pre-optimization reference implementation
-// (the simulator's linear dispatch, the minimum-budget bisection)
+// (the simulator's linear dispatch, the minimum-budget bisection,
+// encoding/json for the wire codec)
 // the suite runs both and reports the speedup, so every committed
 // BENCH_*.json carries its own before/after evidence. Workloads are seeded
 // and fixed; throughput values drift with the machine but the benchmark
@@ -124,6 +126,7 @@ func RunAll(opts Options) (*Report, error) {
 		{"experiment/", single(benchSweep)},
 		{"alloc/", benchAllocators},
 		{"churn/", benchChurn},
+		{"wire/", benchWire},
 	}
 	for _, g := range groups {
 		if opts.Only != "" && !strings.HasPrefix(g.prefix, opts.Only) && !strings.HasPrefix(opts.Only, g.prefix) {

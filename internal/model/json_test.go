@@ -37,12 +37,27 @@ func TestResourceTableUnmarshalValidation(t *testing.T) {
 		`{"cmin":1,"cmax":2,"bmin":1,"bmax":2,"values":[1,2,3]}`,  // wrong count
 		`{"cmin":-1,"cmax":2,"bmin":1,"bmax":2,"values":[1,2,3]}`, // negative
 		`"nope"`, // wrong type
+		`{"cmin":1,"cmax":1,"bmin":1,"bmax":1,"values":[2],"bogus":7}`,        // unknown member
+		`{"cmin":1,"CMAX":1,"bmin":1,"bmax":1,"values":[2]}`,                  // case-variant member
+		`{"cmin":1,"cmax":1,"bmin":1,"bmax":1,"values":[1e400]}`,              // out of range
+		`{"cmin":1,"cmax":1,"bmin":1,"bmax":1,"values":2}`,                    // values not an array
+		`{"cmin":0,"cmax":9223372036854775807,"bmin":0,"bmax":1,"values":[]}`, // size overflows int
 	}
 	for _, c := range cases {
 		var tab ResourceTable
 		if err := json.Unmarshal([]byte(c), &tab); err == nil {
 			t.Errorf("accepted invalid table JSON %s", c)
 		}
+	}
+
+	// The strict member check holds inside any enclosing document, whatever
+	// the outer decoder's settings.
+	var doc struct {
+		T *ResourceTable `json:"t"`
+	}
+	bogus := `{"t":{"cmin":1,"cmax":1,"bmin":1,"bmax":1,"values":[2],"bogus":7,"CMAX":1}}`
+	if err := json.Unmarshal([]byte(bogus), &doc); err == nil {
+		t.Errorf("accepted a table with unknown members inside a document: %s", bogus)
 	}
 }
 

@@ -47,6 +47,7 @@ func TestExplainGolden(t *testing.T) {
 			if !bytes.Equal(da, db) {
 				t.Fatal("two identically-seeded runs produced different documents; explain output would not be stable")
 			}
+			assertMarshalMatchesEncodingJSON(t, doc)
 
 			got := report.Explain(doc, c.subject)
 			golden := filepath.Join("testdata", c.name+".golden")
@@ -96,6 +97,7 @@ func TestSweepExplainNamesBindingResource(t *testing.T) {
 	if err := report.Validate(doc); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
+	assertMarshalMatchesEncodingJSON(t, doc)
 	rejected := 0
 	for _, d := range doc.Decisions {
 		if d.Stage != provenance.StageSweep || d.Accepted {

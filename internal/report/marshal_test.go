@@ -1,0 +1,191 @@
+package report_test
+
+// The differential oracle for report.Marshal: whatever document it is
+// given, it must write exactly json.MarshalIndent(doc, "", "  ") plus a
+// trailing newline, and fail exactly when encoding/json fails.
+
+import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"testing"
+
+	"vc2m"
+	"vc2m/internal/bitmask"
+	"vc2m/internal/experiment"
+	"vc2m/internal/model"
+	"vc2m/internal/provenance"
+	"vc2m/internal/report"
+	"vc2m/internal/workload"
+)
+
+// assertMarshalMatchesEncodingJSON fails the test unless report.Marshal
+// writes encoding/json's bytes for doc.
+func assertMarshalMatchesEncodingJSON(t *testing.T, doc *report.Document) {
+	t.Helper()
+	got, err := report.Marshal(doc)
+	if err != nil {
+		t.Fatalf("Marshal: %v", err)
+	}
+	spec, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		t.Fatalf("json.MarshalIndent: %v", err)
+	}
+	spec = append(spec, '\n')
+	if !bytes.Equal(got, spec) {
+		i := 0
+		for i < len(got) && i < len(spec) && got[i] == spec[i] {
+			i++
+		}
+		t.Fatalf("Marshal differs from encoding/json at byte %d of %d/%d:\ngot:  %q\nwant: %q",
+			i, len(got), len(spec), got[i:min(i+80, len(got))], spec[i:min(i+80, len(spec))])
+	}
+}
+
+func TestMarshalMatchesEncodingJSON(t *testing.T) {
+	docs := map[string]func(t *testing.T) *report.Document{
+		"accepted": func(t *testing.T) *report.Document { return buildRunDoc(t, 1.0, 7) },
+		"rejected": func(t *testing.T) *report.Document { return buildRunDoc(t, 4.5, 3) },
+		"existing": existingDoc,
+		"misses":   missesDoc,
+		"churn":    churnDoc,
+		"sweep":    sweepDoc,
+		"empty":    func(*testing.T) *report.Document { return &report.Document{Schema: report.SchemaVersion} },
+	}
+	for name, build := range docs { //vc2m:ordered independent subtests
+		t.Run(name, func(t *testing.T) {
+			doc := build(t)
+			if name != "empty" && len(doc.Decisions) == 0 {
+				t.Fatal("document has no decisions; the direct writer is not exercised")
+			}
+			assertMarshalMatchesEncodingJSON(t, doc)
+		})
+	}
+}
+
+// existingDoc is an existing-CSA run with counters: the CSA stage's
+// decisions carry checkpoint reasons and budget values.
+func existingDoc(t *testing.T) *report.Document {
+	sys, err := vc2m.GenerateWorkload(vc2m.WorkloadConfig{Platform: vc2m.PlatformA, TargetRefUtil: 1.2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prov, rec := vc2m.NewProvenance(), vc2m.NewMetrics()
+	in := report.RunInput{Title: "existing", Seed: 1, Mode: "existing", Platform: sys.Platform, Provenance: prov, Metrics: rec}
+	a, err := vc2m.Allocate(sys, vc2m.Options{Mode: vc2m.ExistingCSA, Provenance: prov, Metrics: rec})
+	if err != nil {
+		in.Rejection = toRejection(err)
+	} else {
+		in.Allocation = a
+	}
+	return report.BuildRun(in)
+}
+
+// missesDoc simulates an accepted allocation after tripling every task's
+// WCET, so the report carries deadline misses and their diagnosis.
+func missesDoc(t *testing.T) *report.Document {
+	sys, err := vc2m.GenerateWorkload(vc2m.WorkloadConfig{Platform: vc2m.PlatformA, TargetRefUtil: 1.0, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prov := vc2m.NewProvenance()
+	a, err := vc2m.Allocate(sys, vc2m.Options{Provenance: prov})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, task := range sys.Tasks() {
+		task.WCET.Scale(3)
+	}
+	res, err := vc2m.Simulate(a, 500, vc2m.SimOptions{RecordTrace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Missed == 0 {
+		t.Fatal("tripled WCETs missed no deadline")
+	}
+	return report.BuildRun(report.RunInput{
+		Title: "misses", Seed: 7, Mode: "flattening", Platform: sys.Platform,
+		Allocation: a, Sim: res, Diagnosis: vc2m.DiagnoseMisses(res.Events), Provenance: prov,
+	})
+}
+
+// churnDoc is a churn run: one departure and one arrival on a base layout.
+func churnDoc(t *testing.T) *report.Document {
+	sys, err := vc2m.GenerateWorkload(vc2m.WorkloadConfig{Platform: vc2m.PlatformA, TargetRefUtil: 0.6, NumVMs: 3, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := vc2m.Allocate(sys, vc2m.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	task := model.SimpleTask("new-t0", model.PlatformA, 100, 25)
+	task.VM = "new"
+	prov := vc2m.NewProvenance()
+	res, err := vc2m.Incremental(base, vc2m.ChurnDelta{
+		Departures: []string{sys.VMs[0].ID},
+		Arrivals:   []*model.VM{{ID: "new", Tasks: []*model.Task{task}}},
+	}, vc2m.Options{Seed: 9, Provenance: prov})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return report.BuildRun(report.RunInput{
+		Title: "churn", Seed: 9, Mode: "flattening", Platform: res.Allocation.Platform,
+		Allocation: res.Allocation, Provenance: prov,
+	})
+}
+
+// sweepDoc is a small schedulability sweep.
+func sweepDoc(t *testing.T) *report.Document {
+	prov := provenance.New()
+	res, err := experiment.RunSchedulability(experiment.SchedConfig{
+		Platform: model.PlatformC, Dist: workload.Uniform,
+		UtilMin: 0.8, UtilMax: 1.6, UtilStep: 0.8, TasksetsPerPoint: 3,
+		Seed: 1, Provenance: prov,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return report.BuildSweep(report.SweepInput{
+		Title: "sweep", Seed: 1, Platform: model.PlatformC,
+		Sweep: res.ReportSweep(), Provenance: prov,
+	})
+}
+
+// FuzzReportMarshal drives the decision writer with arbitrary strings
+// (HTML-sensitive bytes, control bytes, invalid UTF-8, U+2028/2029),
+// integers, masks and floats (the 1e-6 and 1e21 format boundaries, -0,
+// subnormals, NaN, ±Inf): Marshal must equal encoding/json, and fail where
+// it fails.
+func FuzzReportMarshal(f *testing.F) {
+	f.Add("t1", "core 0", "dbf <= sbf at t=10", 0.5, 3, 2, uint64(0xf0), true, "cache")
+	f.Add("<b>&amp;</b>", "\x00\x1f\t\n\r\b\f\"\\\x7f", "\xff\xfe\u2028\u2029\xe2\x80", 1e-6, -1, 0, uint64(1), false, "")
+	for _, v := range []float64{
+		9.999999999999999e-07, 1e21, 999999999999999900000, -1.2345678901234567e-7,
+		math.Copysign(0, -1), 5e-324, math.MaxFloat64, math.NaN(), math.Inf(1), math.Inf(-1),
+	} {
+		f.Add("s", "t", "r", v, 20, 20, uint64(math.MaxUint64), true, "bw")
+	}
+	f.Fuzz(func(t *testing.T, subject, target, reason string, value float64, cache, bw int, mask uint64, accepted bool, violated string) {
+		d := provenance.Decision{
+			Seq: cache, Stage: target, Kind: subject, Subject: subject, Target: target,
+			Cache: cache, BW: bw, Mask: bitmask.Mask(mask), Value: value,
+			Accepted: accepted, Reason: reason,
+		}
+		if violated != "" {
+			d.Violated = []provenance.Resource{provenance.Resource(violated), provenance.CPU}
+		}
+		doc := &report.Document{
+			Schema: report.SchemaVersion, Title: reason, Kind: report.KindRun, Seed: int64(bw),
+			Decisions: []provenance.Decision{d, {Seq: bw, Stage: "csa", Kind: "interface", Value: -value}},
+		}
+		got, gotErr := report.Marshal(doc)
+		spec, specErr := json.MarshalIndent(doc, "", "  ")
+		if (gotErr == nil) != (specErr == nil) {
+			t.Fatalf("errors differ: Marshal %v, encoding/json %v", gotErr, specErr)
+		}
+		if gotErr == nil && !bytes.Equal(got, append(spec, '\n')) {
+			t.Fatalf("Marshal differs from encoding/json:\ngot:  %q\nwant: %q", got, spec)
+		}
+	})
+}

@@ -21,8 +21,10 @@ package report
 import (
 	"encoding/json"
 	"fmt"
+	"math/bits"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 
 	"vc2m/internal/hypersim"
@@ -30,6 +32,7 @@ import (
 	"vc2m/internal/model"
 	"vc2m/internal/provenance"
 	"vc2m/internal/trace"
+	"vc2m/internal/wirejson"
 )
 
 // SchemaVersion identifies the document layout. Bump when a field changes
@@ -315,14 +318,160 @@ func Save(path string, doc *Document) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-// Marshal renders the document to its canonical JSON bytes (indented,
-// trailing newline).
+// Marshal renders the document to its canonical JSON bytes: exactly
+// json.MarshalIndent(doc, "", "  ") plus a trailing newline. The decision
+// stream is nearly all of a run report's bytes, so only the document head
+// goes through json.MarshalIndent; the decisions are appended directly
+// at their fixed indentation, into a buffer sized once.
+// TestMarshalMatchesEncodingJSON and FuzzReportMarshal hold the result to
+// encoding/json.
 func Marshal(doc *Document) ([]byte, error) {
+	var decisions []provenance.Decision
+	if doc != nil {
+		head := *doc
+		decisions, head.Decisions = doc.Decisions, nil
+		doc = &head
+	}
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		return nil, fmt.Errorf("report: marshal: %w", err)
 	}
-	return append(data, '\n'), nil
+	if len(decisions) == 0 {
+		return append(data, '\n'), nil
+	}
+	// Decisions is the document's last member: its array replaces the
+	// head's closing "\n}".
+	data = data[:len(data)-len("\n}")]
+	size := len(data) + len(decisionsOpen) + len(decisionsClose)
+	for i := range decisions {
+		size += decisionSize(&decisions[i])
+	}
+	out := append(make([]byte, 0, size), data...)
+	out = append(out, decisionsOpen...)
+	for i := range decisions {
+		if i > 0 {
+			out = append(out, ',')
+		}
+		if out, err = appendDecision(out, &decisions[i]); err != nil {
+			return nil, fmt.Errorf("report: marshal: %w", err)
+		}
+	}
+	return append(out, decisionsClose...), nil
+}
+
+// The decisions array as json.MarshalIndent lays it out in a Document:
+// the member at two spaces of indentation, each decision at four, its
+// members at six and a violated list's elements at eight.
+const (
+	decisionsOpen  = ",\n  \"decisions\": ["
+	decisionsClose = "\n  ]\n}\n"
+	decisionOpen   = "\n    {\n      \"seq\": "
+	decisionClose  = "\n    }"
+	memberOpen     = ",\n      \""
+	memberColon    = "\": "
+	violatedIndent = "\n        "
+	violatedClose  = "\n      ]"
+	// maxFloatLen is the longest number wirejson.AppendFloat writes, as in
+	// -0.0000012345678901234567.
+	maxFloatLen = 25
+)
+
+// appendDecision appends d as json.MarshalIndent writes it inside
+// Document.Decisions: Decision's field order and omitempty rules, the mask
+// in bitmask.Mask's hex form, violated as an indented array.
+func appendDecision(b []byte, d *provenance.Decision) ([]byte, error) {
+	b = append(b, decisionOpen...)
+	b = strconv.AppendInt(b, int64(d.Seq), 10)
+	b = wirejson.AppendString(appendKey(b, "stage"), d.Stage)
+	b = wirejson.AppendString(appendKey(b, "kind"), d.Kind)
+	if d.Subject != "" {
+		b = wirejson.AppendString(appendKey(b, "subject"), d.Subject)
+	}
+	if d.Target != "" {
+		b = wirejson.AppendString(appendKey(b, "target"), d.Target)
+	}
+	if d.Cache != 0 {
+		b = strconv.AppendInt(appendKey(b, "cache"), int64(d.Cache), 10)
+	}
+	if d.BW != 0 {
+		b = strconv.AppendInt(appendKey(b, "bw"), int64(d.BW), 10)
+	}
+	if d.Mask != 0 {
+		b = append(appendKey(b, "cbm_mask"), `"0x`...)
+		b = append(strconv.AppendUint(b, uint64(d.Mask), 16), '"')
+	}
+	if d.Value != 0 { //vc2m:floateq omitempty drops exactly the values equal to zero, as encoding/json does
+		var err error
+		if b, err = wirejson.AppendFloat(appendKey(b, "value"), d.Value); err != nil {
+			return nil, err
+		}
+	}
+	b = strconv.AppendBool(appendKey(b, "accepted"), d.Accepted)
+	if d.Reason != "" {
+		b = wirejson.AppendString(appendKey(b, "reason"), d.Reason)
+	}
+	if len(d.Violated) > 0 {
+		b = append(appendKey(b, "violated"), '[')
+		for i, r := range d.Violated {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = wirejson.AppendString(append(b, violatedIndent...), string(r))
+		}
+		b = append(b, violatedClose...)
+	}
+	return append(b, decisionClose...), nil
+}
+
+// appendKey appends a decision member's separator, indentation and key.
+func appendKey(b []byte, key string) []byte {
+	b = append(b, memberOpen...)
+	b = append(b, key...)
+	return append(b, memberColon...)
+}
+
+// decisionSize is the length of d's element in the decisions array, its
+// separating comma included: appendDecision's output with every number at
+// its longest, exact unless a string needs escaping.
+func decisionSize(d *provenance.Decision) int {
+	key := func(k string) int { return len(memberOpen) + len(k) + len(memberColon) }
+	str := func(k, s string) int { return key(k) + len(s) + len(`""`) }
+	n := 1 + len(decisionOpen) + intLen(d.Seq) + str("stage", d.Stage) + str("kind", d.Kind) +
+		key("accepted") + len("false") + len(decisionClose)
+	if d.Subject != "" {
+		n += str("subject", d.Subject)
+	}
+	if d.Target != "" {
+		n += str("target", d.Target)
+	}
+	if d.Cache != 0 {
+		n += key("cache") + intLen(d.Cache)
+	}
+	if d.BW != 0 {
+		n += key("bw") + intLen(d.BW)
+	}
+	if d.Mask != 0 {
+		n += key("cbm_mask") + len(`"0x"`) + (bits.Len64(uint64(d.Mask))+3)/4
+	}
+	if d.Value != 0 { //vc2m:floateq mirrors appendDecision's omitempty test
+		n += key("value") + maxFloatLen
+	}
+	if d.Reason != "" {
+		n += str("reason", d.Reason)
+	}
+	if len(d.Violated) > 0 {
+		n += key("violated") + len("[") + len(violatedClose)
+		for _, r := range d.Violated {
+			n += len(",") + len(violatedIndent) + len(r) + len(`""`)
+		}
+	}
+	return n
+}
+
+// intLen is the length of n in decimal.
+func intLen(n int) int {
+	var buf [20]byte
+	return len(strconv.AppendInt(buf[:0], int64(n), 10))
 }
 
 // Load reads and validates a document.

@@ -109,7 +109,7 @@ func TestChurnGoldenByteIdentity(t *testing.T) {
 		}
 		cur = res.Allocation
 	}
-	local, err := report.Marshal(report.BuildRun(report.RunInput{
+	local := marshalReport(t, report.BuildRun(report.RunInput{
 		Title:      fmt.Sprintf("vc2m-server churn run (base %s, seed %d)", base.ID, churnSeed),
 		Seed:       churnSeed,
 		Mode:       "flattening",
@@ -117,9 +117,6 @@ func TestChurnGoldenByteIdentity(t *testing.T) {
 		Allocation: cur,
 		Provenance: prov,
 	}))
-	if err != nil {
-		t.Fatal(err)
-	}
 	if !bytes.Equal(served, local) {
 		t.Fatalf("served churn report differs from in-process replay:\nserved %d bytes, in-process %d bytes",
 			len(served), len(local))

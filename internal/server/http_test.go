@@ -8,9 +8,12 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -25,6 +28,13 @@ import (
 
 func startHTTP(t *testing.T, cfg server.Config) (*server.Server, *client.Client) {
 	t.Helper()
+	s, hs := startHTTPServer(t, cfg)
+	return s, client.New(hs.URL, &http.Client{Timeout: 2 * time.Minute})
+}
+
+// startHTTPServer starts a server behind httptest, both stopped at cleanup.
+func startHTTPServer(t *testing.T, cfg server.Config) (*server.Server, *httptest.Server) {
+	t.Helper()
 	s := server.New(cfg)
 	s.Start()
 	hs := httptest.NewServer(s.Handler())
@@ -36,7 +46,7 @@ func startHTTP(t *testing.T, cfg server.Config) (*server.Server, *client.Client)
 			t.Errorf("shutdown: %v", err)
 		}
 	})
-	return s, client.New(hs.URL, &http.Client{Timeout: 2 * time.Minute})
+	return s, hs
 }
 
 func submitReq(seed int64, simulateMs float64) server.SubmitRequest {
@@ -167,6 +177,72 @@ func TestBadSubmissionsOverHTTP(t *testing.T) {
 	}
 }
 
+// marshalReport is report.Marshal, held to its specification: the bytes
+// json.MarshalIndent writes, plus a trailing newline.
+func marshalReport(t *testing.T, doc *report.Document) []byte {
+	t.Helper()
+	data, err := report.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, append(spec, '\n')) {
+		t.Fatal("report.Marshal differs from json.MarshalIndent")
+	}
+	return data
+}
+
+// TestUnknownTableMemberOverHTTP: the submit and churn decoders disallow
+// unknown fields, and that reaches inside the WCET tables — a table with
+// an extra member is a 400, for a run's system and a churn arrival alike.
+func TestUnknownTableMemberOverHTTP(t *testing.T) {
+	_, hs := startHTTPServer(t, server.Config{Workers: 1})
+	newVM := func(id string) *model.VM {
+		task := model.SimpleTask(id+"-t0", model.PlatformA, 100, 10)
+		task.VM = id
+		return &model.VM{ID: id, Tasks: []*model.Task{task}}
+	}
+	post := func(path string, req server.SubmitRequest, bogus bool) (int, string) {
+		t.Helper()
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bogus {
+			body = bytes.Replace(body, []byte(`"values":`), []byte(`"bogus":7,"values":`), 1)
+		}
+		resp, err := http.Post(hs.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close() //vc2m:closeflush response body close errors are uninformative by contract
+		msg, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(msg)
+	}
+	run := server.SubmitRequest{Kind: server.KindRun, System: &model.System{Platform: model.PlatformA, VMs: []*model.VM{newVM("vm0")}}}
+	if code, msg := post("/v1/runs", run, true); code != http.StatusBadRequest || !strings.Contains(msg, "bogus") {
+		t.Errorf("POST /v1/runs with a bogus table member: %d %s, want 400 naming the member", code, msg)
+	}
+	code, msg := post("/v1/runs", run, false)
+	if code != http.StatusAccepted {
+		t.Fatalf("POST /v1/runs: %d %s", code, msg)
+	}
+	var sub server.SubmitResponse
+	if err := json.Unmarshal([]byte(msg), &sub); err != nil {
+		t.Fatal(err)
+	}
+	churn := server.SubmitRequest{Churn: &server.ChurnSpec{Events: []server.ChurnEvent{{Arrivals: []*model.VM{newVM("vm1")}}}}}
+	if code, msg := post("/v1/runs/"+sub.ID+"/churn", churn, true); code != http.StatusBadRequest || !strings.Contains(msg, "bogus") {
+		t.Errorf("churn arrival with a bogus table member: %d %s, want 400 naming the member", code, msg)
+	}
+}
+
 // TestGoldenReportByteIdentity is the acceptance check: a seeded
 // allocation submitted through the server returns a vc2m.report/v1
 // document byte-identical to the same-seed run executed in-process via
@@ -211,11 +287,7 @@ func TestGoldenReportByteIdentity(t *testing.T) {
 		if res.Missed > 0 {
 			in.Diagnosis = vc2m.DiagnoseMisses(res.Events)
 		}
-		data, err := report.Marshal(report.BuildRun(in))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
+		return marshalReport(t, report.BuildRun(in))
 	}()
 
 	_, c := startHTTP(t, server.Config{Workers: 2})

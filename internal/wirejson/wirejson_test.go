@@ -1,0 +1,48 @@
+package wirejson
+
+import (
+	"encoding/json"
+	"errors"
+	"math"
+	"testing"
+)
+
+func TestAppendStringMatchesEncodingJSON(t *testing.T) {
+	for _, s := range []string{
+		"", "plain", `quote " and \ backslash`, "<script>&amp;</script>",
+		"\x00\x01\x08\x09\x0a\x0c\x0d\x1f\x7f", "café \U0001F600",
+		"\xff", "a\xe2\x80", "  ", "\xed\xa0\x80", // surrogate half
+	} {
+		spec, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := AppendString(nil, s); string(got) != string(spec) {
+			t.Errorf("AppendString(%q) = %s, encoding/json %s", s, got, spec)
+		}
+	}
+}
+
+func TestAppendFloatMatchesEncodingJSON(t *testing.T) {
+	for _, f := range []float64{
+		0, math.Copysign(0, -1), 1, -2.5, 0.1, 1e-6, 9.999999999999999e-7, 1e-7, -1.5e-9,
+		1e20, 999999999999999900000, 1e21, 1.2345e22, 5e-324, math.MaxFloat64, -math.MaxFloat64,
+	} {
+		spec, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := AppendFloat(nil, f)
+		if err != nil || string(got) != string(spec) {
+			t.Errorf("AppendFloat(%v) = %s, %v; encoding/json %s", f, got, err, spec)
+		}
+	}
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, specErr := json.Marshal(f)
+		got, err := AppendFloat([]byte("x"), f)
+		var uv *json.UnsupportedValueError
+		if !errors.As(err, &uv) || string(got) != "x" || specErr == nil || err.Error() != specErr.Error() {
+			t.Errorf("AppendFloat(%v) = %q, %v; encoding/json fails with %v", f, got, err, specErr)
+		}
+	}
+}
