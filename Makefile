@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmtcheck lint lint-tests lint-sarif test bench bench-smoke bench-check churn-bench fuzz-smoke race cover ci determinism report-smoke server-smoke obs-smoke paper examples clean
+.PHONY: all build vet fmtcheck lint lint-tests lint-sarif test bench bench-smoke bench-check churn-bench fuzz-smoke e2e-smoke race cover ci determinism report-smoke server-smoke obs-smoke paper examples clean
 
 all: build vet test
 
@@ -97,15 +97,22 @@ fuzz-smoke:
 	           internal/timeunit:FuzzMillisConversions internal/timeunit:FuzzTickRoundTrips \
 	           internal/timeunit:FuzzGCDLCM internal/workload:FuzzGenerate \
 	           internal/alloc:FuzzIncrementalChurn internal/obs:FuzzPromParse \
-	           internal/csa:FuzzMinBudget; do \
+	           internal/csa:FuzzMinBudget internal/server:FuzzSubmitRequestJSON \
+	           internal/wirejson:FuzzScannerScalars; do \
 		pkg=$${tgt%%:*}; fn=$${tgt##*:}; \
 		$(GO) test -run=^$$ -fuzz="^$$fn$$" -fuzztime=300x ./$$pkg || exit 1; \
 	done
 
+# The end-to-end benchmark's own tests: its quick served run, determinism
+# and BENCHMARK.json spec checks. e2ebench/ is a module of its own, so
+# `go test ./...` at the root never reaches it.
+e2e-smoke:
+	$(GO) -C e2ebench test ./...
+
 # Everything CI runs, locally. The workflow (.github/workflows/ci.yml)
 # calls these same targets step by step, so this list is the single
 # source of truth for what a green build means.
-ci: build vet fmtcheck lint lint-sarif test race bench-smoke bench-check churn-bench fuzz-smoke determinism report-smoke server-smoke obs-smoke
+ci: build vet fmtcheck lint lint-sarif test race bench-smoke bench-check churn-bench fuzz-smoke e2e-smoke determinism report-smoke server-smoke obs-smoke
 
 race:
 	$(GO) test -race ./...

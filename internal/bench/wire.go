@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"reflect"
 
 	"vc2m"
@@ -20,10 +22,10 @@ import (
 // shaped traffic: platform-A systems at reference utilization 1.2,
 // submitted for the existing CSA.
 //
-//   - wire/submit-decode: the server's request decoding (json.Decoder with
-//     DisallowUnknownFields, WCET tables through ResourceTable's direct
-//     scan, then Validate) against the same body decoded by reflection
-//     alone (refSubmit); the decoded systems must be deep-equal.
+//   - wire/submit-decode: the server's request decoding (the one-pass
+//     SubmitRequest.UnmarshalJSON the handlers call, then Validate) against
+//     the same body decoded by encoding/json alone (DecodeSubmitReference);
+//     the decoded submissions must be deep-equal.
 //   - wire/report-marshal: report.Marshal of each run's report against
 //     json.MarshalIndent plus a newline; the bytes must be equal.
 func benchWire(opts Options) ([]Result, error) {
@@ -60,40 +62,32 @@ func benchWire(opts Options) ([]Result, error) {
 		bodyBytes += len(bodies[i])
 	}
 
-	decoded := make([]*model.System, systems)
-	refDecoded := make([]*model.System, systems)
-	decodeOpt := func(body []byte) (*model.System, error) {
+	decoded := make([]*server.SubmitRequest, systems)
+	refDecoded := make([]*server.SubmitRequest, systems)
+	decodeOpt := func(body []byte) (*server.SubmitRequest, error) {
 		var req server.SubmitRequest
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
+		if err := req.UnmarshalJSON(body); err != nil {
 			return nil, err
 		}
-		return req.System, req.Validate()
+		return &req, req.Validate()
 	}
-	decodeRef := func(body []byte) (*model.System, error) {
-		var ref refSubmit
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&ref); err != nil {
-			return nil, err
-		}
-		req, err := ref.request()
+	decodeRef := func(body []byte) (*server.SubmitRequest, error) {
+		req, err := DecodeSubmitReference(body)
 		if err != nil {
 			return nil, err
 		}
-		return req.System, req.Validate()
+		return &req, req.Validate()
 	}
 	var runErr error
-	timeDecode := func(decode func([]byte) (*model.System, error), out []*model.System) float64 {
+	timeDecode := func(decode func([]byte) (*server.SubmitRequest, error), out []*server.SubmitRequest) float64 {
 		return medianSeconds(opts.Runs, func() {
 			for r := 0; r < repeats; r++ {
 				for i, body := range bodies {
-					sys, err := decode(body)
+					req, err := decode(body)
 					if err != nil {
 						runErr = err
 					}
-					out[i] = sys
+					out[i] = req
 				}
 			}
 		})
@@ -105,7 +99,7 @@ func benchWire(opts Options) ([]Result, error) {
 	}
 	for i := range decoded {
 		if !reflect.DeepEqual(decoded[i], refDecoded[i]) {
-			return nil, fmt.Errorf("bench wire/submit-decode: system %d decodes differently by reflection", i)
+			return nil, fmt.Errorf("bench wire/submit-decode: submission %d decodes differently by reflection", i)
 		}
 	}
 
@@ -175,22 +169,62 @@ func rejectionOf(err error) *report.Rejection {
 	return rej
 }
 
-// refSubmit decodes a SubmitRequest body by reflection alone: its system
-// member shadows the embedded request's, and each task's wcet_ms member
-// the embedded task's, so the WCET tables decode into refTable structs
-// instead of through ResourceTable.UnmarshalJSON.
+// DecodeSubmitReference decodes a submission body by encoding/json alone:
+// into refSubmit, a mirror of SubmitRequest's wire shape built from types
+// with no decoding methods of their own (so neither
+// SubmitRequest.UnmarshalJSON nor ResourceTable.UnmarshalJSON runs), with
+// unknown members and trailing data rejected. It then assembles the
+// SubmitRequest with the checks the one-pass decoder adds to encoding/json:
+// WCET tables need valid bounds and exactly their count of values, and a
+// VM, task or arrival may not be null. Only Distribution keeps its own
+// UnmarshalJSON, which the one-pass decoder reuses as its specification.
+//
+// It is the baseline of wire/submit-decode and the oracle of the server's
+// FuzzSubmitRequestJSON.
+func DecodeSubmitReference(data []byte) (server.SubmitRequest, error) {
+	var ref refSubmit
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&ref); err != nil {
+		return server.SubmitRequest{}, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return server.SubmitRequest{}, fmt.Errorf("bench: trailing data after the submission")
+	}
+	return ref.request()
+}
+
 type refSubmit struct {
-	server.SubmitRequest
-	System *struct {
-		Platform model.Platform `json:"platform"`
-		VMs      []*struct {
-			model.VM
-			Tasks []*struct {
-				model.Task
-				WCET refTable `json:"wcet_ms"`
-			} `json:"tasks"`
-		} `json:"vms"`
-	} `json:"system,omitempty"`
+	Kind       string            `json:"kind"`
+	Title      string            `json:"title"`
+	Mode       string            `json:"mode"`
+	Seed       int64             `json:"seed"`
+	System     *refSystem        `json:"system"`
+	Generate   *workload.Config  `json:"generate"`
+	GenSeed    int64             `json:"gen_seed"`
+	SimulateMs float64           `json:"simulate_ms"`
+	Metrics    bool              `json:"metrics"`
+	Sweep      *server.SweepSpec `json:"sweep"`
+	Churn      *refChurn         `json:"churn"`
+}
+
+type refSystem struct {
+	Platform model.Platform `json:"platform"`
+	VMs      []*refVM       `json:"vms"`
+}
+
+type refVM struct {
+	ID       string     `json:"id"`
+	Tasks    []*refTask `json:"tasks"`
+	MaxVCPUs int        `json:"max_vcpus"`
+}
+
+type refTask struct {
+	ID        string    `json:"id"`
+	VM        string    `json:"vm"`
+	Period    float64   `json:"period_ms"`
+	WCET      *refTable `json:"wcet_ms"`
+	Benchmark string    `json:"benchmark"`
 }
 
 // refTable is a ResourceTable's wire form as a plain struct.
@@ -202,29 +236,75 @@ type refTable struct {
 	Values []float64 `json:"values"`
 }
 
+type refChurn struct {
+	BaseRun string     `json:"base_run"`
+	Events  []refEvent `json:"events"`
+}
+
+type refEvent struct {
+	Arrivals   []*refVM `json:"arrivals"`
+	Departures []string `json:"departures"`
+}
+
 // request assembles the SubmitRequest the body describes.
 func (r *refSubmit) request() (server.SubmitRequest, error) {
-	req := r.SubmitRequest
-	if r.System == nil {
-		return req, nil
+	req := server.SubmitRequest{
+		Kind: r.Kind, Title: r.Title, Mode: r.Mode, Seed: r.Seed,
+		Generate: r.Generate, GenSeed: r.GenSeed, SimulateMs: r.SimulateMs,
+		Metrics: r.Metrics, Sweep: r.Sweep,
 	}
-	req.System = &model.System{Platform: r.System.Platform}
-	for _, rv := range r.System.VMs {
-		vm := rv.VM
-		vm.Tasks = make([]*model.Task, 0, len(rv.Tasks))
-		for _, rt := range rv.Tasks {
-			task := rt.Task
-			w := rt.WCET
-			if w.CMax < w.CMin || w.BMax < w.BMin || w.CMin < 0 || w.BMin < 0 ||
-				len(w.Values) != (w.CMax-w.CMin+1)*(w.BMax-w.BMin+1) {
-				return req, fmt.Errorf("bench: task %s: invalid WCET table", task.ID)
-			}
-			nb := w.BMax - w.BMin + 1
-			task.WCET = model.NewResourceTable(w.CMin, w.CMax, w.BMin, w.BMax)
-			task.WCET.Fill(func(c, b int) float64 { return w.Values[(c-w.CMin)*nb+b-w.BMin] })
-			vm.Tasks = append(vm.Tasks, &task)
+	var err error
+	if r.System != nil {
+		req.System = &model.System{Platform: r.System.Platform}
+		if req.System.VMs, err = refVMs(r.System.VMs); err != nil {
+			return req, err
 		}
-		req.System.VMs = append(req.System.VMs, &vm)
+	}
+	if r.Churn != nil {
+		req.Churn = &server.ChurnSpec{BaseRun: r.Churn.BaseRun}
+		if r.Churn.Events != nil {
+			req.Churn.Events = make([]server.ChurnEvent, len(r.Churn.Events))
+		}
+		for i, ev := range r.Churn.Events {
+			req.Churn.Events[i].Departures = ev.Departures
+			if req.Churn.Events[i].Arrivals, err = refVMs(ev.Arrivals); err != nil {
+				return req, err
+			}
+		}
 	}
 	return req, nil
+}
+
+func refVMs(in []*refVM) ([]*model.VM, error) {
+	if in == nil {
+		return nil, nil
+	}
+	out := make([]*model.VM, len(in))
+	for i, rv := range in {
+		if rv == nil {
+			return nil, fmt.Errorf("bench: VM %d is null", i)
+		}
+		vm := &model.VM{ID: rv.ID, MaxVCPUs: rv.MaxVCPUs}
+		if rv.Tasks != nil {
+			vm.Tasks = make([]*model.Task, len(rv.Tasks))
+		}
+		for j, rt := range rv.Tasks {
+			if rt == nil {
+				return nil, fmt.Errorf("bench: VM %q: task %d is null", rv.ID, j)
+			}
+			task := &model.Task{ID: rt.ID, VM: rt.VM, Period: rt.Period, Benchmark: rt.Benchmark}
+			if w := rt.WCET; w != nil {
+				nc, nb := w.CMax-w.CMin+1, w.BMax-w.BMin+1
+				if w.CMax < w.CMin || w.BMax < w.BMin || w.CMin < 0 || w.BMin < 0 ||
+					nc <= 0 || nb <= 0 || nc > math.MaxInt/nb || len(w.Values) != nc*nb {
+					return nil, fmt.Errorf("bench: task %q: invalid WCET table", rt.ID)
+				}
+				task.WCET = model.NewResourceTable(w.CMin, w.CMax, w.BMin, w.BMax)
+				task.WCET.Fill(func(c, b int) float64 { return w.Values[(c-w.CMin)*nb+b-w.BMin] })
+			}
+			vm.Tasks[j] = task
+		}
+		out[i] = vm
+	}
+	return out, nil
 }

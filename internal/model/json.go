@@ -51,63 +51,68 @@ func (t *ResourceTable) MarshalJSON() ([]byte, error) {
 // bit-identical to its; an out-of-range number is an error. The retained
 // values slice has exactly the table's length and capacity.
 func (t *ResourceTable) UnmarshalJSON(data []byte) error {
-	s := tableScanner{data: data}
+	s := wirejson.NewScanner(data)
+	tab, err := scanTable(s, true)
+	if err == nil && tab == nil {
+		err = s.Errorf("a table must be a JSON object")
+	}
+	if err == nil {
+		err = s.End()
+	}
+	if err != nil {
+		return fmt.Errorf("model: ResourceTable: %w", err)
+	}
+	*t = *tab
+	return nil
+}
+
+var tableKeys = []string{"cmin", "cmax", "bmin", "bmax", "values"}
+
+// scanTable decodes a table's wire form; null is a nil table. repeatOK
+// selects encoding/json's rule for a repeated member (the last wins)
+// instead of the served request's (an error).
+func scanTable(s *wirejson.Scanner, repeatOK bool) (*ResourceTable, error) {
 	var cmin, cmax, bmin, bmax int
 	var vals []float64
-	if !s.consume('{') {
-		return s.errorf("a table must be a JSON object")
-	}
-	for more := !s.consume('}'); more; {
-		key, err := s.key()
-		if err != nil {
-			return err
-		}
-		if !s.consume(':') {
-			return s.errorf("expected ':' after member %q", key)
-		}
-		switch string(key) {
+	member := func(key string) error {
+		switch key {
 		case "cmin":
-			err = s.bound(&cmin)
+			return s.Int(&cmin)
 		case "cmax":
-			err = s.bound(&cmax)
+			return s.Int(&cmax)
 		case "bmin":
-			err = s.bound(&bmin)
+			return s.Int(&bmin)
 		case "bmax":
-			err = s.bound(&bmax)
-		case "values":
-			vals, err = s.values(vals, valuesHint(cmin, cmax, bmin, bmax, len(data)))
-		default:
-			return fmt.Errorf("model: ResourceTable has unknown member %q", key)
-		}
-		if err != nil {
+			return s.Int(&bmax)
+		default: // "values"
+			var err error
+			vals, err = scanValues(s, vals, valuesHint(cmin, cmax, bmin, bmax, s.Remaining()))
 			return err
 		}
-		switch {
-		case s.consume(','):
-		case s.consume('}'):
-			more = false
-		default:
-			return s.errorf("expected ',' or '}' after member %q", key)
-		}
 	}
-	if s.skipSpace(); s.off != len(data) {
-		return s.errorf("trailing data after the table")
+	var present bool
+	var err error
+	if repeatOK {
+		present, err = s.ObjectRepeat(tableKeys, member)
+	} else {
+		present, err = s.Object(tableKeys, member)
+	}
+	if err != nil || !present {
+		return nil, err
 	}
 	nc, nb := cmax-cmin+1, bmax-bmin+1
 	if cmax < cmin || bmax < bmin || cmin < 0 || bmin < 0 || nc <= 0 || nb <= 0 {
-		return fmt.Errorf("model: invalid ResourceTable bounds c[%d,%d] b[%d,%d]",
+		return nil, s.Errorf("invalid ResourceTable bounds c[%d,%d] b[%d,%d]",
 			cmin, cmax, bmin, bmax)
 	}
 	if len(vals)%nb != 0 || len(vals)/nb != nc {
-		return fmt.Errorf("model: ResourceTable has %d values, bounds need %d×%d",
+		return nil, s.Errorf("ResourceTable has %d values, bounds need %d×%d",
 			len(vals), nc, nb)
 	}
 	if cap(vals) != len(vals) {
 		vals = append(make([]float64, 0, len(vals)), vals...)
 	}
-	t.cmin, t.bmin, t.nc, t.nb = cmin, bmin, nc, nb
-	t.vals = vals
-	return nil
+	return &ResourceTable{cmin: cmin, bmin: bmin, nc: nc, nb: nb, vals: vals}, nil
 }
 
 // valuesHint is the capacity to give a fresh values array: the size the
@@ -125,176 +130,154 @@ func valuesHint(cmin, cmax, bmin, bmax, n int) int {
 	return nc * nb
 }
 
-// tableScanner walks a table's JSON text. Each method skips leading white
-// space and advances off past what it consumed.
-type tableScanner struct {
-	data []byte
-	off  int
-}
-
-func (s *tableScanner) errorf(format string, args ...any) error {
-	return fmt.Errorf("model: ResourceTable: %s at offset %d", fmt.Sprintf(format, args...), s.off)
-}
-
-func (s *tableScanner) skipSpace() {
-	for s.off < len(s.data) {
-		switch s.data[s.off] {
-		case ' ', '\t', '\n', '\r':
-			s.off++
-		default:
-			return
-		}
-	}
-}
-
-// consume consumes c if it is the next non-space byte.
-func (s *tableScanner) consume(c byte) bool {
-	if s.skipSpace(); s.off < len(s.data) && s.data[s.off] == c {
-		s.off++
-		return true
-	}
-	return false
-}
-
-// null consumes the literal null if it comes next.
-func (s *tableScanner) null() bool {
-	if s.skipSpace(); len(s.data)-s.off >= 4 && string(s.data[s.off:s.off+4]) == "null" {
-		s.off += 4
-		return true
-	}
-	return false
-}
-
-// key consumes a member name. An escaped name is unquoted by encoding/json.
-func (s *tableScanner) key() ([]byte, error) {
-	if !s.consume('"') {
-		return nil, s.errorf("expected a member name")
-	}
-	start, escaped := s.off, false
-	for ; s.off < len(s.data); s.off++ {
-		switch c := s.data[s.off]; {
-		case c == '"':
-			s.off++
-			if !escaped {
-				return s.data[start : s.off-1], nil
-			}
-			var key string
-			if err := json.Unmarshal(s.data[start-1:s.off], &key); err != nil {
-				return nil, fmt.Errorf("model: ResourceTable member name: %w", err)
-			}
-			return []byte(key), nil
-		case c == '\\':
-			escaped = true
-			s.off++ // the escaped byte; encoding/json validates the escape
-		case c < 0x20:
-			return nil, s.errorf("control character in a member name")
-		}
-	}
-	return nil, s.errorf("unterminated member name")
-}
-
-// number consumes a JSON number and returns its text.
-func (s *tableScanner) number() ([]byte, error) {
-	s.skipSpace()
-	d, i := s.data, s.off
-	if i < len(d) && d[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(d) && d[i] == '0':
-		i++
-	case i < len(d) && '1' <= d[i] && d[i] <= '9':
-		i = digits(d, i+1)
-	default:
-		return nil, s.errorf("expected a number")
-	}
-	if i < len(d) && d[i] == '.' {
-		j := digits(d, i+1)
-		if j == i+1 {
-			return nil, s.errorf("expected a digit after the decimal point")
-		}
-		i = j
-	}
-	if i < len(d) && (d[i] == 'e' || d[i] == 'E') {
-		i++
-		if i < len(d) && (d[i] == '+' || d[i] == '-') {
-			i++
-		}
-		j := digits(d, i)
-		if j == i {
-			return nil, s.errorf("expected a digit in the exponent")
-		}
-		i = j
-	}
-	tok := d[s.off:i]
-	s.off = i
-	return tok, nil
-}
-
-// digits returns the index of the first non-digit in d at or after i.
-func digits(d []byte, i int) int {
-	for i < len(d) && '0' <= d[i] && d[i] <= '9' {
-		i++
-	}
-	return i
-}
-
-// bound consumes an integer bound into *dst; null leaves *dst unchanged.
-func (s *tableScanner) bound(dst *int) error {
-	if s.null() {
-		return nil
-	}
-	tok, err := s.number()
-	if err != nil {
-		return err
-	}
-	n, err := strconv.Atoi(string(tok))
-	if err != nil {
-		return s.errorf("bound %s is not an int", tok)
-	}
-	*dst = n
-	return nil
-}
-
-// values consumes the values array, decoding into vals' backing array the
-// way encoding/json reuses a slice: null is nil, [] a new empty slice, and
-// a null element keeps what the array held at that index.
-func (s *tableScanner) values(vals []float64, hint int) ([]float64, error) {
-	if s.null() {
-		return nil, nil
-	}
-	if !s.consume('[') {
-		return nil, s.errorf("values must be an array")
-	}
-	if s.consume(']') {
-		return []float64{}, nil
-	}
-	if vals == nil {
-		vals = make([]float64, 0, hint)
-	}
-	for i := 0; ; i++ {
-		if i < cap(vals) {
+// scanValues decodes the values array into vals' backing array the way
+// encoding/json reuses a slice: null is nil, [] a new empty slice, and a
+// null element keeps what the array held at that index.
+func scanValues(s *wirejson.Scanner, vals []float64, hint int) ([]float64, error) {
+	n := 0
+	present, err := s.Array(func(i int) error {
+		switch {
+		case vals == nil:
+			vals = make([]float64, 1, max(hint, 1))
+		case i < cap(vals):
 			vals = vals[:i+1]
-		} else {
+		default:
 			vals = append(vals[:i], 0)
 		}
-		if !s.null() {
-			tok, err := s.number()
-			if err != nil {
-				return nil, err
-			}
-			if vals[i], err = strconv.ParseFloat(string(tok), 64); err != nil {
-				return nil, s.errorf("value %s is out of range", tok)
-			}
-		}
-		switch {
-		case s.consume(','):
-		case s.consume(']'):
-			return vals, nil
-		default:
-			return nil, s.errorf("expected ',' or ']' in values")
-		}
+		n = i + 1
+		return s.Float64(&vals[i])
+	})
+	switch {
+	case err != nil || !present:
+		return nil, err
+	case n == 0:
+		return []float64{}, nil
 	}
+	return vals[:n], nil
+}
+
+// The served request's decoders. They read a system in the same single
+// pass as the rest of the request (package server), with the request's
+// strict rules: member names are exactly the wire keys, each at most once,
+// and a null VM or task is an error. Otherwise they decode what
+// json.Unmarshal decodes: null leaves a scalar or a platform unchanged and
+// makes a pointer or a slice nil, and [] is an empty slice. Slices have
+// exact capacity, and strings are copies, so nothing they return aliases
+// the request body. DecodeSystem and json.Unmarshal keep encoding/json's
+// rules.
+
+var (
+	platformKeys = []string{"name", "m", "c", "b", "cmin", "bmin"}
+	systemKeys   = []string{"platform", "vms"}
+	vmKeys       = []string{"id", "tasks", "max_vcpus"}
+	taskKeys     = []string{"id", "vm", "period_ms", "wcet_ms", "benchmark"}
+)
+
+// ScanPlatform decodes a platform object into *p; null leaves *p unchanged.
+func ScanPlatform(s *wirejson.Scanner, p *Platform) error {
+	_, err := s.Object(platformKeys, func(key string) error {
+		switch key {
+		case "name":
+			return s.String(&p.Name)
+		case "m":
+			return s.Int(&p.M)
+		case "c":
+			return s.Int(&p.C)
+		case "b":
+			return s.Int(&p.B)
+		case "cmin":
+			return s.Int(&p.Cmin)
+		default: // "bmin"
+			return s.Int(&p.Bmin)
+		}
+	})
+	return err
+}
+
+// ScanSystem decodes a system object; null is a nil system.
+func ScanSystem(s *wirejson.Scanner) (*System, error) {
+	var sys System
+	present, err := s.Object(systemKeys, func(key string) error {
+		if key == "platform" {
+			return ScanPlatform(s, &sys.Platform)
+		}
+		var err error
+		sys.VMs, err = ScanVMs(s)
+		return err
+	})
+	if err != nil || !present {
+		return nil, err
+	}
+	return &sys, nil
+}
+
+// ScanVMs decodes an array of VM objects, such as a system's vms or a
+// churn event's arrivals.
+func ScanVMs(s *wirejson.Scanner) ([]*VM, error) {
+	return scanList(s, "VM", scanVM)
+}
+
+func scanVM(s *wirejson.Scanner) (*VM, error) {
+	var vm VM
+	present, err := s.Object(vmKeys, func(key string) error {
+		switch key {
+		case "id":
+			return s.String(&vm.ID)
+		case "tasks":
+			var err error
+			vm.Tasks, err = scanList(s, "task", scanTask)
+			return err
+		default: // "max_vcpus"
+			return s.Int(&vm.MaxVCPUs)
+		}
+	})
+	if err != nil || !present {
+		return nil, err
+	}
+	return &vm, nil
+}
+
+func scanTask(s *wirejson.Scanner) (*Task, error) {
+	var t Task
+	present, err := s.Object(taskKeys, func(key string) error {
+		switch key {
+		case "id":
+			return s.String(&t.ID)
+		case "vm":
+			return s.String(&t.VM)
+		case "period_ms":
+			return s.Float64(&t.Period)
+		case "wcet_ms":
+			var err error
+			t.WCET, err = scanTable(s, false)
+			return err
+		default: // "benchmark"
+			return s.String(&t.Benchmark)
+		}
+	})
+	if err != nil || !present {
+		return nil, err
+	}
+	return &t, nil
+}
+
+// scanList decodes an array of objects that must not be null, what naming
+// an element in the error for one that is. The slice has exact capacity.
+func scanList[T any](s *wirejson.Scanner, what string, scan func(*wirejson.Scanner) (*T, error)) ([]*T, error) {
+	var stack [16]*T
+	list := stack[:0]
+	present, err := s.Array(func(int) error {
+		v, err := scan(s)
+		if err == nil && v == nil {
+			err = s.Errorf("null %s", what)
+		}
+		list = append(list, v)
+		return err
+	})
+	if err != nil || !present {
+		return nil, err
+	}
+	return append(make([]*T, 0, len(list)), list...), nil
 }
 
 // EncodeSystem serializes a system to indented JSON.

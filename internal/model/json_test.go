@@ -159,3 +159,20 @@ func TestDecodeAllocationRejectsStructurallyInvalid(t *testing.T) {
 		t.Error("core index out of range accepted")
 	}
 }
+
+// TestNullVMOrTaskIsAnError: a null VM or task decodes to a nil pointer,
+// and Validate reports it instead of dereferencing it — for DecodeSystem
+// and for any caller that builds a system by hand.
+func TestNullVMOrTaskIsAnError(t *testing.T) {
+	platform := `{"name":"A","m":4,"c":20,"b":20,"cmin":2,"bmin":1}`
+	for _, tc := range []struct{ doc, want string }{
+		{`{"platform":` + platform + `,"vms":[null]}`, "VM 0 is null"},
+		{`{"platform":` + platform + `,"vms":[{"id":"v","tasks":[null]}]}`, `task 0 of VM "v" is null`},
+		{`{"platform":` + platform + `,"vms":[{"id":"v","tasks":null},null]}`, "VM 1 is null"},
+	} {
+		_, err := DecodeSystem([]byte(tc.doc))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("DecodeSystem(%s) = %v, want an error containing %q", tc.doc, err, tc.want)
+		}
+	}
+}

@@ -309,12 +309,18 @@ func (s *System) Validate() error {
 	}
 	seenVM := map[string]bool{}
 	seenTask := map[string]bool{}
-	for _, vm := range s.VMs {
+	for i, vm := range s.VMs {
+		if vm == nil {
+			return fmt.Errorf("system: VM %d is null", i)
+		}
 		if seenVM[vm.ID] {
 			return fmt.Errorf("system: duplicate VM ID %q", vm.ID)
 		}
 		seenVM[vm.ID] = true
-		for _, t := range vm.Tasks {
+		for j, t := range vm.Tasks {
+			if t == nil {
+				return fmt.Errorf("system: task %d of VM %q is null", j, vm.ID)
+			}
 			if seenTask[t.ID] {
 				return fmt.Errorf("system: duplicate task ID %q", t.ID)
 			}

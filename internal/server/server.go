@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"sync"
@@ -369,12 +370,46 @@ func (s *Server) handleMetricsJSON(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
+// maxBodyBytes bounds a submission body.
+const maxBodyBytes = 32 << 20
+
+var errBodyTooLarge = fmt.Errorf("body exceeds the %d-byte limit", maxBodyBytes)
+
+// readSubmission reads the body once, into a buffer sized from
+// Content-Length when the client sent one, and decodes it with
+// SubmitRequest.UnmarshalJSON. It returns the status to answer a failure
+// with: 413 for a body over maxBodyBytes (before reading anything when
+// Content-Length already says so), 400 otherwise.
+func readSubmission(w http.ResponseWriter, r *http.Request, req *SubmitRequest) (int, error) {
+	if r.ContentLength > maxBodyBytes {
+		return http.StatusRequestEntityTooLarge, errBodyTooLarge
+	}
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	var data []byte
+	var err error
+	if r.ContentLength > 0 {
+		data = make([]byte, r.ContentLength)
+		_, err = io.ReadFull(body, data)
+	} else {
+		data, err = io.ReadAll(body)
+	}
+	var maxErr *http.MaxBytesError
+	switch {
+	case errors.As(err, &maxErr):
+		return http.StatusRequestEntityTooLarge, errBodyTooLarge
+	case err != nil:
+		return http.StatusBadRequest, err
+	}
+	if err := req.UnmarshalJSON(data); err != nil {
+		return http.StatusBadRequest, err
+	}
+	return 0, nil
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 32<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding submission: %w", err))
+	if code, err := readSubmission(w, r, &req); err != nil {
+		writeError(w, code, fmt.Errorf("decoding submission: %w", err))
 		return
 	}
 	run, err := s.SubmitCtx(r.Context(), req)
@@ -448,10 +483,8 @@ func (s *Server) handleChurn(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SubmitRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 32<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding churn submission: %w", err))
+	if code, err := readSubmission(w, r, &req); err != nil {
+		writeError(w, code, fmt.Errorf("decoding churn submission: %w", err))
 		return
 	}
 	req.Kind = KindChurn

@@ -1,9 +1,11 @@
-// Package wirejson holds the two scalar appenders shared by the
-// hand-written wire paths: the WCET-table codec (package model) and the
-// report writer (package report). Both must produce exactly the bytes
-// encoding/json produces for the same value: encoding/json is the wire
-// specification and the test oracle, and the differential tests and fuzz
-// targets of both callers assert the equality.
+// Package wirejson holds the pieces shared by the hand-written wire paths:
+// Scanner, the one-pass JSON reader behind the request decoder (package
+// server) and the WCET-table codec (package model), and the two scalar
+// appenders of the table codec and the report writer (package report).
+// encoding/json is the wire specification and the test oracle: the
+// appenders produce exactly the bytes it produces for the same value, the
+// Scanner reads exactly the values it reads, and the differential tests
+// and fuzz targets of every caller assert the equality.
 package wirejson
 
 import (
