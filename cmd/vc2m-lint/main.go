@@ -19,8 +19,10 @@
 // annotated in the source with //vc2m:<directive> comments (see -list for
 // each analyzer's directives); pre-existing debt can be carried in a
 // committed baseline file (-baseline, refreshed with -write-baseline).
-// The exit status is 1 when unsuppressed, unbaselined diagnostics remain,
-// 2 on usage or load errors.
+// The exit status is 1 when unsuppressed, unbaselined diagnostics remain
+// or a baseline entry is stale (its finding is gone, so the baseline can
+// only shrink), 2 on usage or load errors. A baseline is therefore checked
+// against the same analyzers and packages that wrote it.
 //
 // Examples:
 //
@@ -137,13 +139,15 @@ func run(args []string) int {
 		return 0
 	}
 
+	var stale []lintkit.BaselineEntry
 	if *baselinePath != "" {
 		b, err := lintkit.LoadBaseline(*baselinePath)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "vc2m-lint:", err)
 			return 2
 		}
-		for _, e := range res.ApplyBaseline(b) {
+		stale = res.ApplyBaseline(b)
+		for _, e := range stale {
 			fmt.Fprintf(os.Stderr, "vc2m-lint: stale baseline entry: %s [%s] %q (count %d) — tighten %s\n",
 				e.File, e.Analyzer, e.Message, e.Count, *baselinePath)
 		}
@@ -175,7 +179,7 @@ func run(args []string) int {
 		fmt.Fprintln(os.Stderr, "vc2m-lint:", err)
 		return 2
 	}
-	if len(res.Diagnostics) > 0 {
+	if len(res.Diagnostics) > 0 || len(stale) > 0 {
 		return 1
 	}
 	return 0

@@ -179,6 +179,32 @@ func TestRunBaselineRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRunStaleBaselineFails: once a baselined finding is fixed, its entry
+// is stale and the run fails until the baseline is tightened, so the
+// baseline can only shrink.
+func TestRunStaleBaselineFails(t *testing.T) {
+	root := writeFixtureModule(t)
+	baseline := filepath.Join(root, "baseline.json")
+	var code int
+	_ = capture(t, func() { code = run([]string{"-dir", root, "-write-baseline", baseline, "./..."}) })
+	if code != 0 {
+		t.Fatalf("-write-baseline exit = %d, want 0", code)
+	}
+	fixed := "package dirty\n\nfunc Bad(x float64) bool { return x > 1 }\n"
+	if err := os.WriteFile(filepath.Join(root, "dirty", "dirty.go"), []byte(fixed), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_ = capture(t, func() { code = run([]string{"-dir", root, "-baseline", baseline, "./..."}) })
+	if code != 1 {
+		t.Fatalf("run with a stale baseline entry: exit %d, want 1", code)
+	}
+	_ = capture(t, func() { code = run([]string{"-dir", root, "-write-baseline", baseline, "./..."}) })
+	_ = capture(t, func() { code = run([]string{"-dir", root, "-baseline", baseline, "./..."}) })
+	if code != 0 {
+		t.Fatalf("run with the tightened baseline: exit %d, want 0", code)
+	}
+}
+
 func TestRunSARIFOutput(t *testing.T) {
 	root := writeFixtureModule(t)
 	sarif := filepath.Join(root, "lint.sarif")

@@ -40,7 +40,7 @@ func run(args []string) int {
 	max := fs.Float64("max", 2.0, "maximum taskset reference utilization")
 	step := fs.Float64("step", 0.2, "utilization step")
 	seed := fs.Int64("seed", 1, "random seed")
-	showMetrics := fs.Bool("metrics", false, "collect and print per-solution search-effort metrics (dbf/sbf evaluations, phase timings, ...)")
+	showMetrics := fs.Bool("metrics", false, "collect and print per-solution search-effort counters (dbf/sbf evaluations, permutations, partition grants, ...)")
 	metricsCSV := fs.String("metrics-csv", "", "also write the per-solution metrics to this CSV file (implies -metrics)")
 	logCfg := obs.LogFlags(fs, "warn")
 	if err := fs.Parse(args); err != nil {

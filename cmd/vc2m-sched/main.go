@@ -54,7 +54,7 @@ func run(args []string) int {
 	doPlot := fs.Bool("plot", false, "render the curves as an ASCII chart (the figure itself)")
 	csvPath := fs.String("csv", "", "also write the fraction series to this CSV file")
 	parallel := fs.Int("parallel", runtime.NumCPU(), "tasksets analyzed concurrently (results are identical at any value; use 1 when timing)")
-	showMetrics := fs.Bool("metrics", false, "collect and print per-solution search-effort metrics (dbf/sbf evaluations, phase timings, ...)")
+	showMetrics := fs.Bool("metrics", false, "collect and print per-solution search-effort counters (dbf/sbf evaluations, permutations, partition grants, ...)")
 	metricsCSV := fs.String("metrics-csv", "", "also write the per-solution metrics to this CSV file (implies -metrics)")
 	provFlag := fs.Bool("provenance", false, "record per-taskset accept/reject provenance (implied by -report-out)")
 	reportOut := fs.String("report-out", "", "write a unified sweep report JSON here (inspect with vc2m-report)")

@@ -22,14 +22,9 @@ import (
 // failure ErrNotSchedulable (diagnosed as a *RejectionError naming every
 // violated resource, not just the first one checked) is returned and the
 // running system is untouched — exactly the contract an online admission
-// controller needs.
-func Admit(existing *model.Allocation, vm *model.VM, mode CSAMode, rng *rngutil.RNG) (*model.Allocation, error) {
-	return AdmitProv(existing, vm, mode, rng, nil)
-}
-
-// AdmitProv is Admit with decision provenance: placements, spare-partition
-// grants and the rejection diagnosis are recorded on prov (nil-safe).
-func AdmitProv(existing *model.Allocation, vm *model.VM, mode CSAMode, rng *rngutil.RNG, prov *provenance.Recorder) (*model.Allocation, error) {
+// controller needs. Placements, spare-partition grants and the rejection
+// diagnosis are recorded on prov (nil-safe).
+func Admit(existing *model.Allocation, vm *model.VM, mode CSAMode, rng *rngutil.RNG, prov *provenance.Recorder) (*model.Allocation, error) {
 	if existing == nil || !existing.Schedulable {
 		return nil, fmt.Errorf("alloc: Admit requires an existing schedulable allocation")
 	}

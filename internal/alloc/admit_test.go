@@ -33,7 +33,7 @@ func TestAdmitPlacesNewVM(t *testing.T) {
 		model.SimpleTask("n1", model.PlatformA, 100, 15),
 		model.SimpleTask("n2", model.PlatformA, 400, 60),
 	)
-	out, err := Admit(a, newVM, Flattening, rngutil.New(2))
+	out, err := Admit(a, newVM, Flattening, rngutil.New(2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestAdmitDoesNotMoveExistingVCPUs(t *testing.T) {
 		}
 	}
 	newVM := mkVM("vm1", model.SimpleTask("n1", model.PlatformA, 100, 30))
-	out, err := Admit(a, newVM, Flattening, nil)
+	out, err := Admit(a, newVM, Flattening, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestAdmitGrowsResourcesForHungryVM(t *testing.T) {
 	hungry := &model.Task{ID: "hungry", VM: "vm1", Period: 100,
 		WCET: bm.WCETTable(model.PlatformA, 55), Benchmark: "streamcluster"}
 	newVM := &model.VM{ID: "vm1", Tasks: []*model.Task{hungry}}
-	out, err := Admit(a, newVM, Flattening, nil)
+	out, err := Admit(a, newVM, Flattening, nil, nil)
 	if err != nil {
 		t.Fatalf("hungry VM not admitted despite ample spare partitions: %v", err)
 	}
@@ -114,7 +114,7 @@ func TestAdmitRejectsOverload(t *testing.T) {
 		tasks = append(tasks, model.SimpleTask(string(rune('a'+i)), model.PlatformA, 100, 90))
 	}
 	newVM := mkVM("vm1", tasks...)
-	if _, err := Admit(a, newVM, Flattening, nil); !errors.Is(err, model.ErrNotSchedulable) {
+	if _, err := Admit(a, newVM, Flattening, nil, nil); !errors.Is(err, model.ErrNotSchedulable) {
 		t.Errorf("expected ErrNotSchedulable, got %v", err)
 	}
 	// And the original remains valid.
@@ -126,10 +126,10 @@ func TestAdmitRejectsOverload(t *testing.T) {
 func TestAdmitRequiresSchedulableBase(t *testing.T) {
 	bad := &model.Allocation{Platform: model.PlatformA}
 	newVM := mkVM("vm1", model.SimpleTask("n1", model.PlatformA, 100, 10))
-	if _, err := Admit(bad, newVM, Flattening, nil); err == nil {
+	if _, err := Admit(bad, newVM, Flattening, nil, nil); err == nil {
 		t.Error("unschedulable base accepted")
 	}
-	if _, err := Admit(nil, newVM, Flattening, nil); err == nil {
+	if _, err := Admit(nil, newVM, Flattening, nil, nil); err == nil {
 		t.Error("nil base accepted")
 	}
 }
@@ -137,7 +137,7 @@ func TestAdmitRequiresSchedulableBase(t *testing.T) {
 func TestReleaseRemovesVM(t *testing.T) {
 	a, baseTasks := baseAllocation(t)
 	newVM := mkVM("vm1", model.SimpleTask("n1", model.PlatformA, 100, 30))
-	grown, err := Admit(a, newVM, Flattening, nil)
+	grown, err := Admit(a, newVM, Flattening, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestAdmitReleaseChurn(t *testing.T) {
 	}
 	for round := 0; round < 5; round++ {
 		vm := vmSpec()
-		grown, err := Admit(a, vm, Flattening, rngutil.New(int64(round)))
+		grown, err := Admit(a, vm, Flattening, rngutil.New(int64(round)), nil)
 		if err != nil {
 			t.Fatalf("round %d: admission failed: %v", round, err)
 		}
@@ -203,7 +203,7 @@ func TestAdmitPropertyAlwaysValid(t *testing.T) {
 			Period: period, WCET: bm.WCETTable(model.PlatformA, ref), Benchmark: bm.Name,
 		}
 		vm := &model.VM{ID: task.VM, Tasks: []*model.Task{task}}
-		next, err := Admit(a, vm, Flattening, rngutil.New(int64(i)))
+		next, err := Admit(a, vm, Flattening, rngutil.New(int64(i)), nil)
 		if err != nil {
 			continue
 		}
@@ -224,7 +224,7 @@ func TestAdmitSequential(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		vm := mkVM(string(rune('A'+i)),
 			model.SimpleTask(string(rune('A'+i))+"-x", model.PlatformA, 100, 25))
-		next, err := Admit(a, vm, Flattening, rngutil.New(int64(i)))
+		next, err := Admit(a, vm, Flattening, rngutil.New(int64(i)), nil)
 		if errors.Is(err, model.ErrNotSchedulable) {
 			break
 		}

@@ -72,7 +72,7 @@ func packExistingVCPUs(vm *model.VM, plat model.Platform, firstIndex int, rec *m
 		}
 		cps := demand.Checkpoints()
 		rec.Add(csa.MetricDBFEvals, int64(len(cps)))
-		theta, ok = csa.MinBudgetForDemandMetered(period, cps, demand.DBF(wcets), rec)
+		theta, ok = csa.MinBudgetForDemand(period, cps, demand.DBF(wcets), rec)
 		return theta, period, ok
 	}
 

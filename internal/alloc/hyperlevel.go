@@ -36,8 +36,8 @@ type HyperConfig struct {
 	// Overheads inflates VCPU budgets for intra-core preemption and
 	// completion overhead before allocation ([17]); zero disables.
 	Overheads csa.Overheads
-	// Metrics, when non-nil, records search-effort counters and per-phase
-	// timings (nil disables recording at no cost).
+	// Metrics, when non-nil, records search-effort counters (nil disables
+	// recording at no cost).
 	Metrics *metrics.Recorder
 	// Provenance, when non-nil, records every packing attempt, partition
 	// grant, migration and the final verdict with the binding resources
@@ -51,8 +51,7 @@ type HyperConfig struct {
 	//vc2m:ctxfield optional cancellation hook on a config struct; nil runs to completion
 	Ctx context.Context
 	// Span, when non-nil, is the parent under which one alloc.phase1/2/3
-	// span is opened per phase invocation, mirroring the Metric*Seconds
-	// timers (nil disables at no cost).
+	// span is opened per phase invocation (nil disables at no cost).
 	Span *obs.Span
 
 	// Ablation switches, used by the design-choice benchmarks to quantify
@@ -218,9 +217,7 @@ func HyperLevel(vcpus []*model.VCPU, plat model.Platform, cfg HyperConfig, rng *
 			perm := rng.Perm(len(groups))
 			rec.Inc(MetricPermutations)
 			sp1 := cfg.Span.Child(obs.StagePhase1)
-			stop := rec.Time(MetricPhase1Seconds)
 			cores := packPhase1(groups, perm, m, &scratch)
-			stop()
 			sp1.SetInt("m", int64(m))
 			sp1.SetInt("iter", int64(iter))
 			sp1.End()
@@ -358,10 +355,8 @@ func allocateAndBalance(cores []*coreState, plat model.Platform, cfg HyperConfig
 	runPhase2 := func() bool {
 		rec.Inc(MetricPhase2Calls)
 		sp2 := cfg.Span.Child(obs.StagePhase2)
-		stop := rec.Time(MetricPhase2Seconds)
 		var ok bool
 		ok, cause = phase2(cores, plat, rec, prov)
-		stop()
 		sp2.End()
 		return ok
 	}
@@ -375,9 +370,7 @@ func allocateAndBalance(cores []*coreState, plat model.Platform, cfg HyperConfig
 	for round := 0; round < cfg.MaxBalanceRounds; round++ {
 		rec.Inc(MetricPhase3Rounds)
 		sp3 := cfg.Span.Child(obs.StagePhase3)
-		stop := rec.Time(MetricPhase3Seconds)
 		moved := balancePhase3(cores, rec, prov)
-		stop()
 		sp3.End()
 		if !moved {
 			return false, cause // no migration possible: no benefit in balancing

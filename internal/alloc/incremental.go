@@ -42,8 +42,8 @@ type IncrementalConfig struct {
 	// Overheads inflates the budgets of arriving VMs' VCPUs, mirroring
 	// what HyperLevel does on the from-scratch path; zero disables.
 	Overheads csa.Overheads
-	// Metrics, when non-nil, records churn counters and the warm-start
-	// timer (nil disables recording at no cost).
+	// Metrics, when non-nil, records churn counters (nil disables
+	// recording at no cost).
 	Metrics *metrics.Recorder
 	// Provenance, when non-nil, records every admit/evict verdict, every
 	// warm placement and grant, and one migrate decision per VCPU a repack
@@ -122,15 +122,13 @@ func Incremental(prev *model.Allocation, delta Delta, cfg IncrementalConfig, rng
 	prov := cfg.Provenance
 	rec.Inc(MetricIncrementalCalls)
 	sp := cfg.Span.Child(obs.StageIncremental)
-	stop := rec.Time(MetricIncrementalSeconds)
+	defer sp.End()
 
 	st := newIncrementalState(prev)
 	res := &IncrementalResult{}
 
 	for _, id := range delta.Departures {
 		if err := st.depart(id, prov); err != nil {
-			stop()
-			sp.End()
 			return nil, err
 		}
 		rec.Inc(MetricIncrementalEvicts)
@@ -140,8 +138,6 @@ func Incremental(prev *model.Allocation, delta Delta, cfg IncrementalConfig, rng
 	seen := map[string]bool{}
 	for _, vm := range delta.Arrivals {
 		if err := st.validateArrival(vm, seen); err != nil {
-			stop()
-			sp.End()
 			return nil, err
 		}
 		seen[vm.ID] = true
@@ -150,8 +146,6 @@ func Incremental(prev *model.Allocation, delta Delta, cfg IncrementalConfig, rng
 			Metrics: rec, Provenance: prov, Span: sp,
 		}, st.nextIndex, rng)
 		if err != nil {
-			stop()
-			sp.End()
 			return nil, err
 		}
 		for i, v := range vcpus {
@@ -171,12 +165,10 @@ func Incremental(prev *model.Allocation, delta Delta, cfg IncrementalConfig, rng
 	}
 
 	res.Allocation = st.freeze(prev.Solution)
-	stop()
 	sp.SetInt("admitted", int64(len(res.Admitted)))
 	sp.SetInt("rejected", int64(len(res.Rejected)))
 	sp.SetInt("departed", int64(len(res.Departed)))
 	sp.SetInt("repacks", int64(res.Repacks))
-	sp.End()
 	return res, nil
 }
 

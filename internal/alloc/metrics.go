@@ -4,11 +4,9 @@ import (
 	"context"
 
 	"vc2m/internal/metrics"
-	"vc2m/internal/obs"
-	"vc2m/internal/provenance"
 )
 
-// Counter and timer names recorded by the allocators when a recorder is
+// Counter names recorded by the allocators when a recorder is
 // attached (see Heuristic.Metrics and MetricsSetter). Together with the
 // csa.* counters they form the per-solution search-effort profile that the
 // experiment harness reports.
@@ -49,14 +47,6 @@ const (
 	MetricIncrementalRejects = "alloc.incremental.rejects"
 	MetricIncrementalEvicts  = "alloc.incremental.evicts"
 	MetricIncrementalRepacks = "alloc.incremental.repacks"
-
-	// Wall-time timers (seconds per invocation).
-	MetricVMLevelSeconds     = "alloc.vmlevel.seconds"
-	MetricHyperSeconds       = "alloc.hyper.seconds"
-	MetricPhase1Seconds      = "alloc.phase1.seconds"
-	MetricPhase2Seconds      = "alloc.phase2.seconds"
-	MetricPhase3Seconds      = "alloc.phase3.seconds"
-	MetricIncrementalSeconds = "alloc.incremental.seconds"
 )
 
 // MetricsSetter is implemented by allocators that can record search-effort
@@ -66,25 +56,10 @@ type MetricsSetter interface {
 	SetMetrics(*metrics.Recorder)
 }
 
-// ProvenanceSetter is implemented by allocators that can record their
-// decision stream (see package provenance). Like MetricsSetter, it lets
-// harnesses attach a recorder without widening the Allocator interface.
-type ProvenanceSetter interface {
-	SetProvenance(*provenance.Recorder)
-}
-
 // ContextSetter is implemented by allocators whose search polls a
 // cancellation context (see Heuristic.Ctx). Harnesses and the allocation
 // server use it to make long searches abortable without widening the
 // Allocator interface.
 type ContextSetter interface {
 	SetContext(context.Context)
-}
-
-// SpanSetter is implemented by allocators that open wall-clock stage
-// spans under a parent span (see Heuristic.Span and package obs).
-// Harnesses and the allocation server use it to attach a span without
-// widening the Allocator interface.
-type SpanSetter interface {
-	SetSpan(*obs.Span)
 }

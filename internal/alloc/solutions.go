@@ -34,9 +34,9 @@ type Heuristic struct {
 	VMLevel VMLevelConfig
 	// Hyper configures the hypervisor-level search.
 	Hyper HyperConfig
-	// Metrics, when non-nil, records search-effort counters and per-phase
-	// timings across both allocation levels (see the Metric* constants and
-	// the csa.Metric* constants). Nil disables recording at no cost.
+	// Metrics, when non-nil, records search-effort counters across both
+	// allocation levels (see the Metric* constants and the csa.Metric*
+	// constants). Nil disables recording at no cost.
 	Metrics *metrics.Recorder
 	// Provenance, when non-nil, records the full decision stream across
 	// both allocation levels (see package provenance). Nil disables
@@ -61,14 +61,8 @@ func (h *Heuristic) Name() string { return "Heuristic (" + h.Mode.String() + ")"
 // SetMetrics implements MetricsSetter.
 func (h *Heuristic) SetMetrics(r *metrics.Recorder) { h.Metrics = r }
 
-// SetProvenance implements ProvenanceSetter.
-func (h *Heuristic) SetProvenance(p *provenance.Recorder) { h.Provenance = p }
-
 // SetContext implements ContextSetter.
 func (h *Heuristic) SetContext(ctx context.Context) { h.Ctx = ctx }
-
-// SetSpan implements SpanSetter.
-func (h *Heuristic) SetSpan(sp *obs.Span) { h.Span = sp }
 
 // Allocate implements Allocator. A nil RNG falls back to a fixed seed, so
 // the call is deterministic either way.
@@ -96,34 +90,28 @@ func (h *Heuristic) Allocate(sys *model.System, rng *rngutil.RNG) (*model.Alloca
 	}
 	vmSpan := h.Span.Child(obs.StageVMLevel)
 	vmCfg.Span = vmSpan
-	stopVM := rec.Time(MetricVMLevelSeconds)
 	var vcpus []*model.VCPU
 	for _, vm := range sys.VMs {
 		if h.Ctx != nil {
 			if err := h.Ctx.Err(); err != nil {
-				stopVM()
 				vmSpan.End()
 				return nil, err
 			}
 		}
 		vs, err := VMLevel(vm, sys.Platform, vmCfg, len(vcpus), rng)
 		if err != nil {
-			stopVM()
 			vmSpan.End()
 			return nil, err
 		}
 		vcpus = append(vcpus, vs...)
 	}
-	stopVM()
 	vmSpan.SetInt("vms", int64(len(sys.VMs)))
 	vmSpan.SetInt("vcpus", int64(len(vcpus)))
 	vmSpan.End()
 	rec.Add(MetricVCPUsBuilt, int64(len(vcpus)))
 	hySpan := h.Span.Child(obs.StageHyper)
 	hyCfg.Span = hySpan
-	stopHyper := rec.Time(MetricHyperSeconds)
 	a, err := HyperLevel(vcpus, sys.Platform, hyCfg, rng)
-	stopHyper()
 	hySpan.SetInt("vcpus", int64(len(vcpus)))
 	hySpan.End()
 	if err != nil {
@@ -147,9 +135,6 @@ func (EvenlyPartition) Name() string { return "Evenly-partition (overhead-free C
 
 // SetMetrics implements MetricsSetter.
 func (e *EvenlyPartition) SetMetrics(r *metrics.Recorder) { e.Metrics = r }
-
-// SetProvenance implements ProvenanceSetter.
-func (e *EvenlyPartition) SetProvenance(p *provenance.Recorder) { e.Provenance = p }
 
 // Allocate implements Allocator.
 func (e EvenlyPartition) Allocate(sys *model.System, _ *rngutil.RNG) (*model.Allocation, error) {
@@ -176,9 +161,6 @@ func (Baseline) Name() string { return "Baseline (existing CSA)" }
 
 // SetMetrics implements MetricsSetter.
 func (b *Baseline) SetMetrics(r *metrics.Recorder) { b.Metrics = r }
-
-// SetProvenance implements ProvenanceSetter.
-func (b *Baseline) SetProvenance(p *provenance.Recorder) { b.Provenance = p }
 
 // Allocate implements Allocator.
 func (b Baseline) Allocate(sys *model.System, _ *rngutil.RNG) (*model.Allocation, error) {

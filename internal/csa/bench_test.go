@@ -17,7 +17,7 @@ func BenchmarkMinBudgetForDemand(b *testing.B) {
 	dem := []float64{10, 30, 45, 70, 150}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := MinBudgetForDemand(100, cps, dem); !ok {
+		if _, ok := MinBudgetForDemand(100, cps, dem, nil); !ok {
 			b.Fatal("unexpected infeasible")
 		}
 	}

@@ -140,6 +140,6 @@ func MinBudgetConstrained(periods, deadlines, wcets []float64, pi float64) (floa
 	if err != nil {
 		return 0, false, err
 	}
-	theta, ok := MinBudgetForDemand(pi, d.Checkpoints(), d.DBF(wcets))
+	theta, ok := MinBudgetForDemand(pi, d.Checkpoints(), d.DBF(wcets), nil)
 	return theta, ok, nil
 }

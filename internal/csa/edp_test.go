@@ -72,7 +72,7 @@ func TestMinBudgetEDPOnTheMotivatingExample(t *testing.T) {
 	// matched-period task. That deterministic slot is precisely what
 	// vC2M's well-regulated VCPUs realize inside an actual hypervisor
 	// (Theorem 2); the EDP interface is the analysis-side view of it.
-	periodic, ok := MinBudgetForDemand(10, []float64{10}, []float64{1})
+	periodic, ok := MinBudgetForDemand(10, []float64{10}, []float64{1}, nil)
 	if !ok {
 		t.Fatal("periodic infeasible")
 	}
@@ -106,7 +106,7 @@ func TestMinBudgetEDPOverheadRemainsForMismatchedPeriods(t *testing.T) {
 		t.Errorf("EDP bandwidth %v at or below utilization %v — mismatched periods must cost something",
 			edp/10, util)
 	}
-	periodic, ok := MinBudgetForDemand(10, cps, dem)
+	periodic, ok := MinBudgetForDemand(10, cps, dem, nil)
 	if !ok {
 		t.Fatal("periodic infeasible")
 	}

@@ -23,7 +23,7 @@ func ExampleSBF() {
 // classical analysis: a utilization-0.1 task demands a bandwidth-0.55
 // VCPU.
 func ExampleMinBudgetForDemand() {
-	theta, ok := csa.MinBudgetForDemand(10, []float64{10}, []float64{1})
+	theta, ok := csa.MinBudgetForDemand(10, []float64{10}, []float64{1}, nil)
 	fmt.Printf("feasible: %v, budget: %.1f, bandwidth: %.2f\n", ok, theta, theta/10)
 	// Output:
 	// feasible: true, budget: 5.5, bandwidth: 0.55

@@ -37,38 +37,27 @@ import (
 // budget is infeasible even under the full allocation (C,B), in which case
 // the VCPU can never be scheduled.
 func ExistingVCPU(tasks []*model.Task, index int, plat model.Platform) (*model.VCPU, bool, error) {
-	return ExistingVCPUMetered(tasks, index, plat, nil)
+	return ExistingVCPUObs(tasks, index, plat, nil, nil, nil)
 }
 
-// ExistingVCPUMetered is ExistingVCPU with search-effort accounting: the
-// dbf/sbf checkpoint evaluations and minimum-budget searches behind the
-// VCPU's budget table are recorded on rec (nil-safe). These counters are
-// what makes the existing CSA's running-time premium over the overhead-free
-// analyses (Figure 4) attributable: every (c,b) allocation triggers a full
-// demand evaluation plus a minimum-budget search, while Theorems 1 and 2
-// need neither.
-func ExistingVCPUMetered(tasks []*model.Task, index int, plat model.Platform, rec *metrics.Recorder) (*model.VCPU, bool, error) {
-	return ExistingVCPUProv(tasks, index, plat, rec, nil)
-}
-
-// ExistingVCPUProv is ExistingVCPUMetered with decision provenance: when
-// prov is non-nil it records the derived interface — the chosen period
-// rule, the budget at the full and minimum allocations, how many (c,b)
-// candidates were feasible, and the decisive demand checkpoint (the time
-// point with the least supply slack when feasible, the one with the
-// steepest demand when not) — so reports can show why the existing CSA
-// priced the taskset the way it did.
-func ExistingVCPUProv(tasks []*model.Task, index int, plat model.Platform, rec *metrics.Recorder, prov *provenance.Recorder) (*model.VCPU, bool, error) {
-	return ExistingVCPUObs(tasks, index, plat, rec, prov, nil)
-}
-
-// ExistingVCPUObs is ExistingVCPUProv with wall-clock span annotation:
-// when sp is non-nil (an open csa.derive span owned by the caller), the
-// derivation's cost drivers — candidate (c,b) count, dbf checkpoint
-// evaluations, sbf evaluations, closed-form budget solves — are attached
-// as span attributes, so a span export explains why this stage dominates
-// the existing CSA's running time (Figure 4). A nil sp costs nothing; the
-// derivation itself is unaffected either way.
+// ExistingVCPUObs is ExistingVCPU with instrumentation; each of rec, prov
+// and sp may be nil, and none of them affects the derivation.
+//
+//   - rec receives the search effort: the dbf/sbf checkpoint evaluations
+//     and minimum-budget searches behind the VCPU's budget table. These
+//     counters make the existing CSA's running-time premium over the
+//     overhead-free analyses (Figure 4) attributable: every (c,b)
+//     allocation triggers a full demand evaluation plus a minimum-budget
+//     search, while Theorems 1 and 2 need neither.
+//   - prov receives the derived interface: the chosen period rule, the
+//     budget at the full and minimum allocations, how many (c,b)
+//     candidates were feasible, and the decisive demand checkpoint (the
+//     time point with the least supply slack when feasible, the one with
+//     the steepest demand when not), so reports can show why the existing
+//     CSA priced the taskset the way it did.
+//   - sp, an open csa.derive span owned by the caller, receives the same
+//     cost drivers as attributes, so a span export explains why this stage
+//     dominates the existing CSA's running time.
 func ExistingVCPUObs(tasks []*model.Task, index int, plat model.Platform, rec *metrics.Recorder, prov *provenance.Recorder, sp *obs.Span) (*model.VCPU, bool, error) {
 	if len(tasks) == 0 {
 		return nil, false, errors.New("csa: ExistingVCPU with no tasks")
@@ -247,7 +236,7 @@ func BestPeriodExisting(tasks []*model.Task, plat model.Platform, maxDivisor int
 	bestBW := 0.0
 	for k := 1; k <= maxDivisor; k++ {
 		cand := minP / float64(k)
-		th, feasible := MinBudgetForDemand(cand, cps, dem)
+		th, feasible := MinBudgetForDemand(cand, cps, dem, nil)
 		if !feasible {
 			continue
 		}
@@ -270,6 +259,6 @@ func MinBudget(tasks []*model.Task, pi float64, c, b int) (float64, bool, error)
 	if err != nil {
 		return 0, false, err
 	}
-	theta, ok := MinBudgetForDemand(pi, demand.Checkpoints(), demand.DBF(TaskWCETs(tasks, c, b)))
+	theta, ok := MinBudgetForDemand(pi, demand.Checkpoints(), demand.DBF(TaskWCETs(tasks, c, b)), nil)
 	return theta, ok, nil
 }

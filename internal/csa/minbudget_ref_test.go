@@ -18,7 +18,7 @@ import (
 // every checkpoint and be minimal — shrinking it by a relative 1e-7 must
 // violate some checkpoint.
 func checkAgainstBisection(pi float64, cps, dem []float64) error {
-	theta, ok := csa.MinBudgetForDemand(pi, cps, dem)
+	theta, ok := csa.MinBudgetForDemand(pi, cps, dem, nil)
 	ref, refOK := bench.BisectMinBudget(pi, cps, dem)
 	if ok != refOK {
 		return fmt.Errorf("verdict %v, bisection %v (budget %v vs %v)", ok, refOK, theta, ref)

@@ -102,15 +102,9 @@ func LinearSBF(pi, theta, t float64) float64 {
 // For fixed t, SBF is continuous, non-decreasing and piecewise linear in
 // theta, so each checkpoint's minimum budget has a closed form
 // (minBudgetAt) and the overall minimum is the maximum over checkpoints.
-func MinBudgetForDemand(pi float64, checkpoints, demands []float64) (float64, bool) {
-	theta, ok, _, _, _ := minBudgetForDemand(pi, checkpoints, demands, 0)
-	return theta, ok
-}
-
-// MinBudgetForDemandMetered is MinBudgetForDemand with search-effort
-// accounting: it additionally records the number of sbf evaluations and
-// closed-form solves on rec (nil-safe).
-func MinBudgetForDemandMetered(pi float64, checkpoints, demands []float64, rec *metrics.Recorder) (float64, bool) {
+// The search effort (sbf evaluations and closed-form solves) is recorded
+// on rec (nil-safe).
+func MinBudgetForDemand(pi float64, checkpoints, demands []float64, rec *metrics.Recorder) (float64, bool) {
 	theta, ok, _, sbfEvals, solves := minBudgetForDemand(pi, checkpoints, demands, 0)
 	if rec != nil {
 		rec.Inc(MetricMinBudgetCalls)

@@ -111,7 +111,7 @@ func TestMinBudgetPaperExample(t *testing.T) {
 	// The paper's motivating example: taskset {(p=10, e=1)} on a periodic
 	// resource with period 10 needs a minimum budget of 5.5 — 55x the
 	// taskset utilization of 0.1.
-	theta, ok := MinBudgetForDemand(10, []float64{10}, []float64{1})
+	theta, ok := MinBudgetForDemand(10, []float64{10}, []float64{1}, nil)
 	if !ok {
 		t.Fatal("feasible instance reported infeasible")
 	}
@@ -122,7 +122,7 @@ func TestMinBudgetPaperExample(t *testing.T) {
 
 func TestMinBudgetFullLoad(t *testing.T) {
 	// Demand equal to the interval requires a dedicated core.
-	theta, ok := MinBudgetForDemand(10, []float64{10}, []float64{10})
+	theta, ok := MinBudgetForDemand(10, []float64{10}, []float64{10}, nil)
 	if !ok {
 		t.Fatal("dedicated-core demand reported infeasible")
 	}
@@ -132,20 +132,20 @@ func TestMinBudgetFullLoad(t *testing.T) {
 }
 
 func TestMinBudgetInfeasible(t *testing.T) {
-	if _, ok := MinBudgetForDemand(10, []float64{10}, []float64{10.5}); ok {
+	if _, ok := MinBudgetForDemand(10, []float64{10}, []float64{10.5}, nil); ok {
 		t.Error("demand above interval length must be infeasible")
 	}
 }
 
 func TestMinBudgetZeroDemand(t *testing.T) {
-	theta, ok := MinBudgetForDemand(10, []float64{10, 20}, []float64{0, 0})
+	theta, ok := MinBudgetForDemand(10, []float64{10, 20}, []float64{0, 0}, nil)
 	if !ok || theta > 0 {
 		t.Errorf("zero demand should need zero budget, got %v ok=%v", theta, ok)
 	}
 }
 
 func TestMinBudgetInvalidPeriod(t *testing.T) {
-	if _, ok := MinBudgetForDemand(0, []float64{10}, []float64{1}); ok {
+	if _, ok := MinBudgetForDemand(0, []float64{10}, []float64{1}, nil); ok {
 		t.Error("non-positive resource period must be rejected")
 	}
 }
@@ -158,7 +158,7 @@ func TestMinBudgetIsMinimal(t *testing.T) {
 		e := (float64(eRaw%900)/1000 + 0.05) * p // demand within capacity
 		cps := []float64{p, 2 * p, 3 * p}
 		dem := []float64{e, 2 * e, 3 * e}
-		theta, ok := MinBudgetForDemand(p, cps, dem)
+		theta, ok := MinBudgetForDemand(p, cps, dem, nil)
 		if !ok {
 			return false
 		}
@@ -185,8 +185,8 @@ func TestMinBudgetMonotoneInDemand(t *testing.T) {
 		p := 50.0
 		e1 := float64(eRaw%400)/1000*p + 0.01
 		e2 := e1 + float64(extraRaw%100)/1000*p
-		t1, ok1 := MinBudgetForDemand(p, []float64{p}, []float64{e1})
-		t2, ok2 := MinBudgetForDemand(p, []float64{p}, []float64{e2})
+		t1, ok1 := MinBudgetForDemand(p, []float64{p}, []float64{e1}, nil)
+		t2, ok2 := MinBudgetForDemand(p, []float64{p}, []float64{e2}, nil)
 		if !ok1 || !ok2 {
 			return false
 		}

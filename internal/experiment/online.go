@@ -142,7 +142,7 @@ func runOnlineTrial(cfg OnlineConfig, trial int, rng *rngutil.RNG) (online, offl
 			online++
 			continue
 		}
-		next, err := alloc.Admit(current, vm, alloc.Flattening, rng.Split())
+		next, err := alloc.Admit(current, vm, alloc.Flattening, rng.Split(), nil)
 		if err != nil {
 			continue // rejected; later smaller VMs may still fit
 		}

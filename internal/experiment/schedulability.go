@@ -24,16 +24,13 @@ import (
 	"vc2m/internal/workload"
 )
 
-// Counter and timer names recorded per solution when
-// SchedConfig.CollectMetrics is set.
+// Counter names recorded per solution when SchedConfig.CollectMetrics is
+// set.
 const (
 	// MetricPoints counts utilization points completed; MetricTasksets
 	// counts tasksets analyzed.
 	MetricPoints   = "experiment.points"
 	MetricTasksets = "experiment.tasksets"
-	// MetricPointSeconds observes, per utilization point, the solution's
-	// total allocation time across the point's tasksets.
-	MetricPointSeconds = "experiment.point.seconds"
 )
 
 // SchedConfig parameterizes a schedulability experiment (Sections 5.2-5.3).
@@ -65,8 +62,7 @@ type SchedConfig struct {
 	// CollectMetrics attaches a search-effort recorder to every solution
 	// that supports one (alloc.MetricsSetter); each series then carries a
 	// metrics snapshot in SchedSeries.Metrics. Counters are deterministic
-	// across runs regardless of Parallel; timer values are wall-clock and
-	// are not.
+	// across runs regardless of Parallel.
 	CollectMetrics bool
 	// Provenance, when non-nil, records one decision per (taskset,
 	// solution) case — accepted or rejected, with the rejection's binding
@@ -310,7 +306,6 @@ func RunSchedulability(cfg SchedConfig) (*SchedResult, error) {
 			if rec := recorders[si]; rec != nil {
 				rec.Inc(MetricPoints)
 				rec.Add(MetricTasksets, int64(cfg.TasksetsPerPoint))
-				rec.Observe(MetricPointSeconds, elapsed[si])
 			}
 		}
 		psp.End()

@@ -18,10 +18,3 @@ func BenchmarkLiveRecorder(b *testing.B) {
 		r.Add("csa.sbf.evals", 64)
 	}
 }
-
-func BenchmarkNilTime(b *testing.B) {
-	var r *Recorder
-	for i := 0; i < b.N; i++ {
-		r.Time("alloc.phase2.seconds")()
-	}
-}

@@ -1,12 +1,14 @@
-// Package metrics provides the lightweight counters/gauges/timers recorder
-// that instruments vC2M's analysis stack: the compositional analyses
-// (dbf/sbf checkpoint evaluations, minimum-budget searches), the allocation
+// Package metrics provides the lightweight counter recorder that
+// instruments vC2M's analysis stack: the compositional analyses (dbf/sbf
+// checkpoint evaluations, minimum-budget searches), the allocation
 // heuristic (KMeans iterations, permutations tried, Phase 2 partition
 // grants, Phase 3 migrations), the hypervisor simulator (context switches,
-// throttles, replenishments) and the experiment harnesses (per-point wall
-// time). It exists so that wall-clock differences between solutions — e.g.
-// the order-of-magnitude running-time gap of the paper's Figure 4 — can be
-// explained from counter evidence rather than observed as opaque totals.
+// throttles, replenishments) and the experiment harnesses (points and
+// tasksets). It exists so that wall-clock differences between solutions —
+// e.g. the order-of-magnitude running-time gap of the paper's Figure 4 —
+// can be explained from counter evidence rather than observed as opaque
+// totals. Wall time itself is the business of the obs spans, not of this
+// package.
 //
 // Design constraints, in order:
 //
@@ -18,38 +20,24 @@
 //     across runs with the same seed regardless of goroutine interleaving.
 //   - Concurrent: a Recorder may be shared by the goroutines of a parallel
 //     schedulability sweep; all methods are mutex-protected.
-//
-// Timing histograms are backed by stats.Summary (min/mean/max/stddev) and
-// record wall-clock observations, so — unlike counters — their values vary
-// run to run; comparisons should lean on the counters.
 package metrics
 
 import (
 	"sort"
 	"sync"
-	"time"
-
-	"vc2m/internal/stats"
 )
 
-// Recorder accumulates named counters, gauges and timing summaries. The
-// zero value is NOT ready for use — construct with New. A nil *Recorder is
-// a valid no-op sink: every method checks the receiver, so instrumented
-// code never needs its own guard.
+// Recorder accumulates named counters. The zero value is NOT ready for use
+// — construct with New. A nil *Recorder is a valid no-op sink: every method
+// checks the receiver, so instrumented code never needs its own guard.
 type Recorder struct {
 	mu       sync.Mutex
 	counters map[string]int64
-	gauges   map[string]float64
-	timers   map[string]*stats.Summary
 }
 
 // New returns an empty, enabled recorder.
 func New() *Recorder {
-	return &Recorder{
-		counters: map[string]int64{},
-		gauges:   map[string]float64{},
-		timers:   map[string]*stats.Summary{},
-	}
+	return &Recorder{counters: map[string]int64{}}
 }
 
 // Enabled reports whether the recorder actually records (i.e. is non-nil).
@@ -77,43 +65,6 @@ func (r *Recorder) Add(name string, delta int64) {
 	r.mu.Unlock()
 }
 
-// SetGauge sets the named gauge to v (last write wins).
-func (r *Recorder) SetGauge(name string, v float64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.gauges[name] = v
-	r.mu.Unlock()
-}
-
-// Observe records one observation (in seconds, by convention) into the
-// named timing summary.
-func (r *Recorder) Observe(name string, seconds float64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	t := r.timers[name]
-	if t == nil {
-		t = &stats.Summary{}
-		r.timers[name] = t
-	}
-	t.Add(seconds)
-	r.mu.Unlock()
-}
-
-// Time starts a wall-clock measurement and returns the function that stops
-// it and records the elapsed seconds under name. On a nil recorder the
-// clock is never read.
-func (r *Recorder) Time(name string) func() {
-	if r == nil {
-		return func() {}
-	}
-	start := time.Now()                                            //vc2m:wallclock timers measure wall time by design
-	return func() { r.Observe(name, time.Since(start).Seconds()) } //vc2m:wallclock
-}
-
 // Counter returns the named counter's value (0 when absent).
 func (r *Recorder) Counter(name string) int64 {
 	if r == nil {
@@ -124,16 +75,6 @@ func (r *Recorder) Counter(name string) int64 {
 	return r.counters[name]
 }
 
-// Gauge returns the named gauge's value (0 when absent).
-func (r *Recorder) Gauge(name string) float64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.gauges[name]
-}
-
 // Reset discards everything recorded so far.
 func (r *Recorder) Reset() {
 	if r == nil {
@@ -141,8 +82,6 @@ func (r *Recorder) Reset() {
 	}
 	r.mu.Lock()
 	r.counters = map[string]int64{}
-	r.gauges = map[string]float64{}
-	r.timers = map[string]*stats.Summary{}
 	r.mu.Unlock()
 }
 
@@ -161,30 +100,12 @@ func (r *Recorder) Snapshot() Snapshot {
 			s.Counters[k] = v
 		}
 	}
-	if len(r.gauges) > 0 {
-		s.Gauges = make(map[string]float64, len(r.gauges))
-		for k, v := range r.gauges { //vc2m:ordered map-to-map copy
-			s.Gauges[k] = v
-		}
-	}
-	if len(r.timers) > 0 {
-		s.Timers = make(map[string]TimerStats, len(r.timers))
-		for k, t := range r.timers { //vc2m:ordered map-to-map copy
-			s.Timers[k] = TimerStats{
-				N:    t.N(),
-				Min:  t.Min(),
-				Mean: t.Mean(),
-				Max:  t.Max(),
-				Sum:  t.Mean() * float64(t.N()),
-			}
-		}
-	}
 	return s
 }
 
 // sortedKeys returns the map's keys in sorted order, the deterministic
 // iteration order used by every rendering.
-func sortedKeys[V any](m map[string]V) []string {
+func sortedKeys(m map[string]int64) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m { //vc2m:ordered keys are sorted below
 		keys = append(keys, k)

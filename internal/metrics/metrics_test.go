@@ -16,37 +16,25 @@ func TestNilRecorderSafe(t *testing.T) {
 	}
 	r.Inc("a")
 	r.Add("a", 5)
-	r.SetGauge("g", 1.5)
-	r.Observe("t", 0.25)
-	stop := r.Time("t")
-	stop()
 	r.Reset()
 	if got := r.Counter("a"); got != 0 {
 		t.Errorf("nil Counter = %d, want 0", got)
-	}
-	if got := r.Gauge("g"); got != 0 {
-		t.Errorf("nil Gauge = %v, want 0", got)
 	}
 	if s := r.Snapshot(); !s.Empty() {
 		t.Errorf("nil Snapshot not empty: %+v", s)
 	}
 }
 
-func TestCountersAndGauges(t *testing.T) {
+func TestCounters(t *testing.T) {
 	r := New()
 	r.Inc("x")
 	r.Add("x", 9)
 	r.Add("zero", 0) // registers the key
-	r.SetGauge("g", 2)
-	r.SetGauge("g", 3) // last write wins
 	if got := r.Counter("x"); got != 10 {
 		t.Errorf("Counter(x) = %d, want 10", got)
 	}
 	if got := r.Counter("zero"); got != 0 {
 		t.Errorf("Counter(zero) = %d, want 0", got)
-	}
-	if got := r.Gauge("g"); got != 3 {
-		t.Errorf("Gauge(g) = %v, want 3", got)
 	}
 	s := r.Snapshot()
 	if _, ok := s.Counters["zero"]; !ok {
@@ -72,7 +60,6 @@ func TestConcurrentDeterminism(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				r.Inc("events")
 				r.Add("bulk", 3)
-				r.Observe("lat", 0.001)
 			}
 		}()
 	}
@@ -83,23 +70,17 @@ func TestConcurrentDeterminism(t *testing.T) {
 	if got := r.Counter("bulk"); got != 3*workers*perWorker {
 		t.Errorf("bulk = %d, want %d", got, 3*workers*perWorker)
 	}
-	if got := r.Snapshot().Timers["lat"].N; got != workers*perWorker {
-		t.Errorf("timer n = %d, want %d", got, workers*perWorker)
-	}
 }
 
 // TestRepeatedRunsBitIdentical replays the same deterministic recording
-// twice and requires identical snapshots (counters and gauges; timers use
-// synthetic observations so they are deterministic here too).
+// twice and requires identical snapshots.
 func TestRepeatedRunsBitIdentical(t *testing.T) {
 	record := func() Snapshot {
 		r := New()
 		for i := 0; i < 100; i++ {
 			r.Add("csa.sbf.evals", int64(i%7))
 			r.Inc("alloc.phase2.grants")
-			r.Observe("alloc.phase1.seconds", float64(i)*0.001)
 		}
-		r.SetGauge("m", 4)
 		return r.Snapshot()
 	}
 	a, b := record(), record()
@@ -112,9 +93,6 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r := New()
 	r.Add("c.one", 42)
 	r.Add("c.two", 7)
-	r.SetGauge("g.load", 0.75)
-	r.Observe("t.phase", 0.5)
-	r.Observe("t.phase", 1.5)
 	want := r.Snapshot()
 
 	data, err := want.JSON()
@@ -151,11 +129,9 @@ func TestTableRendering(t *testing.T) {
 	r := New()
 	r.Add("b.counter", 2)
 	r.Add("a.counter", 1)
-	r.SetGauge("g.one", 1.25)
-	r.Observe("t.slow", 0.002)
 	table := r.Snapshot().Table()
 
-	for _, want := range []string{"a.counter", "b.counter", "g.one", "t.slow", "counter", "gauge", "timer"} {
+	for _, want := range []string{"a.counter", "b.counter", "counter", "value"} {
 		if !strings.Contains(table, want) {
 			t.Errorf("table missing %q:\n%s", want, table)
 		}
@@ -172,11 +148,10 @@ func TestTableRendering(t *testing.T) {
 func TestCSVRows(t *testing.T) {
 	r := New()
 	r.Add("c", 5)
-	r.SetGauge("g", 1.5)
-	r.Observe("t", 2)
+	r.Add("b", 2)
 	rows := r.Snapshot().CSVRows("solA")
-	if len(rows) != 3 {
-		t.Fatalf("got %d rows, want 3", len(rows))
+	if len(rows) != 2 {
+		t.Fatalf("got %d rows, want 2", len(rows))
 	}
 	header := CSVHeader()
 	for _, row := range rows {
@@ -187,20 +162,10 @@ func TestCSVRows(t *testing.T) {
 			t.Errorf("scope = %q, want solA", row[0])
 		}
 	}
-	if rows[0][1] != "counter" || rows[0][3] != "5" {
+	if rows[0][1] != "counter" || rows[0][2] != "b" || rows[0][3] != "2" {
 		t.Errorf("counter row = %v", rows[0])
 	}
-	if rows[2][1] != "timer" || rows[2][4] != "1" {
-		t.Errorf("timer row = %v", rows[2])
-	}
-}
-
-func TestTimerStats(t *testing.T) {
-	r := New()
-	r.Observe("t", 1)
-	r.Observe("t", 3)
-	ts := r.Snapshot().Timers["t"]
-	if ts.N != 2 || ts.Min != 1 || ts.Max != 3 || ts.Mean != 2 || ts.Sum != 4 {
-		t.Errorf("timer stats = %+v", ts)
+	if rows[1][2] != "c" || rows[1][3] != "5" {
+		t.Errorf("counter row = %v", rows[1])
 	}
 }

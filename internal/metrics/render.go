@@ -7,28 +7,16 @@ import (
 	"strings"
 )
 
-// TimerStats is the rendered form of one timing summary. All values are in
-// seconds.
-type TimerStats struct {
-	N    int     `json:"n"`
-	Min  float64 `json:"min_sec"`
-	Mean float64 `json:"mean_sec"`
-	Max  float64 `json:"max_sec"`
-	Sum  float64 `json:"sum_sec"`
-}
-
 // Snapshot is an immutable view of a Recorder's contents, the unit of
 // rendering and serialization. Empty maps are nil so that a round trip
 // through JSON compares equal.
 type Snapshot struct {
-	Counters map[string]int64      `json:"counters,omitempty"`
-	Gauges   map[string]float64    `json:"gauges,omitempty"`
-	Timers   map[string]TimerStats `json:"timers,omitempty"`
+	Counters map[string]int64 `json:"counters,omitempty"`
 }
 
 // Empty reports whether nothing was recorded.
 func (s Snapshot) Empty() bool {
-	return len(s.Counters) == 0 && len(s.Gauges) == 0 && len(s.Timers) == 0
+	return len(s.Counters) == 0
 }
 
 // JSON renders the snapshot as indented JSON with deterministic key order
@@ -46,74 +34,42 @@ func ParseSnapshot(data []byte) (Snapshot, error) {
 	return s, nil
 }
 
-// Table renders the snapshot as an aligned text table: one block per kind
-// (counters, gauges, timers), rows sorted by name. An empty snapshot
-// renders as a single informative line.
+// Table renders the snapshot as an aligned text table, rows sorted by
+// name. An empty snapshot renders as a single informative line.
 func (s Snapshot) Table() string {
 	if s.Empty() {
 		return "(no metrics recorded)\n"
 	}
+	keys := sortedKeys(s.Counters)
 	width := 0
-	for _, m := range [][]string{sortedKeys(s.Counters), sortedKeys(s.Gauges), sortedKeys(s.Timers)} {
-		for _, k := range m {
-			if len(k) > width {
-				width = len(k)
-			}
+	for _, k := range keys {
+		if len(k) > width {
+			width = len(k)
 		}
 	}
 	var b strings.Builder
-	if len(s.Counters) > 0 {
-		fmt.Fprintf(&b, "%-*s %14s\n", width, "counter", "value")
-		for _, k := range sortedKeys(s.Counters) {
-			fmt.Fprintf(&b, "%-*s %14d\n", width, k, s.Counters[k])
-		}
-	}
-	if len(s.Gauges) > 0 {
-		fmt.Fprintf(&b, "%-*s %14s\n", width, "gauge", "value")
-		for _, k := range sortedKeys(s.Gauges) {
-			fmt.Fprintf(&b, "%-*s %14.6g\n", width, k, s.Gauges[k])
-		}
-	}
-	if len(s.Timers) > 0 {
-		fmt.Fprintf(&b, "%-*s %8s %12s %12s %12s %12s\n",
-			width, "timer", "n", "min(ms)", "mean(ms)", "max(ms)", "sum(ms)")
-		for _, k := range sortedKeys(s.Timers) {
-			t := s.Timers[k]
-			fmt.Fprintf(&b, "%-*s %8d %12.4f %12.4f %12.4f %12.4f\n",
-				width, k, t.N, t.Min*1e3, t.Mean*1e3, t.Max*1e3, t.Sum*1e3)
-		}
+	fmt.Fprintf(&b, "%-*s %14s\n", width, "counter", "value")
+	for _, k := range keys {
+		fmt.Fprintf(&b, "%-*s %14d\n", width, k, s.Counters[k])
 	}
 	return b.String()
 }
 
-// CSVHeader returns the column names matching CSVRows.
+// CSVHeader returns the column names matching CSVRows. Every row is a
+// counter, so the n and min/mean/max columns are always empty; they stay
+// so that the column layout matches existing metrics CSV files.
 func CSVHeader() []string {
 	return []string{"scope", "kind", "name", "value", "n", "min_sec", "mean_sec", "max_sec"}
 }
 
-// CSVRows flattens the snapshot into CSV records (without header): counters
-// and gauges fill only the value column; timers fill value with the sum of
-// observations plus the n/min/mean/max columns. The scope column lets rows
-// from several snapshots (e.g. one per solution) share one file.
+// CSVRows flattens the snapshot into CSV records (without header), one
+// counter per row sorted by name. The scope column lets rows from several
+// snapshots (e.g. one per solution) share one file.
 func (s Snapshot) CSVRows(scope string) [][]string {
 	var rows [][]string
 	for _, k := range sortedKeys(s.Counters) {
 		rows = append(rows, []string{scope, "counter", k,
 			strconv.FormatInt(s.Counters[k], 10), "", "", "", ""})
 	}
-	for _, k := range sortedKeys(s.Gauges) {
-		rows = append(rows, []string{scope, "gauge", k,
-			formatFloat(s.Gauges[k]), "", "", "", ""})
-	}
-	for _, k := range sortedKeys(s.Timers) {
-		t := s.Timers[k]
-		rows = append(rows, []string{scope, "timer", k,
-			formatFloat(t.Sum), strconv.Itoa(t.N),
-			formatFloat(t.Min), formatFloat(t.Mean), formatFloat(t.Max)})
-	}
 	return rows
-}
-
-func formatFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
 }

@@ -5,39 +5,31 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"time"
+
+	"vc2m/internal/trace"
 )
 
-// chromeSpanEvent is one Chrome trace-event record; field order fixes the
-// output layout, mirroring the flight recorder's exporter
-// (trace.ChromeWriter). Timestamps are microseconds relative to the
-// trace's earliest span start.
-type chromeSpanEvent struct {
-	Name  string            `json:"name"`
-	Cat   string            `json:"cat,omitempty"`
-	Phase string            `json:"ph"`
-	TS    int64             `json:"ts"`
-	Dur   int64             `json:"dur,omitempty"`
-	PID   int               `json:"pid"`
-	TID   int               `json:"tid"`
-	Args  map[string]string `json:"args,omitempty"`
-}
-
 // WriteChrome exports the ended spans as a Chrome trace-event JSON
-// document (open in ui.perfetto.dev or chrome://tracing). Each root span
-// becomes its own thread track, with descendants nested on the same track
-// as complete ("X") duration events — Perfetto renders the hierarchy from
-// the overlapping durations. A nil trace writes a valid empty document.
+// document (open in ui.perfetto.dev or chrome://tracing), in the same
+// envelope and record layout as the flight recorder's exporter
+// (trace.ChromeWriter). Each root span becomes its own thread track, with
+// descendants nested on the same track as complete ("X") duration events —
+// Perfetto renders the hierarchy from the overlapping durations.
+// Timestamps are microseconds relative to the trace's earliest span start.
+// A nil trace writes a valid empty document.
 func (t *Trace) WriteChrome(w io.Writer) error {
 	spans := t.Snapshot() // nil-safe: a nil trace snapshots to nothing
-	if len(spans) == 0 {
-		_, err := io.WriteString(w, `{"displayTimeUnit":"ms","traceEvents":[]}`+"\n")
-		return err
-	}
+	doc := trace.NewChromeDoc(w)
 
 	// Track assignment: walk each span up to its root; one tid per root.
 	byID := make(map[int]SpanRecord, len(spans))
-	for _, s := range spans {
+	var origin time.Time
+	for i, s := range spans {
 		byID[s.ID] = s
+		if i == 0 || s.Start.Before(origin) {
+			origin = s.Start
+		}
 	}
 	rootOf := func(s SpanRecord) int {
 		for s.Parent >= 0 {
@@ -49,80 +41,46 @@ func (t *Trace) WriteChrome(w io.Writer) error {
 		}
 		return s.ID
 	}
-	origin := spans[0].Start
-	for _, s := range spans {
-		if s.Start.Before(origin) {
-			origin = s.Start
-		}
-	}
 
-	if _, err := io.WriteString(w, `{"displayTimeUnit":"ms","traceEvents":[`+"\n"); err != nil {
-		return err
-	}
-	tids := map[int]int{} // root span ID -> tid
-	first := true
-	emitMeta := t.TraceContext().Valid()
-	emit := func(ev chromeSpanEvent) error {
-		prefix := ",\n"
-		if first {
-			prefix = ""
-			first = false
-		}
-		data, err := json.Marshal(ev)
-		if err != nil {
-			return fmt.Errorf("obs: chrome encode: %w", err)
-		}
-		if _, err := io.WriteString(w, prefix); err != nil {
-			return err
-		}
-		_, err = w.Write(data)
-		return err
-	}
-	if emitMeta {
+	if tc := t.TraceContext(); tc.Valid() && len(spans) > 0 {
 		// The trace's W3C identity rides as process metadata, so an
 		// exported span file names the distributed trace it belongs to —
 		// grep the file for the trace ID a /metrics exemplar pointed at.
-		if err := emit(chromeSpanEvent{
-			Name: "process_name", Phase: "M", PID: 0, TID: 0,
-			Args: map[string]string{"trace_id": t.TraceContext().TraceID},
-		}); err != nil {
-			return err
-		}
+		doc.Event(trace.ChromeEvent{
+			Name: "process_name", Phase: "M",
+			Args: map[string]any{"trace_id": tc.TraceID},
+		})
 	}
+	tids := map[int]int{} // root span ID -> tid
 	for _, s := range spans {
 		root := rootOf(s)
 		tid, ok := tids[root]
 		if !ok {
 			tid = len(tids) + 1
 			tids[root] = tid
-			if err := emit(chromeSpanEvent{
-				Name: "thread_name", Phase: "M", PID: 0, TID: tid,
-				Args: map[string]string{"name": byID[root].Name},
-			}); err != nil {
-				return err
-			}
+			doc.Event(trace.ChromeEvent{
+				Name: "thread_name", Phase: "M", TID: tid,
+				Args: map[string]any{"name": byID[root].Name},
+			})
 		}
 		dur := s.Duration.Microseconds()
 		if dur <= 0 {
 			dur = 1 // the format treats dur<=0 as malformed
 		}
-		var args map[string]string
+		var args map[string]any
 		if len(s.Attrs) > 0 {
-			args = make(map[string]string, len(s.Attrs))
+			args = make(map[string]any, len(s.Attrs))
 			for _, a := range s.Attrs {
 				args[a.Key] = a.Value
 			}
 		}
-		if err := emit(chromeSpanEvent{
+		doc.Event(trace.ChromeEvent{
 			Name: s.Name, Cat: "span", Phase: "X",
 			TS:  s.Start.Sub(origin).Microseconds(),
-			Dur: dur, PID: 0, TID: tid, Args: args,
-		}); err != nil {
-			return err
-		}
+			Dur: dur, TID: tid, Args: args,
+		})
 	}
-	_, err := io.WriteString(w, "\n]}\n")
-	return err
+	return doc.Close()
 }
 
 // ReadChromeStages decodes a span document written by WriteChrome and

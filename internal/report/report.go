@@ -8,9 +8,9 @@
 //
 // Determinism contract: a Document built from two identically-seeded runs
 // is byte-identical after Save. To that end documents carry only
-// deterministic data — metrics *counters* (never wall-clock timers or
-// gauges), provenance decisions (which contain no timestamps), and
-// simulation totals in simulated ticks. The golden tests assert this.
+// deterministic data — metrics counters (wall time lives in the obs
+// spans, outside the document), provenance decisions (which contain no
+// timestamps), and simulation totals in simulated ticks. The golden tests assert this.
 //
 // The package deliberately does not import internal/alloc: callers
 // translate an allocator's RejectionError into the plain Rejection
@@ -147,9 +147,8 @@ type Document struct {
 	Misses     []MissSummary `json:"misses,omitempty"`
 	Sweep      *SweepSummary `json:"sweep,omitempty"`
 
-	// Counters is the deterministic subset of the metrics snapshot.
-	// Wall-clock timers and gauges are deliberately dropped so that
-	// identically-seeded runs produce byte-identical documents.
+	// Counters is the metrics snapshot: deterministic search-effort
+	// counts, so identically-seeded runs produce byte-identical documents.
 	Counters map[string]int64 `json:"counters,omitempty"`
 
 	// Decisions is the full provenance stream, in Seq order.

@@ -263,10 +263,9 @@ type HealthStatus struct {
 	Draining bool `json:"draining,omitempty"`
 }
 
-// ServiceMetrics is the wire form of GET /api/metrics (formerly
-// GET /metrics, which now serves the Prometheus text exposition; the old
-// path still answers ?format=json with a Deprecation header): registry
-// and worker pool gauges. All values are counters or instantaneous queue
+// ServiceMetrics is the wire form of GET /api/metrics (GET /metrics
+// serves the Prometheus text exposition): registry and worker pool
+// gauges. All values are counters or instantaneous queue
 // depths — no wall-clock data, like every document this service produces.
 type ServiceMetrics struct {
 	Submitted int           `json:"submitted"`

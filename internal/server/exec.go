@@ -25,8 +25,8 @@ import (
 // strictly outside the report, so the identity holds with them on.
 func (s *Server) execute(ctx context.Context, run *Run) {
 	if ctx.Err() != nil || !run.setRunning() {
+		s.om.runFinished(s.log, run, StateCanceled, nil, 0, s.cfg.SlowRun)
 		s.finishRun(run, StateCanceled, nil, nil, "canceled before execution")
-		s.om.runFinished(s.log, run, nil, 0, s.cfg.SlowRun)
 		return
 	}
 	// The run executes under the trace context it was submitted with
@@ -59,25 +59,30 @@ func (s *Server) execute(ctx context.Context, run *Run) {
 	}
 	root.End()
 	elapsed := time.Since(begin) //vc2m:wallclock run latency feeds the slow-run log
+	var data []byte
+	state, errMsg := StateDone, ""
 	switch {
 	case err != nil && ctx.Err() != nil:
-		s.finishRun(run, StateCanceled, nil, nil, err.Error())
+		state, errMsg = StateCanceled, err.Error()
 	case err != nil:
-		s.finishRun(run, StateFailed, nil, nil, err.Error())
+		state, errMsg = StateFailed, err.Error()
 	default:
-		data, merr := report.Marshal(doc)
-		if merr != nil {
-			s.finishRun(run, StateFailed, nil, nil, merr.Error())
-			s.om.runFinished(s.log, run, tr, elapsed, s.cfg.SlowRun)
-			return
+		if data, err = report.Marshal(doc); err != nil {
+			state, errMsg = StateFailed, err.Error()
+			break
 		}
 		// Store the accepted allocation before finish, so anyone woken by
 		// Done() — a churn run waiting on this base, in particular —
 		// observes it.
 		run.setAllocation(finalAlloc)
-		s.finishRun(run, StateDone, doc, data, "")
 	}
-	s.om.runFinished(s.log, run, tr, elapsed, s.cfg.SlowRun)
+	if state != StateDone {
+		doc, data = nil, nil
+	}
+	// Record the run's metrics before finish, so a client woken by Done()
+	// scrapes a /metrics that already counts this run.
+	s.om.runFinished(s.log, run, state, tr, elapsed, s.cfg.SlowRun)
+	s.finishRun(run, state, doc, data, errMsg)
 }
 
 // finishRun publishes the run's terminal lifecycle event and then records

@@ -145,13 +145,13 @@ func newServerObs(s *Server) *serverObs {
 
 // runFinished records a run's terminal state, feeds the per-stage latency
 // histograms from its span trace, and emits the slow-run breakdown when
-// the run exceeded the configured threshold. Nil-safe: a server without
+// the run exceeded the configured threshold. It runs before the run is
+// marked finished, so the state is passed in. Nil-safe: a server without
 // observability (zero-value construction in tests) skips everything.
-func (o *serverObs) runFinished(log *obs.Logger, run *Run, tr *obs.Trace, elapsed, slowRun time.Duration) {
+func (o *serverObs) runFinished(log *obs.Logger, run *Run, state State, tr *obs.Trace, elapsed, slowRun time.Duration) {
 	if o == nil {
 		return
 	}
-	state := run.Status().State
 	o.runs.Inc(string(state))
 	// Exemplars tie each latency bucket to the trace that landed in it, so
 	// a slow bucket on /metrics names the exact run to pull spans for.

@@ -154,22 +154,23 @@ func TestPromExposition(t *testing.T) {
 	}
 }
 
-func TestMetricsJSONMoveAndDeprecationAlias(t *testing.T) {
+func TestMetricsJSONOnlyAtAPIMetrics(t *testing.T) {
 	_, _, url, _ := startObsHTTP(t, server.Config{})
 
-	// Canonical JSON surface.
 	resp, body := get(t, url+"/api/metrics")
 	if resp.StatusCode != http.StatusOK || !strings.Contains(body, `"queue_cap"`) {
 		t.Fatalf("GET /api/metrics: %d %s", resp.StatusCode, body)
 	}
 
-	// Deprecation alias on the old path.
+	// The old ?format=json alias is gone: /metrics serves only the
+	// Prometheus text exposition, whatever the query.
 	resp, body = get(t, url+"/metrics?format=json")
-	if resp.StatusCode != http.StatusOK || !strings.Contains(body, `"queue_cap"`) {
-		t.Fatalf("GET /metrics?format=json: %d %s", resp.StatusCode, body)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != obs.PromContentType ||
+		strings.Contains(body, `"queue_cap"`) {
+		t.Fatalf("GET /metrics?format=json: %d %q %s", resp.StatusCode, resp.Header.Get("Content-Type"), body)
 	}
-	if resp.Header.Get("Deprecation") == "" {
-		t.Error("alias response lacks the Deprecation header")
+	if resp.Header.Get("Deprecation") != "" {
+		t.Error("/metrics still answers with a Deprecation header")
 	}
 }
 

@@ -266,9 +266,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 //	GET  /dashboard                self-contained live HTML dashboard
 //	GET  /debug/pprof/...          runtime profiles (CPU, heap, goroutine)
 //
-// GET /metrics?format=json still serves the JSON gauges for one release
-// as a deprecation alias; clients should move to /api/metrics.
-//
 // Every route passes through the observability middleware: request-ID
 // minting/propagation (X-Request-Id), panic recovery, access logging and
 // per-endpoint latency metrics.
@@ -282,7 +279,7 @@ func (s *Server) buildHandler() http.Handler {
 	// which would break chunked streaming.
 	bounded := http.NewServeMux()
 	bounded.HandleFunc("GET /healthz", s.handleHealth)
-	bounded.HandleFunc("GET /metrics", s.handleMetrics)
+	bounded.Handle("GET /metrics", s.om.reg.Handler())
 	bounded.HandleFunc("GET /api/metrics", s.handleMetricsJSON)
 	bounded.HandleFunc("GET /dashboard", s.handleDashboard)
 	bounded.HandleFunc("POST /v1/runs", s.handleSubmit)
@@ -336,19 +333,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		UptimeSeconds: time.Since(s.start).Seconds(), //vc2m:wallclock uptime is wall time by definition
 		Draining:      draining,
 	})
-}
-
-// handleMetrics serves the Prometheus text exposition. The pre-PR JSON
-// gauges remain reachable as ?format=json for one release; the response
-// carries a Deprecation header pointing at /api/metrics.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "json" {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", `</api/metrics>; rel="successor-version"`)
-		s.handleMetricsJSON(w, r)
-		return
-	}
-	s.om.reg.Handler().ServeHTTP(w, r)
 }
 
 func (s *Server) handleMetricsJSON(w http.ResponseWriter, _ *http.Request) {

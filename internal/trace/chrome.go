@@ -27,10 +27,8 @@ import (
 // (core, VCPU) -> tid table is retained, so it handles huge horizons. The
 // JSON object is completed by Close.
 type ChromeWriter struct {
-	w       io.Writer
-	tids    map[chromeKey]int
-	started bool
-	err     error
+	doc  ChromeDoc
+	tids map[chromeKey]int
 }
 
 type chromeKey struct {
@@ -38,9 +36,9 @@ type chromeKey struct {
 	vcpu string
 }
 
-// chromeEvent is one trace-event record; field order fixes the output
-// byte-for-byte, which the golden-file test relies on.
-type chromeEvent struct {
+// ChromeEvent is one trace-event record; field order fixes the output
+// byte-for-byte, which the golden-file tests rely on.
+type ChromeEvent struct {
 	Name  string         `json:"name"`
 	Cat   string         `json:"cat,omitempty"`
 	Phase string         `json:"ph"`
@@ -55,7 +53,7 @@ type chromeEvent struct {
 // NewChromeWriter wraps w. The caller owns w; call Close to complete the
 // JSON document before closing the underlying file.
 func NewChromeWriter(w io.Writer) *ChromeWriter {
-	return &ChromeWriter{w: w, tids: map[chromeKey]int{}}
+	return &ChromeWriter{doc: ChromeDoc{w: w}, tids: map[chromeKey]int{}}
 }
 
 // Record implements Sink. A nil writer drops everything.
@@ -73,20 +71,20 @@ func (c *ChromeWriter) Record(ev Event) {
 		if dur <= 0 {
 			dur = 1 // the format treats dur<=0 as malformed
 		}
-		c.emit(chromeEvent{
+		c.doc.Event(ChromeEvent{
 			Name: name, Cat: "exec", Phase: "X",
 			TS: int64(ev.Start), Dur: dur,
 			PID: ev.Core, TID: c.tid(ev.Core, ev.VCPU),
 		})
 	case EvDeadlineMiss:
-		c.emit(chromeEvent{
+		c.doc.Event(ChromeEvent{
 			Name: "miss " + ev.Task, Cat: "deadline", Phase: "i",
 			TS: int64(ev.Time), PID: ev.Core, TID: c.tid(ev.Core, ev.VCPU),
 			Scope: "t",
 			Args:  map[string]any{"demand_left_us": int64(ev.Demand)},
 		})
 	case EvThrottle:
-		c.emit(chromeEvent{
+		c.doc.Event(ChromeEvent{
 			Name: "throttle", Cat: "regulation", Phase: "i",
 			TS: int64(ev.Time), PID: ev.Core, TID: c.tid(ev.Core, ev.VCPU),
 			Scope: "p",
@@ -115,41 +113,16 @@ func (c *ChromeWriter) tid(core int, vcpu string) int {
 		}
 	}
 	if first {
-		c.emit(chromeEvent{
+		c.doc.Event(ChromeEvent{
 			Name: "process_name", Phase: "M", PID: core,
 			Args: map[string]any{"name": fmt.Sprintf("core %d", core)},
 		})
 	}
-	c.emit(chromeEvent{
+	c.doc.Event(ChromeEvent{
 		Name: "thread_name", Phase: "M", PID: core, TID: tid,
 		Args: map[string]any{"name": vcpu},
 	})
 	return tid
-}
-
-func (c *ChromeWriter) emit(ev chromeEvent) {
-	if c.err != nil {
-		return
-	}
-	data, err := json.Marshal(ev)
-	if err != nil {
-		c.err = fmt.Errorf("trace: chrome encode: %w", err)
-		return
-	}
-	var prefix string
-	if !c.started {
-		prefix = `{"displayTimeUnit":"ms","traceEvents":[` + "\n"
-		c.started = true
-	} else {
-		prefix = ",\n"
-	}
-	if _, err := io.WriteString(c.w, prefix); err != nil {
-		c.err = fmt.Errorf("trace: chrome write: %w", err)
-		return
-	}
-	if _, err := c.w.Write(data); err != nil {
-		c.err = fmt.Errorf("trace: chrome write: %w", err)
-	}
 }
 
 // Close completes the JSON document and returns the first error seen. It
@@ -160,19 +133,7 @@ func (c *ChromeWriter) Close() error {
 	if c == nil {
 		return nil
 	}
-	if c.err != nil {
-		return c.err
-	}
-	var tail string
-	if !c.started {
-		tail = `{"displayTimeUnit":"ms","traceEvents":[]}` + "\n"
-	} else {
-		tail = "\n]}\n"
-	}
-	if _, err := io.WriteString(c.w, tail); err != nil {
-		c.err = fmt.Errorf("trace: chrome write: %w", err)
-	}
-	return c.err
+	return c.doc.Close()
 }
 
 // WriteChrome exports a complete event slice as a Chrome trace-event JSON
@@ -183,4 +144,61 @@ func WriteChrome(w io.Writer, events []Event) error {
 		cw.Record(ev)
 	}
 	return cw.Close()
+}
+
+// chromeHeader opens every document; an empty one closes right after it.
+const chromeHeader = `{"displayTimeUnit":"ms","traceEvents":[`
+
+// ChromeDoc writes the envelope of one Chrome trace-event JSON document:
+// the opening and closing of the document, the comma between records, and
+// the first error, after which every later call is a no-op. ChromeWriter
+// and the span exporter in package obs both write through it.
+type ChromeDoc struct {
+	w       io.Writer
+	started bool
+	err     error
+}
+
+// NewChromeDoc starts a document on w. Call Close to complete it.
+func NewChromeDoc(w io.Writer) *ChromeDoc { return &ChromeDoc{w: w} }
+
+// Event appends one record to the document.
+func (d *ChromeDoc) Event(ev ChromeEvent) {
+	if d.err != nil {
+		return
+	}
+	data, err := json.Marshal(ev)
+	if err != nil {
+		d.err = fmt.Errorf("trace: chrome encode: %w", err)
+		return
+	}
+	prefix := ",\n"
+	if !d.started {
+		prefix = chromeHeader + "\n"
+		d.started = true
+	}
+	if _, err := io.WriteString(d.w, prefix); err != nil {
+		d.err = fmt.Errorf("trace: chrome write: %w", err)
+		return
+	}
+	if _, err := d.w.Write(data); err != nil {
+		d.err = fmt.Errorf("trace: chrome write: %w", err)
+	}
+}
+
+// Close completes the document and returns the first error seen. It does
+// not close the underlying writer. A document with no records is still a
+// valid, empty trace.
+func (d *ChromeDoc) Close() error {
+	if d.err != nil {
+		return d.err
+	}
+	tail := "\n]}\n"
+	if !d.started {
+		tail = chromeHeader + "]}\n"
+	}
+	if _, err := io.WriteString(d.w, tail); err != nil {
+		d.err = fmt.Errorf("trace: chrome write: %w", err)
+	}
+	return d.err
 }

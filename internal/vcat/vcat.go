@@ -27,7 +27,6 @@ import (
 	"vc2m/internal/bitmask"
 	"vc2m/internal/cache"
 	"vc2m/internal/model"
-	"vc2m/internal/provenance"
 )
 
 // Hardware models a CAT-capable processor's register file.
@@ -236,14 +235,6 @@ func (m *Manager) Reset() {
 // the hardware has fewer CLOSes than cores or fewer ways than the
 // allocation's partition total.
 func ApplyAllocation(hw *Hardware, a *model.Allocation) error {
-	return ApplyAllocationProv(hw, a, nil)
-}
-
-// ApplyAllocationProv is ApplyAllocation with decision provenance: each
-// core's programmed way region is recorded on prov (nil-safe), completing
-// the decision trail from abstract partition counts down to the CAT
-// register values.
-func ApplyAllocationProv(hw *Hardware, a *model.Allocation, prov *provenance.Recorder) error {
 	if len(a.Cores) > hw.numCLOS {
 		return fmt.Errorf("vcat: %d cores need %d CLOSes, hardware has %d",
 			len(a.Cores), len(a.Cores), hw.numCLOS)
@@ -260,14 +251,6 @@ func ApplyAllocationProv(hw *Hardware, a *model.Allocation, prov *provenance.Rec
 		}
 		if err := hw.Associate(i, i); err != nil {
 			return err
-		}
-		if prov.Enabled() {
-			prov.Record(provenance.Decision{
-				Stage: provenance.StageVCAT, Kind: provenance.KindProgram,
-				Subject: fmt.Sprintf("core %d", core.Core), Target: fmt.Sprintf("CLOS %d", i),
-				Cache: core.Cache, BW: core.BW, Mask: bitmask.Mask(mask), Accepted: true,
-				Reason: fmt.Sprintf("CBM ways [%d,%d) programmed as a disjoint contiguous region", base, base+core.Cache),
-			})
 		}
 		base += core.Cache
 	}

@@ -96,16 +96,17 @@ var (
 // ErrNotSchedulable is returned when no feasible allocation exists.
 var ErrNotSchedulable = model.ErrNotSchedulable
 
-// MetricsRecorder collects search-effort counters, gauges and wall-time
-// timers from the allocator and the simulator. The zero value of the
-// pointer (nil) is a valid no-op recorder: every recording method on a nil
-// *MetricsRecorder returns immediately, so instrumented code needs no
-// guards and pays nothing when metrics are off.
+// MetricsRecorder collects deterministic search-effort and event counters
+// from the allocator and the simulator; wall time is recorded by spans
+// (see NewSpanTrace), not here. The zero value of the pointer (nil) is a
+// valid no-op recorder: every recording method on a nil *MetricsRecorder
+// returns immediately, so instrumented code needs no guards and pays
+// nothing when metrics are off.
 type MetricsRecorder = metrics.Recorder
 
-// MetricsSnapshot is an immutable copy of a recorder's state, renderable
-// as JSON (MetricsSnapshot.JSON) or an aligned text table
-// (MetricsSnapshot.Table).
+// MetricsSnapshot is an immutable copy of a recorder's counters,
+// renderable as JSON (MetricsSnapshot.JSON), an aligned text table
+// (MetricsSnapshot.Table) or CSV rows (MetricsSnapshot.CSVRows).
 type MetricsSnapshot = metrics.Snapshot
 
 // NewMetrics returns an enabled metrics recorder. Pass it via
@@ -287,7 +288,7 @@ type Options struct {
 	// before allocation; the zero value disables inflation.
 	Overheads Overheads
 	// Metrics, when non-nil, records the allocator's search effort
-	// (dbf/sbf evaluations, clustering iterations, phase timings — see
+	// (dbf/sbf evaluations, clustering iterations, partition grants — see
 	// NewMetrics). Nil disables recording at no cost.
 	Metrics *MetricsRecorder
 	// Provenance, when non-nil, records the allocator's decision stream
@@ -336,7 +337,7 @@ func Allocate(sys *System, opts Options) (*Allocation, error) {
 // is returned (the input is untouched); ErrNotSchedulable means the VM
 // was rejected and the running system is unaffected.
 func Admit(existing *Allocation, vm *VM, opts Options) (*Allocation, error) {
-	return alloc.AdmitProv(existing, vm, opts.Mode, rngutil.New(opts.Seed), opts.Provenance)
+	return alloc.Admit(existing, vm, opts.Mode, rngutil.New(opts.Seed), opts.Provenance)
 }
 
 // Release removes a VM's VCPUs from an allocation — the online departure
