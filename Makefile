@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmtcheck lint lint-tests lint-sarif test bench bench-smoke bench-check churn-bench fuzz-smoke e2e-smoke race cover ci determinism report-smoke server-smoke obs-smoke paper examples clean
+.PHONY: all build vet fmtcheck lint lint-tests lint-sarif test bench bench-smoke bench-check churn-bench fuzz-smoke e2e-smoke race cover ci determinism report-smoke server-smoke obs-smoke paper paper-smoke examples clean
 
 all: build vet test
 
@@ -112,7 +112,7 @@ e2e-smoke:
 # Everything CI runs, locally. The workflow (.github/workflows/ci.yml)
 # calls these same targets step by step, so this list is the single
 # source of truth for what a green build means.
-ci: build vet fmtcheck lint lint-sarif test race bench-smoke bench-check churn-bench fuzz-smoke e2e-smoke determinism report-smoke server-smoke obs-smoke
+ci: build vet fmtcheck lint lint-sarif test race bench-smoke bench-check churn-bench fuzz-smoke e2e-smoke determinism report-smoke server-smoke obs-smoke paper-smoke
 
 race:
 	$(GO) test -race ./...
@@ -205,10 +205,34 @@ obs-smoke:
 cover:
 	$(GO) test -cover ./...
 
-# Full paper-scale reproduction (minutes); writes text tables and CSVs
-# into results/.
+# Full paper-scale reproduction (about 20 s on two cores); writes text
+# tables and CSVs into results/. Serial, so fig4's and Tables 1-2's wall
+# clock times are uncontended; every other output is identical at any
+# -parallel.
 paper:
-	$(GO) run ./cmd/vc2m-paper -out results
+	$(GO) run ./cmd/vc2m-paper -out results -parallel 1
+
+# Paper smoke: the full vc2m-paper run at smoke size must write all 22
+# text tables and CSVs, and each subcommand must run once and exit 0.
+# Values at this size are meaningless; `make paper` makes the real ones.
+paper-smoke:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o $$tmp/vc2m-paper ./cmd/vc2m-paper || exit 1; \
+	$$tmp/vc2m-paper -tasksets 1 -step 0.5 -out $$tmp/out 2>$$tmp/log || \
+		{ echo "paper-smoke: full run failed"; cat $$tmp/log; exit 1; }; \
+	for f in fig2a fig2b fig2c fig3a fig3b fig3c fig4 sec33; do \
+		for ext in txt csv; do test -s $$tmp/out/$$f.$$ext || \
+			{ echo "paper-smoke: $$f.$$ext missing"; exit 1; }; done; \
+	done; \
+	for f in tables12.txt table1.csv vmcount.txt partition-sweep.txt regperiod-sweep.txt online.txt; do \
+		test -s $$tmp/out/$$f || { echo "paper-smoke: $$f missing"; exit 1; }; \
+	done; \
+	$$tmp/vc2m-paper sweep -min 0.4 -max 1.2 -step 0.4 -tasksets 2 -quiet >/dev/null && \
+	$$tmp/vc2m-paper fig4 -min 0.4 -max 0.8 -step 0.4 -tasksets 2 >/dev/null 2>&1 && \
+	$$tmp/vc2m-paper tables -horizon 100 >/dev/null && \
+	$$tmp/vc2m-paper isolation -ops 5000 >/dev/null || \
+		{ echo "paper-smoke: a subcommand failed"; exit 1; }; \
+	echo "paper-smoke: full run wrote all 22 outputs; sweep, fig4, tables and isolation ran"
 
 examples:
 	$(GO) run ./examples/quickstart

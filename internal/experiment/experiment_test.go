@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"bytes"
+	"sort"
 	"strings"
 	"testing"
 
@@ -97,7 +99,7 @@ func TestKnee(t *testing.T) {
 			t.Errorf("%s knee %v below the first (fully schedulable) point", s.Solution, knee)
 		}
 	}
-	if res.Knee("no-such-solution") != 0 {
+	if res.Knee("no-such-solution") != 0 { //vc2m:floateq an unknown solution returns the literal 0, nothing is computed
 		t.Error("unknown solution should have zero knee")
 	}
 }
@@ -137,11 +139,20 @@ func TestRunSchedulabilityDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range a.Series {
-		if a.Series[i].Points[0].Fraction != b.Series[i].Points[0].Fraction {
-			t.Errorf("series %s fraction differs between identical runs", a.Series[i].Solution)
-		}
+	if ca, cb := fractionsCSV(t, a), fractionsCSV(t, b); ca != cb {
+		t.Errorf("fractions differ between identical runs:\n%s\nvs\n%s", ca, cb)
 	}
+}
+
+// fractionsCSV serializes every series' fractions; two results with the
+// same bytes agree on every point of every series.
+func fractionsCSV(t *testing.T, res *SchedResult) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := res.WriteFractionsCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
 }
 
 func TestParallelMatchesSerial(t *testing.T) {
@@ -158,17 +169,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 		}
 		return res
 	}
-	serial := mk(1)
-	parallel := mk(4)
-	for si := range serial.Series {
-		for pi := range serial.Series[si].Points {
-			a := serial.Series[si].Points[pi].Fraction
-			b := parallel.Series[si].Points[pi].Fraction
-			if a != b {
-				t.Fatalf("series %s point %d: serial %v != parallel %v",
-					serial.Series[si].Solution, pi, a, b)
-			}
-		}
+	if serial, parallel := fractionsCSV(t, mk(1)), fractionsCSV(t, mk(4)); serial != parallel {
+		t.Fatalf("serial fractions:\n%s\nparallel fractions:\n%s", serial, parallel)
 	}
 }
 
@@ -219,14 +221,15 @@ func TestRunOverhead(t *testing.T) {
 	if res.BWReplenishments < 299 {
 		t.Errorf("BW replenishments = %d, want ~300 (1 per ms)", res.BWReplenishments)
 	}
-	for name, s := range map[string]interface{ N() int }{
+	samples := map[string]interface{ N() int }{
 		"throttle":         &res.Throttle,
 		"bw-replenish":     &res.BWReplenish,
 		"budget-replenish": &res.BudgetReplenish,
 		"scheduling":       &res.Scheduling,
 		"context-switch":   &res.ContextSwitch,
-	} {
-		if s.N() == 0 {
+	}
+	for _, name := range sortedKeys(samples) {
+		if samples[name].N() == 0 {
 			t.Errorf("no samples for %s", name)
 		}
 	}
@@ -276,4 +279,15 @@ func TestRunIsolationUnknownBenchmark(t *testing.T) {
 	if _, err := RunIsolation(IsolationConfig{Benchmarks: []string{"nope"}}); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
+}
+
+// sortedKeys returns m's keys in order, so map-driven assertions report
+// in the same order on every run.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m { //vc2m:ordered keys are sorted below
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

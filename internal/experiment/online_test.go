@@ -45,7 +45,7 @@ func TestRunOnlineDefaults(t *testing.T) {
 	if res.Config.Platform.Name != model.PlatformA.Name {
 		t.Errorf("default platform = %s, want A", res.Config.Platform.Name)
 	}
-	if res.Config.VMUtil != 0.35 {
+	if res.Config.VMUtil != 0.35 { //vc2m:floateq the default is assigned from this literal; nothing is computed
 		t.Errorf("default VM util = %v", res.Config.VMUtil)
 	}
 }

@@ -21,7 +21,8 @@ func TestRunVMCount(t *testing.T) {
 	if len(res.Fractions) != 3 {
 		t.Fatalf("got %d solutions, want 3", len(res.Fractions))
 	}
-	for name, fs := range res.Fractions {
+	for _, name := range sortedKeys(res.Fractions) {
+		fs := res.Fractions[name]
 		if len(fs) != 2 {
 			t.Fatalf("%s: %d points, want 2", name, len(fs))
 		}
