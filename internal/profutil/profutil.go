@@ -1,7 +1,7 @@
 // Package profutil wires the standard -cpuprofile/-memprofile flags into
-// the long-running commands (vc2m-paper, vc2m-sched, vc2m-sim). It exists
-// so each main wires profiling in two lines instead of repeating the
-// runtime/pprof boilerplate.
+// the long-running commands (vc2m-paper, its sweep subcommand, and
+// vc2m-sim). It exists so each main wires profiling in two lines instead
+// of repeating the runtime/pprof boilerplate.
 package profutil
 
 import (

@@ -29,7 +29,7 @@ const (
 	// vc2m-sim path.
 	KindRun = "run"
 	// KindSweep runs a schedulability sweep over generated tasksets — the
-	// vc2m-paper / vc2m-sched path.
+	// vc2m-paper and vc2m-paper sweep path.
 	KindSweep = "sweep"
 	// KindChurn applies a sequence of VM arrival/departure deltas to a
 	// finished base run's allocation through the incremental warm-start

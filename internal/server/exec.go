@@ -19,8 +19,8 @@ import (
 // execute runs one registry entry to its terminal state. It mirrors the
 // batch drivers exactly — same facade calls, same report construction —
 // so a server run's document is byte-identical to the same spec executed
-// by vc2m-sim/vc2m-sched with the same seeds. Every run executes under a
-// wall-clock span trace whose stage durations feed the
+// by vc2m-sim or vc2m-paper sweep with the same seeds. Every run executes
+// under a wall-clock span trace whose stage durations feed the
 // vc2m_stage_latency_seconds histograms and the slow-run log; spans live
 // strictly outside the report, so the identity holds with them on.
 func (s *Server) execute(ctx context.Context, run *Run) {
