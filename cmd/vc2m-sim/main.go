@@ -31,7 +31,6 @@ import (
 
 	"vc2m"
 	"vc2m/client"
-	"vc2m/internal/alloc"
 	"vc2m/internal/metrics"
 	"vc2m/internal/model"
 	"vc2m/internal/obs"
@@ -192,7 +191,7 @@ func realMain(ctx context.Context, f simFlags) error {
 		return nil
 	}
 
-	m, modeName, err := parseMode(f.mode)
+	m, modeName, err := server.ParseMode(f.mode)
 	if err != nil {
 		return err
 	}
@@ -313,7 +312,7 @@ func runViaServer(ctx context.Context, f simFlags) error {
 			return fmt.Errorf("%s is local-only and cannot be combined with -server", flag.name)
 		}
 	}
-	_, modeName, err := parseMode(f.mode)
+	_, modeName, err := server.ParseMode(f.mode)
 	if err != nil {
 		return err
 	}
@@ -400,20 +399,6 @@ func runViaServer(ctx context.Context, f simFlags) error {
 	return nil
 }
 
-// parseMode maps the -mode flag to the facade mode, returning the
-// normalized name used in reports.
-func parseMode(name string) (vc2m.Mode, string, error) {
-	switch name {
-	case "flattening":
-		return vc2m.Flattening, "flattening", nil
-	case "overheadfree", "overhead-free":
-		return vc2m.OverheadFree, "overheadfree", nil
-	case "existing":
-		return vc2m.ExistingCSA, "existing", nil
-	}
-	return 0, "", fmt.Errorf("unknown mode %q", name)
-}
-
 // reportRun accumulates the sections of the unified run report as the
 // driver progresses, so the document can be written at whichever point the
 // run ends (allocation rejection, deadline misses, or clean completion).
@@ -441,7 +426,7 @@ func (r *reportRun) write() error {
 		Mode:       r.mode,
 		Platform:   r.sys.Platform,
 		Allocation: r.alloc,
-		Rejection:  toRejection(r.rejection),
+		Rejection:  server.ToRejection(r.rejection),
 		Sim:        r.sim,
 		Diagnosis:  r.diag,
 		Metrics:    r.metrics,
@@ -452,23 +437,6 @@ func (r *reportRun) write() error {
 	}
 	fmt.Fprintf(os.Stderr, "wrote report to %s (inspect with vc2m-report)\n", r.path)
 	return nil
-}
-
-// toRejection translates an allocator error into the report's rejection
-// section, preserving the binding resource(s) of a RejectionError.
-func toRejection(err error) *report.Rejection {
-	if err == nil {
-		return nil
-	}
-	rej := &report.Rejection{Reason: err.Error(), Violated: []string{"cpu"}}
-	if re, ok := alloc.AsRejection(err); ok {
-		rej.Stage = re.Stage
-		rej.Violated = rej.Violated[:0]
-		for _, r := range re.Violated {
-			rej.Violated = append(rej.Violated, string(r))
-		}
-	}
-	return rej
 }
 
 // writeSpans exports the wall-clock span trace as Chrome trace-event

@@ -128,7 +128,7 @@ func packVCPUsToCores(vcpus []*model.VCPU, m, cache, bw int, prov *provenance.Re
 	for i, v := range vcpus {
 		sizes[i] = v.Bandwidth(cache, bw)
 	}
-	res := binpack.PackDecreasing(sizes, m, 1, binpack.BestFit)
+	res := binpack.PackDecreasing(sizes, m, 1)
 	if prov.Enabled() {
 		recordBinpack(prov, res, vcpus, sizes, m, cache, bw)
 	}
@@ -182,19 +182,14 @@ func evenSplit(total, m, max int) int {
 	return per
 }
 
-// BaselineAllocate implements "Baseline (existing CSA)": VCPU parameters
+// baselineAllocate implements "Baseline (existing CSA)": VCPU parameters
 // from the existing compositional analysis with worst-case WCETs (no
 // cache, worst-case BW), best-fit bin packing of tasks onto VCPUs and of
-// VCPUs onto cores, and an even partition split for hardware validity
-// (the baseline analysis itself is resource-oblivious).
-func BaselineAllocate(sys *model.System, plat model.Platform) (*model.Allocation, error) {
-	return baselineAllocate(sys, plat, nil, nil)
-}
-
-// baselineAllocate is BaselineAllocate with search-effort accounting on rec
-// and decision provenance on prov (both nil-safe). The baseline analysis
-// is resource-oblivious — VCPU bandwidths assume worst-case WCETs and do
-// not shrink with partitions — so its rejections are always CPU-bound.
+// VCPUs onto cores, and an even partition split for hardware validity.
+// Search effort is accounted on rec and decisions on prov (both nil-safe).
+// The baseline analysis is resource-oblivious — VCPU bandwidths assume
+// worst-case WCETs and do not shrink with partitions — so its rejections
+// are always CPU-bound.
 func baselineAllocate(sys *model.System, plat model.Platform, rec *metrics.Recorder, prov *provenance.Recorder) (*model.Allocation, error) {
 	var vcpus []*model.VCPU
 	for _, vm := range sys.VMs {
@@ -253,17 +248,12 @@ func baselineAllocate(sys *model.System, plat model.Platform, rec *metrics.Recor
 	return nil, re
 }
 
-// EvenlyPartitionAllocate implements "Evenly-partition (overhead-free
+// evenlyPartitionAllocate implements "Evenly-partition (overhead-free
 // CSA)": the overhead-free analysis on well-regulated VCPUs, but with
 // cache and BW divided evenly among cores and plain best-fit bin packing
 // of tasks onto VCPUs and VCPUs onto cores (no slowdown clustering, no
-// incremental resource allocation, no load balancing).
-func EvenlyPartitionAllocate(sys *model.System, plat model.Platform) (*model.Allocation, error) {
-	return evenlyPartitionAllocate(sys, plat, nil, nil)
-}
-
-// evenlyPartitionAllocate is EvenlyPartitionAllocate with search-effort
-// accounting on rec and decision provenance on prov (both nil-safe). The
+// incremental resource allocation, no load balancing). Search effort is
+// accounted on rec and decisions on prov (both nil-safe); the
 // overhead-free analysis performs no dbf/sbf evaluations, so only
 // structural counters are recorded. Failed core counts are classified per
 // resource: a task too heavy for one VCPU under the even split may be

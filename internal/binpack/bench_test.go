@@ -10,26 +10,10 @@ func benchSizes(n int) []float64 {
 	return sizes
 }
 
-func BenchmarkPackBestFit(b *testing.B) {
-	sizes := benchSizes(100)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Pack(sizes, 40, 1.0, BestFit)
-	}
-}
-
 func BenchmarkPackDecreasing(b *testing.B) {
 	sizes := benchSizes(100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		PackDecreasing(sizes, 40, 1.0, BestFit)
-	}
-}
-
-func BenchmarkMinBins(b *testing.B) {
-	sizes := benchSizes(100)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MinBins(sizes, 1.0, BestFit)
+		PackDecreasing(sizes, 40, 1.0)
 	}
 }

@@ -1,45 +1,16 @@
-// Package binpack provides the one-dimensional bin-packing heuristics used
-// by the baseline solutions in the paper's evaluation (best-fit decreasing
-// for packing tasks onto VCPUs and VCPUs onto cores) and by tests that
-// compare against the vC2M heuristics.
+// Package binpack provides the best-fit decreasing bin packing the
+// baseline solutions in the paper's evaluation use to pack VCPUs onto
+// cores.
 //
 // Items are abstract: the caller supplies sizes, and capacity is 1.0 by
-// convention (utilization packing). All functions return, for each item, the
-// index of the bin it was placed in, or report failure when an item fits in
+// convention (utilization packing). The packing returns, for each item, the
+// index of the bin it was placed in, or reports failure when an item fits in
 // no bin.
 package binpack
 
 import (
 	"sort"
 )
-
-// Strategy selects the placement rule.
-type Strategy int
-
-const (
-	// BestFit places each item in the feasible bin with the least remaining
-	// capacity (tightest fit).
-	BestFit Strategy = iota
-	// FirstFit places each item in the lowest-indexed feasible bin.
-	FirstFit
-	// WorstFit places each item in the feasible bin with the most remaining
-	// capacity, which balances load across bins.
-	WorstFit
-)
-
-// String returns the conventional name of the strategy.
-func (s Strategy) String() string {
-	switch s {
-	case BestFit:
-		return "best-fit"
-	case FirstFit:
-		return "first-fit"
-	case WorstFit:
-		return "worst-fit"
-	default:
-		return "unknown"
-	}
-}
 
 // Result describes a packing.
 type Result struct {
@@ -51,32 +22,15 @@ type Result struct {
 	OK bool
 }
 
-// Pack places items of the given sizes into nbins bins of the given
-// capacity using the strategy, considering items in the order provided.
-// Sizes must be non-negative; an item larger than capacity makes the packing
-// fail (its Assign entry is -1) but remaining items are still placed.
-func Pack(sizes []float64, nbins int, capacity float64, strat Strategy) Result {
-	loads := make([]float64, nbins)
-	assign := make([]int, len(sizes))
-	ok := true
-	for i, sz := range sizes {
-		bin := pick(loads, sz, capacity, strat)
-		if bin < 0 {
-			assign[i] = -1
-			ok = false
-			continue
-		}
-		assign[i] = bin
-		loads[bin] += sz
-	}
-	return Result{Assign: assign, Loads: loads, OK: ok}
-}
-
-// PackDecreasing sorts items by decreasing size before packing (the
-// "-decreasing" family, e.g. best-fit decreasing), then reports assignments
-// in the original item order. Ties are broken by original index so the
-// result is deterministic.
-func PackDecreasing(sizes []float64, nbins int, capacity float64, strat Strategy) Result {
+// PackDecreasing places items of the given sizes into nbins bins of the
+// given capacity with best-fit decreasing: items are considered by
+// decreasing size (ties broken by original index, so the result is
+// deterministic), each goes to the feasible bin with the least remaining
+// capacity, and assignments are reported in the original item order.
+// Sizes must be non-negative; an item larger than capacity makes the
+// packing fail (its Assign entry is -1) but remaining items are still
+// placed.
+func PackDecreasing(sizes []float64, nbins int, capacity float64) Result {
 	order := make([]int, len(sizes))
 	for i := range order {
 		order[i] = i
@@ -91,7 +45,7 @@ func PackDecreasing(sizes []float64, nbins int, capacity float64, strat Strategy
 	assign := make([]int, len(sizes))
 	ok := true
 	for _, idx := range order {
-		bin := pick(loads, sizes[idx], capacity, strat)
+		bin := bestFit(loads, sizes[idx], capacity)
 		if bin < 0 {
 			assign[idx] = -1
 			ok = false
@@ -103,90 +57,19 @@ func PackDecreasing(sizes []float64, nbins int, capacity float64, strat Strategy
 	return Result{Assign: assign, Loads: loads, OK: ok}
 }
 
-// MinBins packs with an unbounded number of bins, opening a new bin whenever
-// an item fits nowhere, and returns the packing. It is used to compute the
-// number of VCPUs the baseline needs. Items larger than capacity still fail.
-func MinBins(sizes []float64, capacity float64, strat Strategy) Result {
-	var loads []float64
-	assign := make([]int, len(sizes))
-	ok := true
-	for i, sz := range sizes {
-		if sz > capacity {
-			assign[i] = -1
-			ok = false
-			continue
-		}
-		bin := pick(loads, sz, capacity, strat)
-		if bin < 0 {
-			loads = append(loads, 0)
-			bin = len(loads) - 1
-		}
-		assign[i] = bin
-		loads[bin] += sz
-	}
-	return Result{Assign: assign, Loads: loads, OK: ok}
-}
-
-// MinBinsDecreasing is MinBins on items sorted by decreasing size, with
-// assignments reported in original order.
-func MinBinsDecreasing(sizes []float64, capacity float64, strat Strategy) Result {
-	order := make([]int, len(sizes))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		if sizes[order[a]] != sizes[order[b]] { //vc2m:floateq exact tie-break keeps the sort a strict weak order
-			return sizes[order[a]] > sizes[order[b]]
-		}
-		return order[a] < order[b]
-	})
-	var loads []float64
-	assign := make([]int, len(sizes))
-	ok := true
-	for _, idx := range order {
-		sz := sizes[idx]
-		if sz > capacity {
-			assign[idx] = -1
-			ok = false
-			continue
-		}
-		bin := pick(loads, sz, capacity, strat)
-		if bin < 0 {
-			loads = append(loads, 0)
-			bin = len(loads) - 1
-		}
-		assign[idx] = bin
-		loads[bin] += sz
-	}
-	return Result{Assign: assign, Loads: loads, OK: ok}
-}
-
-// pick returns the bin index chosen by the strategy, or -1 if the item fits
-// in no bin. A small epsilon absorbs float accumulation error so that items
-// that exactly fill a bin are accepted.
-func pick(loads []float64, size, capacity float64, strat Strategy) int {
+// bestFit returns the feasible bin with the largest load (the tightest
+// fit; lowest index on ties), or -1 if the item fits in no bin. A small
+// epsilon absorbs float accumulation error so that items that exactly fill
+// a bin are accepted.
+func bestFit(loads []float64, size, capacity float64) int {
 	const eps = 1e-9
 	best := -1
 	for b, load := range loads {
 		if load+size > capacity+eps {
 			continue
 		}
-		if best == -1 {
+		if best == -1 || load > loads[best] {
 			best = b
-			if strat == FirstFit {
-				return b
-			}
-			continue
-		}
-		switch strat {
-		case BestFit:
-			if loads[b] > loads[best] {
-				best = b
-			}
-		case WorstFit:
-			if loads[b] < loads[best] {
-				best = b
-			}
 		}
 	}
 	return best

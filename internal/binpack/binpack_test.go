@@ -5,24 +5,10 @@ import (
 	"testing/quick"
 )
 
-func TestStrategyString(t *testing.T) {
-	cases := map[Strategy]string{
-		BestFit:      "best-fit",
-		FirstFit:     "first-fit",
-		WorstFit:     "worst-fit",
-		Strategy(99): "unknown",
-	}
-	for s, want := range cases {
-		if got := s.String(); got != want {
-			t.Errorf("%d.String() = %q, want %q", s, got, want)
-		}
-	}
-}
-
 func TestPackBestFitPrefersTightBin(t *testing.T) {
 	// 0.6 -> bin 0; 0.5 cannot join bin 0, so -> bin 1; the 0.35 item fits
 	// in both and best-fit must pick bin 0 (tightest remaining capacity).
-	r := Pack([]float64{0.6, 0.5, 0.35}, 2, 1.0, BestFit)
+	r := PackDecreasing([]float64{0.6, 0.5, 0.35}, 2, 1.0)
 	if !r.OK {
 		t.Fatalf("packing failed: %+v", r)
 	}
@@ -31,31 +17,8 @@ func TestPackBestFitPrefersTightBin(t *testing.T) {
 	}
 }
 
-func TestPackWorstFitBalances(t *testing.T) {
-	r := Pack([]float64{0.6, 0.3, 0.35}, 2, 1.0, WorstFit)
-	if !r.OK {
-		t.Fatalf("packing failed: %+v", r)
-	}
-	if r.Assign[2] != 1 {
-		t.Errorf("worst-fit placed 0.35 in bin %d, want 1 (emptiest)", r.Assign[2])
-	}
-}
-
-func TestPackFirstFit(t *testing.T) {
-	r := Pack([]float64{0.5, 0.5, 0.5}, 2, 1.0, FirstFit)
-	if !r.OK {
-		t.Fatal("first-fit should place all three items")
-	}
-	want := []int{0, 0, 1}
-	for i, w := range want {
-		if r.Assign[i] != w {
-			t.Errorf("Assign[%d] = %d, want %d", i, r.Assign[i], w)
-		}
-	}
-}
-
 func TestPackFailure(t *testing.T) {
-	r := Pack([]float64{0.9, 0.9, 0.9}, 2, 1.0, BestFit)
+	r := PackDecreasing([]float64{0.9, 0.9, 0.9}, 2, 1.0)
 	if r.OK {
 		t.Error("packing three 0.9 items into two unit bins should fail")
 	}
@@ -69,7 +32,7 @@ func TestPackFailure(t *testing.T) {
 }
 
 func TestPackOversizedItem(t *testing.T) {
-	r := Pack([]float64{1.5, 0.2}, 2, 1.0, BestFit)
+	r := PackDecreasing([]float64{1.5, 0.2}, 2, 1.0)
 	if r.OK || r.Assign[0] != -1 {
 		t.Error("oversized item must fail")
 	}
@@ -80,69 +43,21 @@ func TestPackOversizedItem(t *testing.T) {
 
 func TestPackExactFill(t *testing.T) {
 	// Items that sum exactly to capacity must fit despite float arithmetic.
-	r := Pack([]float64{0.1, 0.2, 0.3, 0.4}, 1, 1.0, FirstFit)
+	r := PackDecreasing([]float64{0.1, 0.2, 0.3, 0.4}, 1, 1.0)
 	if !r.OK {
 		t.Errorf("exact fill rejected: %+v", r)
 	}
 }
 
-func TestPackDecreasingOrder(t *testing.T) {
-	// Classic case where first-fit fails but first-fit decreasing succeeds.
-	sizes := []float64{0.3, 0.3, 0.3, 0.7, 0.7, 0.7}
-	plain := Pack(sizes, 3, 1.0, FirstFit)
-	if plain.OK {
-		t.Error("first-fit in given order should fail for this instance")
-	}
-	dec := PackDecreasing(sizes, 3, 1.0, FirstFit)
-	if !dec.OK {
-		t.Errorf("first-fit decreasing should succeed: %+v", dec)
-	}
-}
-
 func TestPackDecreasingReportsOriginalOrder(t *testing.T) {
 	sizes := []float64{0.2, 0.9}
-	r := PackDecreasing(sizes, 2, 1.0, BestFit)
+	r := PackDecreasing(sizes, 2, 1.0)
 	if !r.OK {
 		t.Fatal("packing failed")
 	}
 	// Item 1 (0.9) is packed first into bin 0; item 0 joins a bin after.
 	if r.Assign[1] != 0 {
 		t.Errorf("largest item should land in bin 0, got %d", r.Assign[1])
-	}
-}
-
-func TestMinBins(t *testing.T) {
-	r := MinBins([]float64{0.5, 0.5, 0.5, 0.5}, 1.0, FirstFit)
-	if !r.OK {
-		t.Fatal("MinBins failed")
-	}
-	if len(r.Loads) != 2 {
-		t.Errorf("MinBins opened %d bins, want 2", len(r.Loads))
-	}
-}
-
-func TestMinBinsOversized(t *testing.T) {
-	r := MinBins([]float64{2.0}, 1.0, BestFit)
-	if r.OK || r.Assign[0] != -1 {
-		t.Error("MinBins must reject an item larger than capacity")
-	}
-}
-
-func TestMinBinsDecreasingNoWorseThanPlain(t *testing.T) {
-	f := func(raw []uint8) bool {
-		sizes := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			sizes = append(sizes, float64(v%100)/100.0)
-		}
-		plain := MinBins(sizes, 1.0, BestFit)
-		dec := MinBinsDecreasing(sizes, 1.0, BestFit)
-		if !plain.OK || !dec.OK {
-			return plain.OK == dec.OK // both handle only feasible items here
-		}
-		return len(dec.Loads) <= len(plain.Loads)+1 // FFD is near-optimal; allow slack of 1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -153,25 +68,23 @@ func TestLoadsMatchAssignments(t *testing.T) {
 			sizes = append(sizes, float64(v%90)/100.0)
 		}
 		nbins := int(binsRaw%5) + 1
-		for _, strat := range []Strategy{BestFit, FirstFit, WorstFit} {
-			r := Pack(sizes, nbins, 1.0, strat)
-			loads := make([]float64, nbins)
-			for i, b := range r.Assign {
-				if b == -1 {
-					continue
-				}
-				if b < 0 || b >= nbins {
-					return false
-				}
-				loads[b] += sizes[i]
+		r := PackDecreasing(sizes, nbins, 1.0)
+		loads := make([]float64, nbins)
+		for i, b := range r.Assign {
+			if b == -1 {
+				continue
 			}
-			for b := range loads {
-				if diff := loads[b] - r.Loads[b]; diff > 1e-9 || diff < -1e-9 {
-					return false
-				}
-				if r.Loads[b] > 1.0+1e-9 {
-					return false // capacity respected
-				}
+			if b < 0 || b >= nbins {
+				return false
+			}
+			loads[b] += sizes[i]
+		}
+		for b := range loads {
+			if diff := loads[b] - r.Loads[b]; diff > 1e-9 || diff < -1e-9 {
+				return false
+			}
+			if r.Loads[b] > 1.0+1e-9 {
+				return false // capacity respected
 			}
 		}
 		return true
@@ -182,14 +95,14 @@ func TestLoadsMatchAssignments(t *testing.T) {
 }
 
 func TestZeroItems(t *testing.T) {
-	r := Pack(nil, 3, 1.0, BestFit)
+	r := PackDecreasing(nil, 3, 1.0)
 	if !r.OK || len(r.Assign) != 0 {
 		t.Errorf("empty packing should trivially succeed: %+v", r)
 	}
 }
 
 func TestZeroBins(t *testing.T) {
-	r := Pack([]float64{0.1}, 0, 1.0, BestFit)
+	r := PackDecreasing([]float64{0.1}, 0, 1.0)
 	if r.OK {
 		t.Error("packing into zero bins must fail")
 	}

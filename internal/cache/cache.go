@@ -15,8 +15,6 @@ package cache
 import (
 	"fmt"
 	"math/bits"
-
-	"vc2m/internal/bitmask"
 )
 
 // Config describes the cache geometry.
@@ -104,7 +102,7 @@ func New(cfg Config, nCores int) (*Cache, error) {
 	for i := range c.sets {
 		c.sets[i] = make([]line, cfg.Ways)
 	}
-	full := bitmask.Full(cfg.Ways)
+	full := fullMask(cfg.Ways)
 	for i := range c.masks {
 		c.masks[i] = full
 	}
@@ -120,10 +118,10 @@ func (c *Cache) SetMask(core int, mask uint64) error {
 	if mask == 0 {
 		return fmt.Errorf("cache: empty mask for core %d", core)
 	}
-	if mask&^bitmask.Full(c.cfg.Ways) != 0 {
+	if mask&^fullMask(c.cfg.Ways) != 0 {
 		return fmt.Errorf("cache: mask %#x exceeds %d ways", mask, c.cfg.Ways)
 	}
-	if !bitmask.Contiguous(mask) {
+	if !contiguousMask(mask) {
 		return fmt.Errorf("cache: mask %#x is not contiguous (CAT requires contiguous CBMs)", mask)
 	}
 	c.masks[core] = mask
@@ -153,7 +151,7 @@ func (c *Cache) PartitionDisjoint(counts []int) error {
 	}
 	base := 0
 	for i, n := range counts {
-		mask := (bitmask.Full(n)) << uint(base)
+		mask := fullMask(n) << uint(base)
 		if err := c.SetMask(i, mask); err != nil {
 			return err
 		}
@@ -231,3 +229,25 @@ func (c *Cache) Flush() {
 
 // Config returns the cache geometry.
 func (c *Cache) Config() Config { return c.cfg }
+
+// fullMask returns a capacity bitmask with the n lowest ways set, clamped
+// to [0, 64] ways.
+func fullMask(n int) uint64 {
+	if n <= 0 {
+		return 0
+	}
+	if n >= 64 {
+		return ^uint64(0)
+	}
+	return (uint64(1) << uint(n)) - 1
+}
+
+// contiguousMask reports whether the set bits of m form one contiguous run.
+// The empty mask is not contiguous (CAT rejects empty CBMs).
+func contiguousMask(m uint64) bool {
+	if m == 0 {
+		return false
+	}
+	shifted := m >> uint(bits.TrailingZeros64(m))
+	return shifted&(shifted+1) == 0
+}

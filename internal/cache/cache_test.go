@@ -3,8 +3,6 @@ package cache
 import (
 	"testing"
 	"testing/quick"
-
-	"vc2m/internal/bitmask"
 )
 
 func mk(t *testing.T, cfg Config, cores int) *Cache {
@@ -230,7 +228,7 @@ func TestMoreWaysMonotonicallyFewerMisses(t *testing.T) {
 	// increase misses — the monotonicity the WCET model assumes.
 	run := func(ways int) uint64 {
 		c := mk(t, Config{Sets: 8, Ways: 8, LineSize: 64}, 1)
-		if err := c.SetMask(0, bitmask.Full(ways)); err != nil {
+		if err := c.SetMask(0, fullMask(ways)); err != nil {
 			t.Fatal(err)
 		}
 		cfg := Config{Sets: 8, Ways: 8, LineSize: 64}
@@ -279,5 +277,44 @@ func TestAccessAddressMappingProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestFullMask(t *testing.T) {
+	cases := []struct {
+		n    int
+		want uint64
+	}{
+		{0, 0},
+		{1, 0b1},
+		{4, 0b1111},
+		{64, ^uint64(0)},
+		{-3, 0},
+		{70, ^uint64(0)},
+	}
+	for _, c := range cases {
+		if got := fullMask(c.n); got != c.want {
+			t.Errorf("fullMask(%d) = %#x, want %#x", c.n, got, c.want)
+		}
+	}
+}
+
+func TestContiguousMask(t *testing.T) {
+	cases := []struct {
+		m    uint64
+		want bool
+	}{
+		{0, false},
+		{0b1, true},
+		{0b110, true},
+		{0b101, false},
+		{0b111100, true},
+		{1 << 63, true},
+		{(1 << 63) | 1, false},
+	}
+	for _, c := range cases {
+		if got := contiguousMask(c.m); got != c.want {
+			t.Errorf("contiguousMask(%#x) = %v, want %v", c.m, got, c.want)
+		}
 	}
 }

@@ -9,10 +9,9 @@ import (
 
 // This file extends the demand-bound analysis from implicit deadlines
 // (deadline = period, the paper's task model) to constrained deadlines
-// (deadline <= period). The paper lists richer task models as out of
-// scope; the extension is provided because the periodic-resource
-// machinery (SBF, MinBudgetForDemand) is deadline-agnostic — only the
-// demand side changes:
+// (deadline <= period), beyond the paper's task model. No allocation path
+// uses it: together with QPA it is the independent oracle the tests check
+// Demand.DBF against. The constrained-deadline demand is
 //
 //	dbf(t) = sum_i max(0, floor((t - d_i)/p_i) + 1) * e_i
 //
@@ -131,15 +130,4 @@ func (d *ConstrainedDemand) DBFAt(wcets []float64, t float64) float64 {
 		}
 	}
 	return s
-}
-
-// MinBudgetConstrained computes the minimum periodic-resource budget for a
-// constrained-deadline taskset under the given resource period.
-func MinBudgetConstrained(periods, deadlines, wcets []float64, pi float64) (float64, bool, error) {
-	d, err := NewConstrainedDemand(periods, deadlines)
-	if err != nil {
-		return 0, false, err
-	}
-	theta, ok := MinBudgetForDemand(pi, d.Checkpoints(), d.DBF(wcets), nil)
-	return theta, ok, nil
 }

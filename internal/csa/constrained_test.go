@@ -85,35 +85,6 @@ func TestConstrainedDemandValidation(t *testing.T) {
 	}
 }
 
-func TestMinBudgetConstrainedTighterDeadlineNeedsMore(t *testing.T) {
-	// Shrinking a deadline can only increase the required budget.
-	periods := []float64{10}
-	wcets := []float64{1}
-	prev := 0.0
-	for _, d := range []float64{10, 8, 6, 4, 3} {
-		theta, ok, err := MinBudgetConstrained(periods, []float64{d}, wcets, 5)
-		if err != nil || !ok {
-			t.Fatalf("d=%v: %v ok=%v", d, err, ok)
-		}
-		if theta < prev-1e-6 {
-			t.Errorf("budget decreased from %v to %v when deadline tightened to %v", prev, theta, d)
-		}
-		prev = theta
-	}
-}
-
-func TestMinBudgetConstrainedInfeasible(t *testing.T) {
-	// Deadline shorter than the WCET cannot be met even on a dedicated
-	// core.
-	_, ok, err := MinBudgetConstrained([]float64{10}, []float64{2}, []float64{3}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Error("WCET above deadline reported feasible")
-	}
-}
-
 func TestConstrainedDBFMonotoneProperty(t *testing.T) {
 	f := func(dRaw, eRaw uint8) bool {
 		p := 20.0

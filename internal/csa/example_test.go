@@ -49,14 +49,3 @@ func ExampleWellRegulatedVCPU() {
 	// Output:
 	// period: 10, budget: 3, bandwidth: 0.30
 }
-
-// ExampleHarmonizePeriods shows the Sr-style harmonization extension.
-func ExampleHarmonizePeriods() {
-	h, err := csa.HarmonizePeriods([]float64{100, 150}, nil)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("harmonized: %.0f, inflation: %.2fx\n", h.Periods, h.Inflation)
-	// Output:
-	// harmonized: [75 150], inflation: 1.17x
-}

@@ -201,52 +201,6 @@ func pseudoBudget(pi float64, checkpoints, demands []float64) float64 {
 	return pi * worst
 }
 
-// BestPeriodExisting searches for the periodic-resource period that
-// minimizes the VCPU's reference bandwidth under the existing CSA, trying
-// minPeriod/k for k = 1..maxDivisor. Smaller periods shrink the supply
-// blackout (less abstraction overhead) but cost more context switches in
-// a real hypervisor; the search exposes that design space. It returns the
-// chosen period, its minimum budget at the full allocation, and whether
-// any candidate was feasible. The evaluated solutions deliberately do NOT
-// use this search (they fix the half-minimum-period rule) so the
-// calibrated comparisons stay stable; it is provided for analysis and
-// what-if exploration.
-func BestPeriodExisting(tasks []*model.Task, plat model.Platform, maxDivisor int) (pi, theta float64, ok bool, err error) {
-	if len(tasks) == 0 {
-		return 0, 0, false, errors.New("csa: BestPeriodExisting with no tasks")
-	}
-	if maxDivisor <= 0 {
-		maxDivisor = 8
-	}
-	periods := TaskPeriods(tasks)
-	demand, err := NewDemand(periods)
-	if err != nil {
-		return 0, 0, false, err
-	}
-	minP := periods[0]
-	for _, p := range periods[1:] {
-		if p < minP {
-			minP = p
-		}
-	}
-	wcets := TaskWCETs(tasks, plat.C, plat.B)
-	dem := demand.DBF(wcets)
-	cps := demand.Checkpoints()
-
-	bestBW := 0.0
-	for k := 1; k <= maxDivisor; k++ {
-		cand := minP / float64(k)
-		th, feasible := MinBudgetForDemand(cand, cps, dem, nil)
-		if !feasible {
-			continue
-		}
-		if bw := th / cand; !ok || bw < bestBW {
-			pi, theta, bestBW, ok = cand, th, bw, true
-		}
-	}
-	return pi, theta, ok, nil
-}
-
 // MinBudget computes the minimum periodic-resource budget for the taskset
 // under a single allocation (c,b) with VCPU period pi. It is the
 // single-entry form of ExistingVCPU, used by tests and by callers that do

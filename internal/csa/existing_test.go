@@ -155,35 +155,6 @@ func TestMinBudgetConvenience(t *testing.T) {
 	}
 }
 
-func TestBestPeriodExisting(t *testing.T) {
-	p := model.PlatformA
-	task := model.SimpleTask("t1", p, 10, 1)
-	task.VM = "vm1"
-	pi, theta, ok, err := BestPeriodExisting([]*model.Task{task}, p, 8)
-	if err != nil || !ok {
-		t.Fatalf("err=%v ok=%v", err, ok)
-	}
-	// The search must beat the naive full-period choice (bandwidth 0.55).
-	if theta/pi >= 0.55 {
-		t.Errorf("best bandwidth %v not below the naive 0.55", theta/pi)
-	}
-	// And the bandwidth can never undercut the utilization.
-	if theta/pi < 0.1-1e-9 {
-		t.Errorf("bandwidth %v below the task utilization 0.1", theta/pi)
-	}
-	// Smaller max divisor can only do worse or equal.
-	pi1, theta1, ok1, err := BestPeriodExisting([]*model.Task{task}, p, 1)
-	if err != nil || !ok1 {
-		t.Fatalf("err=%v ok=%v", err, ok1)
-	}
-	if theta1/pi1 < theta/pi-1e-9 {
-		t.Errorf("divisor 1 (%v) beat divisor 8 (%v)", theta1/pi1, theta/pi)
-	}
-	if _, _, _, err := BestPeriodExisting(nil, p, 4); err == nil {
-		t.Error("empty taskset accepted")
-	}
-}
-
 func TestMinBudgetSmallerPeriodHelps(t *testing.T) {
 	// A smaller resource period reduces the blackout and thus the required
 	// bandwidth for the same taskset.

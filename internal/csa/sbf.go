@@ -76,23 +76,6 @@ func SBF(pi, theta, t float64) float64 {
 	return supply
 }
 
-// LinearSBF returns the linear lower bound on SBF often used for fast
-// feasibility filtering: lsbf(t) = (theta/pi) * (t - 2(pi-theta)), clamped
-// at 0. LinearSBF(t) <= SBF(t) for all t.
-func LinearSBF(pi, theta, t float64) float64 {
-	if theta <= 0 {
-		return 0
-	}
-	if theta > pi {
-		theta = pi
-	}
-	v := theta / pi * (t - 2*(pi-theta))
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
 // MinBudgetForDemand returns the minimum budget theta such that the
 // periodic resource (pi, theta) satisfies dbf(t) <= sbf(t) at every
 // checkpoint, where demands[i] is the EDF demand bound at checkpoints[i].

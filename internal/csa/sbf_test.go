@@ -86,27 +86,6 @@ func TestSBFMonotoneInTheta(t *testing.T) {
 	}
 }
 
-func TestLinearSBFLowerBoundsSBF(t *testing.T) {
-	f := func(piRaw, thetaRaw, tRaw uint16) bool {
-		pi := float64(piRaw%100) + 1
-		theta := float64(thetaRaw%1000) / 1000 * pi
-		tt := float64(tRaw) / 7
-		return LinearSBF(pi, theta, tt) <= SBF(pi, theta, tt)+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestLinearSBFZero(t *testing.T) {
-	if LinearSBF(10, 0, 50) != 0 {
-		t.Error("LinearSBF with zero budget should be 0")
-	}
-	if LinearSBF(10, 5, 1) != 0 {
-		t.Error("LinearSBF inside blackout should clamp to 0")
-	}
-}
-
 func TestMinBudgetPaperExample(t *testing.T) {
 	// The paper's motivating example: taskset {(p=10, e=1)} on a periodic
 	// resource with period 10 needs a minimum budget of 5.5 — 55x the

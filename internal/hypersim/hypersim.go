@@ -360,20 +360,6 @@ func (s *Simulator) SyncRelease(vcpuID string, delay timeunit.Ticks) error {
 	return fmt.Errorf("hypersim: unknown VCPU %q", vcpuID)
 }
 
-// SetTaskRelease sets a task's first release to now + delay — the
-// guest-side timing that the synchronization hypercall mirrors on the
-// VCPU. Must be called before Run.
-func (s *Simulator) SetTaskRelease(taskID string, delay timeunit.Ticks) error {
-	if delay < 0 {
-		return fmt.Errorf("hypersim: negative release delay %v", delay)
-	}
-	if t, ok := s.taskByID[taskID]; ok {
-		t.offset = s.engine.Now() + delay
-		return nil
-	}
-	return fmt.Errorf("hypersim: unknown task %q", taskID)
-}
-
 // measure wraps a handler invocation, recording its wall-clock cost in
 // microseconds when overhead measurement is enabled.
 func (s *Simulator) measure(key string, fn func()) {

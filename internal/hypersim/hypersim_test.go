@@ -206,45 +206,6 @@ func merge(in [][2]timeunit.Ticks) [][2]timeunit.Ticks {
 	return out
 }
 
-func TestWellRegulatedHarmonizedSimulation(t *testing.T) {
-	// A non-harmonic taskset on a harmonized well-regulated VCPU: the
-	// budget is computed for the shrunk periods, which dominates the
-	// original demand — the simulation must show zero misses even with a
-	// competing VCPU taking the rest of the core.
-	p := model.PlatformA
-	mk := func(id string, period, wcet float64) *model.Task {
-		task := model.SimpleTask(id, p, period, wcet)
-		task.VM = "vm"
-		return task
-	}
-	tasks := []*model.Task{mk("t1", 100, 10), mk("t2", 150, 15), mk("t3", 300, 30)}
-	v, err := csa.WellRegulatedVCPUHarmonized(tasks, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	other := model.SimpleTask("other", p, 75, 30)
-	other.VM = "vm2"
-	v2, err := csa.WellRegulatedVCPU([]*model.Task{other}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.RefBandwidth()+v2.RefBandwidth() > 1+1e-9 {
-		t.Fatalf("test setup overloads the core: %v + %v", v.RefBandwidth(), v2.RefBandwidth())
-	}
-	a := &model.Allocation{
-		Platform:    p,
-		Cores:       []*model.CoreAlloc{{Core: 0, Cache: 10, BW: 10, VCPUs: []*model.VCPU{v, v2}}},
-		Schedulable: true,
-	}
-	res := run(t, a, Config{}, 3000)
-	if res.Missed != 0 {
-		t.Errorf("harmonized well-regulated VCPU missed %d deadlines", res.Missed)
-	}
-	if res.Completed == 0 {
-		t.Error("nothing completed")
-	}
-}
-
 func TestDeterministicTieBreaking(t *testing.T) {
 	// Two identical VCPUs with equal deadlines and periods: the one with
 	// the smaller index must run first, every time.

@@ -17,13 +17,7 @@
 // reduction loops.
 package provenance
 
-import (
-	"io"
-	"sync"
-
-	"vc2m/internal/bitmask"
-	"vc2m/internal/trace"
-)
+import "sync"
 
 // Resource identifies one of the three allocated resource dimensions. A
 // rejection's Violated list names every resource whose exhaustion (or
@@ -74,8 +68,6 @@ const (
 	StageBaseline = "baseline"
 	// StageBinpack is the generic bin-packing helper.
 	StageBinpack = "binpack"
-	// StageVCAT is the realization of partition counts on the CAT hardware.
-	StageVCAT = "vcat"
 	// StageSweep is one taskset×solution case of a schedulability sweep.
 	StageSweep = "sweep"
 )
@@ -106,8 +98,6 @@ const (
 	KindEvict = "evict"
 	// KindTaskset: one taskset×solution case of a sweep.
 	KindTaskset = "taskset"
-	// KindProgram: a CAT class of service was programmed for a core.
-	KindProgram = "program"
 )
 
 // Decision is one record of the provenance stream. The struct is flat and
@@ -130,9 +120,6 @@ type Decision struct {
 	// Cache and BW are the partition counts in effect for the decision.
 	Cache int `json:"cache,omitempty"`
 	BW    int `json:"bw,omitempty"`
-	// Mask is the programmed CAT capacity bitmask on KindProgram decisions
-	// (hex-encoded on the wire; see bitmask.Mask).
-	Mask bitmask.Mask `json:"cbm_mask,omitempty"`
 	// Value is the decision's scalar evidence: a utilization, a grant
 	// gain, a budget — documented by the Reason.
 	Value float64 `json:"value,omitempty"`
@@ -239,44 +226,4 @@ func (r *Recorder) Reset() {
 	r.mu.Lock()
 	r.decisions = r.decisions[:0]
 	r.mu.Unlock()
-}
-
-// JSONLWriter streams decisions as JSON lines through the shared buffered
-// line writer (trace.LineWriter) — the same first-error-wins, flush-on-
-// Close discipline as the trace JSONL sink.
-type JSONLWriter struct {
-	lw *trace.LineWriter
-}
-
-// NewJSONLWriter wraps w. The caller owns w; call Close to flush before
-// closing the underlying file.
-func NewJSONLWriter(w io.Writer) *JSONLWriter {
-	return &JSONLWriter{lw: trace.NewLineWriter(w)}
-}
-
-// Record implements Sink. The first encoding error is retained and
-// reported by Close; subsequent decisions are dropped. A nil writer drops
-// everything.
-func (w *JSONLWriter) Record(d Decision) {
-	if w == nil {
-		return
-	}
-	w.lw.Encode(d)
-}
-
-// Decisions returns the number of decisions written so far (0 on nil).
-func (w *JSONLWriter) Decisions() int {
-	if w == nil {
-		return 0
-	}
-	return w.lw.Count()
-}
-
-// Close flushes buffered output and returns the first error encountered
-// while recording or flushing. It does not close the underlying writer.
-func (w *JSONLWriter) Close() error {
-	if w == nil {
-		return nil
-	}
-	return w.lw.Close()
 }

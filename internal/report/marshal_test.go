@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"vc2m"
-	"vc2m/internal/bitmask"
 	"vc2m/internal/experiment"
 	"vc2m/internal/model"
 	"vc2m/internal/provenance"
@@ -154,22 +153,22 @@ func sweepDoc(t *testing.T) *report.Document {
 
 // FuzzReportMarshal drives the decision writer with arbitrary strings
 // (HTML-sensitive bytes, control bytes, invalid UTF-8, U+2028/2029),
-// integers, masks and floats (the 1e-6 and 1e21 format boundaries, -0,
+// integers and floats (the 1e-6 and 1e21 format boundaries, -0,
 // subnormals, NaN, ±Inf): Marshal must equal encoding/json, and fail where
 // it fails.
 func FuzzReportMarshal(f *testing.F) {
-	f.Add("t1", "core 0", "dbf <= sbf at t=10", 0.5, 3, 2, uint64(0xf0), true, "cache")
-	f.Add("<b>&amp;</b>", "\x00\x1f\t\n\r\b\f\"\\\x7f", "\xff\xfe\u2028\u2029\xe2\x80", 1e-6, -1, 0, uint64(1), false, "")
+	f.Add("t1", "core 0", "dbf <= sbf at t=10", 0.5, 3, 2, true, "cache")
+	f.Add("<b>&amp;</b>", "\x00\x1f\t\n\r\b\f\"\\\x7f", "\xff\xfe\u2028\u2029\xe2\x80", 1e-6, -1, 0, false, "")
 	for _, v := range []float64{
 		9.999999999999999e-07, 1e21, 999999999999999900000, -1.2345678901234567e-7,
 		math.Copysign(0, -1), 5e-324, math.MaxFloat64, math.NaN(), math.Inf(1), math.Inf(-1),
 	} {
-		f.Add("s", "t", "r", v, 20, 20, uint64(math.MaxUint64), true, "bw")
+		f.Add("s", "t", "r", v, 20, 20, true, "bw")
 	}
-	f.Fuzz(func(t *testing.T, subject, target, reason string, value float64, cache, bw int, mask uint64, accepted bool, violated string) {
+	f.Fuzz(func(t *testing.T, subject, target, reason string, value float64, cache, bw int, accepted bool, violated string) {
 		d := provenance.Decision{
 			Seq: cache, Stage: target, Kind: subject, Subject: subject, Target: target,
-			Cache: cache, BW: bw, Mask: bitmask.Mask(mask), Value: value,
+			Cache: cache, BW: bw, Value: value,
 			Accepted: accepted, Reason: reason,
 		}
 		if violated != "" {

@@ -21,7 +21,6 @@ package report
 import (
 	"encoding/json"
 	"fmt"
-	"math/bits"
 	"os"
 	"sort"
 	"strconv"
@@ -376,8 +375,8 @@ const (
 )
 
 // appendDecision appends d as json.MarshalIndent writes it inside
-// Document.Decisions: Decision's field order and omitempty rules, the mask
-// in bitmask.Mask's hex form, violated as an indented array.
+// Document.Decisions: Decision's field order and omitempty rules, violated
+// as an indented array.
 func appendDecision(b []byte, d *provenance.Decision) ([]byte, error) {
 	b = append(b, decisionOpen...)
 	b = strconv.AppendInt(b, int64(d.Seq), 10)
@@ -394,10 +393,6 @@ func appendDecision(b []byte, d *provenance.Decision) ([]byte, error) {
 	}
 	if d.BW != 0 {
 		b = strconv.AppendInt(appendKey(b, "bw"), int64(d.BW), 10)
-	}
-	if d.Mask != 0 {
-		b = append(appendKey(b, "cbm_mask"), `"0x`...)
-		b = append(strconv.AppendUint(b, uint64(d.Mask), 16), '"')
 	}
 	if d.Value != 0 { //vc2m:floateq omitempty drops exactly the values equal to zero, as encoding/json does
 		var err error
@@ -448,9 +443,6 @@ func decisionSize(d *provenance.Decision) int {
 	}
 	if d.BW != 0 {
 		n += key("bw") + intLen(d.BW)
-	}
-	if d.Mask != 0 {
-		n += key("cbm_mask") + len(`"0x"`) + (bits.Len64(uint64(d.Mask))+3)/4
 	}
 	if d.Value != 0 { //vc2m:floateq mirrors appendDecision's omitempty test
 		n += key("value") + maxFloatLen

@@ -196,15 +196,16 @@ func (r *SubmitRequest) Validate() error {
 	default:
 		return fmt.Errorf("server: unknown kind %q", r.Kind)
 	}
-	if _, _, err := parseMode(r.Mode); err != nil {
+	if _, _, err := ParseMode(r.Mode); err != nil {
 		return err
 	}
 	return nil
 }
 
-// parseMode maps the wire mode name to the facade mode, normalizing the
-// name the way vc2m-sim's -mode flag does. Empty defaults to flattening.
-func parseMode(name string) (vc2m.Mode, string, error) {
+// ParseMode maps a wire mode name (or vc2m-sim's -mode flag) to the facade
+// mode, returning the normalized name used in reports. Empty defaults to
+// flattening.
+func ParseMode(name string) (vc2m.Mode, string, error) {
 	switch name {
 	case "", "flattening":
 		return vc2m.Flattening, "flattening", nil

@@ -112,7 +112,7 @@ func executeRun(ctx context.Context, req SubmitRequest, prov *provenance.Recorde
 	if err != nil {
 		return nil, nil, err
 	}
-	mode, modeName, err := parseMode(req.Mode)
+	mode, modeName, err := ParseMode(req.Mode)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -141,7 +141,7 @@ func executeRun(ctx context.Context, req SubmitRequest, prov *provenance.Recorde
 		}
 		// The rejection is itself a result: the report carries the
 		// decision trail with the binding resource(s).
-		in.Rejection = toRejection(aerr)
+		in.Rejection = ToRejection(aerr)
 		return report.BuildRun(in), nil, nil
 	}
 	in.Allocation = a
@@ -184,7 +184,7 @@ func (s *Server) executeChurn(ctx context.Context, run *Run, sp *obs.Span) (*rep
 		return nil, nil, fmt.Errorf("server: churn base run %s is %s with no accepted allocation",
 			base.ID(), base.Status().State)
 	}
-	mode, modeName, err := parseMode(req.Mode)
+	mode, modeName, err := ParseMode(req.Mode)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -260,7 +260,7 @@ func executeSweep(ctx context.Context, req SubmitRequest, prov *provenance.Recor
 			return nil, err
 		}
 	}
-	_, modeName, err := parseMode(req.Mode)
+	_, modeName, err := ParseMode(req.Mode)
 	if err != nil {
 		return nil, err
 	}
@@ -294,11 +294,13 @@ func executeSweep(ctx context.Context, req SubmitRequest, prov *provenance.Recor
 	}), nil
 }
 
-// toRejection translates an allocator error into the report's rejection
-// section, preserving the binding resource(s) of a RejectionError — the
-// same translation the batch CLIs perform (package report deliberately
-// does not import alloc).
-func toRejection(err error) *report.Rejection {
+// ToRejection translates an allocator error into the report's rejection
+// section, preserving the binding resource(s) of a RejectionError (package
+// report deliberately does not import alloc). A nil error has no rejection.
+func ToRejection(err error) *report.Rejection {
+	if err == nil {
+		return nil
+	}
 	rej := &report.Rejection{Reason: err.Error(), Violated: []string{"cpu"}}
 	if re, ok := alloc.AsRejection(err); ok {
 		rej.Stage = re.Stage

@@ -135,15 +135,3 @@ func (p *Sample) Summary() Summary {
 	}
 	return s
 }
-
-// Mean of all float64 values; 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}

@@ -8,7 +8,7 @@ import (
 
 func TestSummaryEmpty(t *testing.T) {
 	var s Summary
-	if s.N() != 0 || s.Min() != 0 || s.Max() != 0 || s.Mean() != 0 || s.StdDev() != 0 {
+	if s.N() != 0 || s.Min() != 0 || s.Max() != 0 || s.Mean() != 0 || s.StdDev() != 0 { //vc2m:floateq an empty summary returns assigned zeros, never computed ones
 		t.Error("empty Summary should report zeros")
 	}
 }
@@ -21,13 +21,13 @@ func TestSummaryBasics(t *testing.T) {
 	if s.N() != 5 {
 		t.Errorf("N = %d, want 5", s.N())
 	}
-	if s.Min() != 1 {
+	if s.Min() != 1 { //vc2m:floateq the minimum is an integer-valued observation stored verbatim
 		t.Errorf("Min = %v, want 1", s.Min())
 	}
-	if s.Max() != 5 {
+	if s.Max() != 5 { //vc2m:floateq the maximum is an integer-valued observation stored verbatim
 		t.Errorf("Max = %v, want 5", s.Max())
 	}
-	if s.Mean() != 2.8 {
+	if math.Abs(s.Mean()-2.8) > 1e-12 {
 		t.Errorf("Mean = %v, want 2.8", s.Mean())
 	}
 }
@@ -36,7 +36,7 @@ func TestSummaryNegativeValues(t *testing.T) {
 	var s Summary
 	s.Add(-5)
 	s.Add(-1)
-	if s.Min() != -5 || s.Max() != -1 {
+	if s.Min() != -5 || s.Max() != -1 { //vc2m:floateq min and max are integer-valued observations stored verbatim
 		t.Errorf("Min/Max = %v/%v, want -5/-1", s.Min(), s.Max())
 	}
 }
@@ -51,7 +51,7 @@ func TestSummaryStdDev(t *testing.T) {
 	}
 	var one Summary
 	one.Add(42)
-	if one.StdDev() != 0 {
+	if one.StdDev() != 0 { //vc2m:floateq StdDev assigns 0 below two observations
 		t.Error("StdDev of a single observation should be 0")
 	}
 }
@@ -119,7 +119,7 @@ func TestSummaryRow(t *testing.T) {
 
 func TestSampleEmpty(t *testing.T) {
 	var p Sample
-	if p.Percentile(50) != 0 {
+	if p.Percentile(50) != 0 { //vc2m:floateq an empty sample returns an assigned 0
 		t.Error("empty Sample percentile should be 0")
 	}
 }
@@ -172,8 +172,9 @@ func TestSampleAddAfterPercentile(t *testing.T) {
 	var p Sample
 	p.Add(10)
 	_ = p.Percentile(50)
-	p.Add(1) // must re-sort internally
-	if got := p.Percentile(0); got != 1 {
+	// The late Add must re-sort internally.
+	p.Add(1)
+	if got := p.Percentile(0); got != 1 { //vc2m:floateq the 0th percentile is the smallest observation, returned verbatim
 		t.Errorf("Percentile(0) after late Add = %v, want 1", got)
 	}
 }
@@ -183,16 +184,10 @@ func TestSampleSummary(t *testing.T) {
 	p.Add(2)
 	p.Add(8)
 	s := p.Summary()
-	if s.Min() != 2 || s.Max() != 8 || s.Mean() != 5 {
-		t.Errorf("Sample.Summary = %v/%v/%v, want 2/5/8", s.Min(), s.Mean(), s.Max())
+	if s.Min() != 2 || s.Max() != 8 { //vc2m:floateq min and max are integer-valued observations stored verbatim
+		t.Errorf("Sample.Summary min/max = %v/%v, want 2/8", s.Min(), s.Max())
 	}
-}
-
-func TestMean(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Error("Mean(nil) should be 0")
-	}
-	if got := Mean([]float64{1, 2, 3}); got != 2 {
-		t.Errorf("Mean = %v, want 2", got)
+	if math.Abs(s.Mean()-5) > 1e-12 {
+		t.Errorf("Sample.Summary mean = %v, want 5", s.Mean())
 	}
 }

@@ -7,10 +7,10 @@ import (
 	"io"
 )
 
-// LineWriter is the shared buffered JSON-lines encoder behind the trace
-// and provenance JSONL sinks: one object per line, encoded through a
-// buffered writer so memory use is constant in the stream length, first
-// error retained and reported by Close, records after an error dropped.
+// LineWriter is the buffered JSON-lines encoder behind the trace JSONL
+// sink: one object per line, encoded through a buffered writer so memory
+// use is constant in the stream length, first error retained and reported
+// by Close, records after an error dropped.
 type LineWriter struct {
 	bw  *bufio.Writer
 	enc *json.Encoder
