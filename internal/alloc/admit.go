@@ -163,7 +163,7 @@ func placeOneGrowing(cores []*coreState, coreIDs []int, plat model.Platform, v *
 			cs := cores[placed]
 			prov.Record(provenance.Decision{
 				Stage: stage, Kind: provenance.KindPlace,
-				Subject: v.ID, Target: fmt.Sprintf("core %d", coreIDs[placed]),
+				Subject: v.ID, Target: coreName(coreIDs[placed]),
 				Cache: cs.cache, BW: cs.bw,
 				Value: cs.util(), Accepted: true,
 				Reason: "smallest post-placement utilization among feasible cores",
@@ -205,7 +205,7 @@ func placeOneGrowing(cores []*coreState, coreIDs []int, plat model.Platform, v *
 			if prov.Enabled() {
 				prov.Record(provenance.Decision{
 					Stage: stage, Kind: provenance.KindReject,
-					Subject: v.ID, Target: fmt.Sprintf("core %d", coreIDs[host]),
+					Subject: v.ID, Target: coreName(coreIDs[host]),
 					Cache: cores[host].cache, BW: cores[host].bw,
 					Reason: re.Reason, Violated: re.Violated,
 				})
@@ -219,7 +219,7 @@ func placeOneGrowing(cores []*coreState, coreIDs []int, plat model.Platform, v *
 			}
 			prov.Record(provenance.Decision{
 				Stage: stage, Kind: provenance.KindGrant,
-				Subject: fmt.Sprintf("core %d", coreIDs[host]), Target: string(kind),
+				Subject: coreName(coreIDs[host]), Target: string(kind),
 				Cache: cores[host].cache, BW: cores[host].bw, Accepted: true,
 				Reason: fmt.Sprintf("spare %s partition granted so VCPU %s can fit", kind, v.ID),
 			})
@@ -231,7 +231,7 @@ func placeOneGrowing(cores []*coreState, coreIDs []int, plat model.Platform, v *
 		cs := cores[host]
 		prov.Record(provenance.Decision{
 			Stage: stage, Kind: provenance.KindPlace,
-			Subject: v.ID, Target: fmt.Sprintf("core %d", coreIDs[host]),
+			Subject: v.ID, Target: coreName(coreIDs[host]),
 			Cache: cs.cache, BW: cs.bw,
 			Value: cs.util(), Accepted: true,
 			Reason: "placed after growing the host with spare partitions",

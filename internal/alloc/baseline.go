@@ -161,7 +161,7 @@ func recordBinpack(prov *provenance.Recorder, res binpack.Result, vcpus []*model
 			Subject: v.ID, Cache: cache, BW: bw, Value: sizes[i],
 		}
 		if res.Assign[i] >= 0 {
-			d.Target = fmt.Sprintf("core %d", res.Assign[i])
+			d.Target = coreName(res.Assign[i])
 			d.Accepted = true
 			d.Reason = "best-fit decreasing on bandwidth (value = VCPU bandwidth)"
 		} else {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 
 	"vc2m/internal/csa"
 	"vc2m/internal/kmeans"
@@ -277,7 +278,7 @@ func recordPlacements(prov *provenance.Recorder, cores []*coreState) {
 		for _, v := range cs.vcpus {
 			prov.Record(provenance.Decision{
 				Stage: provenance.StageHyper, Kind: provenance.KindPlace,
-				Subject: v.ID, Target: fmt.Sprintf("core %d", i),
+				Subject: v.ID, Target: coreName(i),
 				Cache: cs.cache, BW: cs.bw,
 				Value: v.Bandwidth(cs.cache, cs.bw), Accepted: true,
 				Reason: "final placement (value = VCPU bandwidth under the core's partitions)",
@@ -481,10 +482,10 @@ func allocatePhase2(cores []*coreState, plat model.Platform, rec *metrics.Record
 			cs := cores[bestCore]
 			prov.Record(provenance.Decision{
 				Stage: provenance.StagePhase2, Kind: provenance.KindGrant,
-				Subject: fmt.Sprintf("core %d", bestCore), Target: string(kind),
+				Subject: coreName(bestCore), Target: string(kind),
 				Cache: cs.cache, BW: cs.bw,
 				Value: bestGain, Accepted: true,
-				Reason: fmt.Sprintf("best utilization gain %.4g among unschedulable cores", bestGain),
+				Reason: grantReason(bestGain),
 			})
 		}
 		if bestIsCache {
@@ -535,7 +536,7 @@ func balancePhase3(cores []*coreState, rec *metrics.Recorder, prov *provenance.R
 				di := coreIndexOf(cores, dst)
 				prov.Record(provenance.Decision{
 					Stage: provenance.StagePhase3, Kind: provenance.KindMigrate,
-					Subject: v.ID, Target: fmt.Sprintf("core %d -> core %d", si, di),
+					Subject: v.ID, Target: coreName(si) + " -> " + coreName(di),
 					Cache: dst.cache, BW: dst.bw,
 					Value: dst.util(), Accepted: true,
 					Reason: "migrated off an overloaded core to the least-utilized schedulable core",
@@ -545,6 +546,34 @@ func balancePhase3(cores []*coreState, rec *metrics.Recorder, prov *provenance.R
 	}
 	rec.Add(MetricPhase3Migrations, migrations)
 	return migrations > 0
+}
+
+// grantReason renders a Phase 2 grant's reason, byte for byte what
+// fmt.Sprintf("best utilization gain %.4g among unschedulable cores", gain)
+// prints, without fmt's reflection: grants are most of a run's decisions.
+func grantReason(gain float64) string {
+	var buf [64]byte
+	b := append(buf[:0], "best utilization gain "...)
+	b = strconv.AppendFloat(b, gain, 'g', 4, 64)
+	return string(append(b, " among unschedulable cores"...))
+}
+
+// coreNames holds the provenance names "core 0" .. "core 63", built once:
+// grant, place and migrate decisions name a core each.
+var coreNames = func() []string {
+	names := make([]string, 64)
+	for i := range names {
+		names[i] = "core " + strconv.Itoa(i)
+	}
+	return names
+}()
+
+// coreName returns "core <i>", from the table when i is in it.
+func coreName(i int) string {
+	if i >= 0 && i < len(coreNames) {
+		return coreNames[i]
+	}
+	return "core " + strconv.Itoa(i)
 }
 
 // coreIndexOf returns the index of cs in cores (-1 if absent); only used

@@ -466,7 +466,7 @@ func (st *incrementalState) repack(vm *model.VM, vcpus []*model.VCPU, cfg Increm
 			if prov.Enabled() {
 				prov.Record(provenance.Decision{
 					Stage: provenance.StageRepack, Kind: provenance.KindMigrate,
-					Subject: v.ID, Target: fmt.Sprintf("core %d -> core %d", old, ca.Core),
+					Subject: v.ID, Target: coreName(old) + " -> " + coreName(ca.Core),
 					Cache: ca.Cache, BW: ca.BW, Accepted: true,
 					Reason: fmt.Sprintf("full repack to admit VM %s moved this VCPU", vm.ID),
 				})

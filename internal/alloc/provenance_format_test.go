@@ -1,0 +1,59 @@
+package alloc
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"vc2m/internal/rngutil"
+)
+
+// TestGrantReasonMatchesSprintf is the differential oracle for the
+// fmt-free grant reason: over random float bit patterns and the edge
+// values a gain can take, grantReason must print exactly what the
+// fmt.Sprintf("%.4g") form it replaced printed.
+func TestGrantReasonMatchesSprintf(t *testing.T) {
+	check := func(g float64) {
+		t.Helper()
+		want := fmt.Sprintf("best utilization gain %.4g among unschedulable cores", g)
+		if got := grantReason(g); got != want {
+			t.Fatalf("grantReason(%v) (bits %#x) = %q, want %q", g, math.Float64bits(g), got, want)
+		}
+	}
+	for _, g := range []float64{
+		0, math.Copysign(0, -1), 1, -1, 0.5, 1e-4, 1e-5, 12345, 123456, 0.00012345,
+		9.9995, 99995, 1e18, math.Nextafter(1e18, 0), 1e18 - 0.75, 1e18 - 1e-9,
+		math.Inf(1), math.Inf(-1), math.NaN(),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.Float64frombits(0x000fffffffffffff), // largest subnormal
+		math.MaxFloat64, -math.MaxFloat64,
+	} {
+		check(g)
+	}
+	rng := rngutil.New(18)
+	for i := 0; i < 200000; i++ {
+		bits := uint64(rng.Int63()) | uint64(rng.Int63())<<63
+		check(math.Float64frombits(bits))
+	}
+	// Gains are utilization differences, mostly in [0, 1]: sample that
+	// range densely too, where %.4g switches between fixed and exponent
+	// notation.
+	for i := 0; i < 200000; i++ {
+		check(rng.Float64() * math.Pow(10, float64(rng.Intn(12)-8)))
+	}
+}
+
+// TestCoreNameMatchesSprintf checks the core-name table, and the
+// fallback for indices outside it, against fmt.Sprintf("core %d").
+func TestCoreNameMatchesSprintf(t *testing.T) {
+	for i := -3; i < 3*len(coreNames); i++ {
+		if got, want := coreName(i), fmt.Sprintf("core %d", i); got != want {
+			t.Fatalf("coreName(%d) = %q, want %q", i, got, want)
+		}
+	}
+	for _, i := range []int{1000, 1 << 20, math.MaxInt, math.MinInt} {
+		if got, want := coreName(i), fmt.Sprintf("core %d", i); got != want {
+			t.Fatalf("coreName(%d) = %q, want %q", i, got, want)
+		}
+	}
+}

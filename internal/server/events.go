@@ -77,9 +77,10 @@ type eventSub struct {
 // eventBus fans run-lifecycle events out to SSE subscribers. Publishing is
 // strictly non-blocking: each subscriber has a bounded buffer, and a full
 // buffer drops the event for that subscriber (counted per-subscriber and
-// bus-wide) instead of stalling the publishing worker. A short ring retains
-// recent events for Last-Event-ID replay on reconnect. A nil *eventBus
-// drops everything, like every sink in this repository.
+// bus-wide) instead of stalling the publishing worker. A fixed circular
+// buffer retains the last history events for Last-Event-ID replay on
+// reconnect, so a publish costs O(1) at any history length. A nil
+// *eventBus drops everything, like every sink in this repository.
 type eventBus struct {
 	history int
 	subBuf  int
@@ -90,8 +91,14 @@ type eventBus struct {
 	mu sync.Mutex
 	//vc2m:guardedby mu
 	seq uint64
+	// ring holds the retained events: it fills by append up to its
+	// preallocated capacity (history), then each publish overwrites the
+	// oldest entry at head. Seqs in the ring are consecutive, oldest at
+	// head.
 	//vc2m:guardedby mu
 	ring []RunEvent
+	//vc2m:guardedby mu
+	head int
 	//vc2m:guardedby mu
 	subs map[*eventSub]struct{}
 	//vc2m:guardedby mu
@@ -107,7 +114,11 @@ func newEventBus(history, subBuf int) *eventBus {
 	if subBuf <= 0 {
 		subBuf = 64
 	}
-	return &eventBus{history: history, subBuf: subBuf, subs: make(map[*eventSub]struct{})}
+	return &eventBus{
+		history: history, subBuf: subBuf,
+		ring: make([]RunEvent, 0, history),
+		subs: make(map[*eventSub]struct{}),
+	}
 }
 
 // publish assigns the next sequence number, retains the event in the
@@ -121,10 +132,11 @@ func (b *eventBus) publish(ev RunEvent) RunEvent {
 	b.seq++
 	ev.Seq = b.seq
 	b.published++
-	b.ring = append(b.ring, ev)
-	if len(b.ring) > b.history {
-		n := copy(b.ring, b.ring[len(b.ring)-b.history:])
-		b.ring = b.ring[:n]
+	if len(b.ring) < b.history {
+		b.ring = append(b.ring, ev)
+	} else {
+		b.ring[b.head] = ev
+		b.head = (b.head + 1) % b.history
 	}
 	dropped := 0
 	for sub := range b.subs { //vc2m:ordered independent subscribers; each sees events in publish order
@@ -149,16 +161,21 @@ func (b *eventBus) publish(ev RunEvent) RunEvent {
 
 // subscribe registers a subscriber (run="" for all runs) and returns it
 // together with the ring's replay backlog: every retained event with
-// Seq > afterSeq that matches the filter, in publish order.
+// Seq > afterSeq that matches the filter, oldest first.
 func (b *eventBus) subscribe(run string, afterSeq uint64) (*eventSub, []RunEvent) {
 	sub := &eventSub{run: run, ch: make(chan RunEvent, b.subBuf)}
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	// The ring's seqs run consecutively from oldest, so the first event
+	// past afterSeq is found by arithmetic instead of a scan.
+	n := len(b.ring)
+	skip := 0
+	if oldest := b.seq - uint64(n) + 1; afterSeq >= oldest {
+		skip = int(min(afterSeq-oldest+1, uint64(n)))
+	}
 	var backlog []RunEvent
-	for _, ev := range b.ring {
-		if ev.Seq <= afterSeq {
-			continue
-		}
+	for i := skip; i < n; i++ {
+		ev := b.ring[(b.head+i)%n]
 		if run != "" && ev.Run != run {
 			continue
 		}

@@ -8,6 +8,7 @@ package server
 import (
 	"bufio"
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -230,5 +231,104 @@ func TestEventStreamSlowConsumerNoStall(t *testing.T) {
 		if seen[i].Load() == 0 {
 			t.Errorf("subscriber %d saw no events", i)
 		}
+	}
+}
+
+// TestEventBusRingRetainsLastHistory publishes three times the history
+// length, plus a few events so the oldest entry is not at the start of
+// the buffer, and checks that the ring replays exactly the last history
+// events, oldest first, with and without a run filter and for resume
+// points inside, before and past the ring.
+func TestEventBusRingRetainsLastHistory(t *testing.T) {
+	const history = 8
+	const last = 3*history + 3
+	bus := newEventBus(history, 4)
+	for i := 0; i < last; i++ {
+		run := "r0001"
+		if i%3 == 0 {
+			run = "r0002"
+		}
+		bus.publish(RunEvent{Type: EventStage, Run: run})
+	}
+	seqs := func(run string, after uint64) []uint64 {
+		t.Helper()
+		sub, backlog := bus.subscribe(run, after)
+		bus.unsubscribe(sub)
+		var out []uint64
+		for _, ev := range backlog {
+			if run != "" && ev.Run != run {
+				t.Fatalf("filter %q leaked %+v", run, ev)
+			}
+			out = append(out, ev.Seq)
+		}
+		return out
+	}
+	span := func(lo, hi uint64, keep func(uint64) bool) []uint64 {
+		var out []uint64
+		for s := lo; s <= hi; s++ {
+			if keep(s) {
+				out = append(out, s)
+			}
+		}
+		return out
+	}
+	all := func(uint64) bool { return true }
+	// Seq s was published with i = s-1, so run r0002 holds (s-1)%3 == 0.
+	r2 := func(s uint64) bool { return (s-1)%3 == 0 }
+	for _, tc := range []struct {
+		name  string
+		run   string
+		after uint64
+		want  []uint64
+	}{
+		{"whole ring", "", 0, span(last-history+1, last, all)},
+		{"after before ring", "", 5, span(last-history+1, last, all)},
+		{"after oldest-1", "", last - history, span(last-history+1, last, all)},
+		{"after inside ring", "", last - 3, span(last-2, last, all)},
+		{"after newest", "", last, nil},
+		{"after past newest", "", last + 10, nil},
+		{"filter whole ring", "r0002", 0, span(last-history+1, last, r2)},
+		{"filter inside ring", "r0002", last - 4, span(last-3, last, r2)},
+		{"filter before ring", "r0002", 3, span(last-history+1, last, r2)},
+	} {
+		if got := seqs(tc.run, tc.after); fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("%s: replay seqs %v, want %v", tc.name, got, tc.want)
+		}
+	}
+	// Publishing into a full ring allocates nothing.
+	if n := testing.AllocsPerRun(100, func() { bus.publish(RunEvent{Type: EventStage, Run: "r0003"}) }); n > 0 {
+		t.Errorf("publish into a full ring allocates %v per call, want 0", n)
+	}
+}
+
+// TestPubSubLazyWakeup: a notify nobody waits for allocates nothing, and a
+// streamer that called wait is still woken by the next notify.
+func TestPubSubLazyWakeup(t *testing.T) {
+	p := &pubSub{}
+	if n := testing.AllocsPerRun(100, p.notify); n > 0 {
+		t.Fatalf("notify with no waiter allocates %v per call, want 0", n)
+	}
+	wake := p.wait()
+	if again := p.wait(); again != wake {
+		t.Fatal("two waits before a notify got different channels")
+	}
+	select {
+	case <-wake:
+		t.Fatal("waiter woken before any notify")
+	default:
+	}
+	woken := make(chan struct{})
+	go func() {
+		<-wake
+		close(woken)
+	}()
+	p.notify()
+	select { //vc2m:ctxfree the timeout case bounds the wait
+	case <-woken:
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiting streamer not woken by notify")
+	}
+	if next := p.wait(); next == wake {
+		t.Fatal("wait after a notify returned the closed channel")
 	}
 }

@@ -1,0 +1,189 @@
+package server
+
+// Tests of the served decision path: the run's retained status summary,
+// first-entry-only stage events, and the run-end decision counts.
+
+import (
+	"context"
+	"encoding/json"
+	"strings"
+	"testing"
+
+	"vc2m/internal/model"
+	"vc2m/internal/obs"
+	"vc2m/internal/report"
+	"vc2m/internal/workload"
+)
+
+// coldExistingReq is the shape of the benchmark's cold-existing requests:
+// platform A at reference utilization 1.2 over two VMs, existing CSA.
+func coldExistingReq(seed int64) SubmitRequest {
+	return SubmitRequest{
+		Kind: KindRun, Mode: "existing", Seed: seed, GenSeed: seed,
+		Generate: &workload.Config{
+			Platform: model.PlatformA, TargetRefUtil: 1.2, Dist: workload.Uniform, NumVMs: 2,
+		},
+	}
+}
+
+// executeNow registers req and executes it on the calling goroutine,
+// through the same sink chain and finish path a worker uses. cancelFirst
+// cancels the run's context before execution.
+func executeNow(s *Server, req SubmitRequest, cancelFirst bool) *Run {
+	ctx, cancel := context.WithCancel(context.Background())
+	run := s.reg.Add(req, ctx, cancel, obs.TraceContext{}, "")
+	if cancelFirst {
+		cancel()
+	}
+	s.execute(ctx, run)
+	cancel()
+	return run
+}
+
+// TestStatusFromRetainedSummary checks that Status, which no longer has
+// the report document, reports for every terminal outcome what the
+// document (decoded back from the retained bytes) says.
+func TestStatusFromRetainedSummary(t *testing.T) {
+	s := New(Config{})
+	rejectReq := genReq(3)
+	rejectReq.Generate.TargetRefUtil = 8.0 // hopeless on 4 cores
+	yes, no := true, false
+	for _, tc := range []struct {
+		name        string
+		req         SubmitRequest
+		cancel      bool
+		state       State
+		title       string
+		schedulable *bool
+	}{
+		{"done", genReq(7), false, StateDone, "vc2m-server flattening run (seed 7)", &yes},
+		{"rejected", rejectReq, false, StateDone, "vc2m-server flattening run (seed 3)", &no},
+		{"sweep", SubmitRequest{Kind: KindSweep, Title: "small sweep", Seed: 2, Sweep: &SweepSpec{
+			Platform: "C", UtilMin: 0.5, UtilMax: 1.0, UtilStep: 0.5, TasksetsPerPoint: 2,
+		}}, false, StateDone, "small sweep", nil},
+		{"failed", SubmitRequest{Kind: KindRun, Title: "no system"}, false, StateFailed, "no system", nil},
+		{"canceled", SubmitRequest{Kind: KindRun, Title: "canceled run", Generate: genReq(1).Generate},
+			true, StateCanceled, "canceled run", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := executeNow(s, tc.req, tc.cancel)
+			st := run.Status()
+			if st.State != tc.state || st.Title != tc.title {
+				t.Fatalf("status %+v, want state %s title %q", st, tc.state, tc.title)
+			}
+			if (st.Schedulable == nil) != (tc.schedulable == nil) ||
+				(st.Schedulable != nil && *st.Schedulable != *tc.schedulable) {
+				t.Fatalf("schedulable %v, want %v", st.Schedulable, tc.schedulable)
+			}
+			if (st.Error != "") != (tc.state != StateDone) {
+				t.Fatalf("state %s with error %q", st.State, st.Error)
+			}
+			data, ok := run.ReportJSON()
+			if ok != (tc.state == StateDone) {
+				t.Fatalf("report present %v in state %s", ok, st.State)
+			}
+			if !ok {
+				return
+			}
+			var doc report.Document
+			if err := json.Unmarshal(data, &doc); err != nil {
+				t.Fatal(err)
+			}
+			if doc.Title != st.Title {
+				t.Fatalf("status title %q, document title %q", st.Title, doc.Title)
+			}
+			if want := doc.Kind == report.KindRun; (st.Schedulable != nil) != want {
+				t.Fatalf("%s document: schedulable reported %v", doc.Kind, st.Schedulable)
+			}
+			if st.Schedulable != nil && *st.Schedulable != (doc.Rejection == nil) {
+				t.Fatalf("schedulable %v, document rejection %+v", *st.Schedulable, doc.Rejection)
+			}
+		})
+	}
+}
+
+// TestStageEventsOncePerStage: a cold existing-CSA run alternates between
+// the hypervisor-level stages on every permutation, yet publishes at most
+// one stage event per distinct stage.
+func TestStageEventsOncePerStage(t *testing.T) {
+	s := New(Config{})
+	run := executeNow(s, coldExistingReq(1), false)
+	if st := run.Status(); st.State != StateDone {
+		t.Fatalf("run %s: %s", st.State, st.Error)
+	}
+	transitions, distinct := 0, map[string]bool{}
+	prev := ""
+	for _, d := range run.prov.Decisions() {
+		if d.Stage != prev {
+			transitions++
+			prev = d.Stage
+		}
+		distinct[d.Stage] = true
+	}
+	if transitions <= len(distinct) {
+		t.Fatalf("%d stage transitions over %d stages: the input no longer revisits a stage", transitions, len(distinct))
+	}
+	sub, backlog := s.events.subscribe(run.ID(), 0)
+	s.events.unsubscribe(sub)
+	published := map[string]int{}
+	for _, ev := range backlog {
+		if ev.Type != EventStage {
+			continue
+		}
+		published[ev.Stage]++
+		if published[ev.Stage] > 1 {
+			t.Fatalf("stage %q published %d times", ev.Stage, published[ev.Stage])
+		}
+		if !distinct[ev.Stage] {
+			t.Fatalf("stage event for %q, which no decision entered", ev.Stage)
+		}
+	}
+	if len(published) != len(distinct) {
+		t.Fatalf("stage events for %v, decisions entered %v", published, distinct)
+	}
+}
+
+// TestDecisionCounterMatchesRunTally: once Done() closes, every
+// vc2m_decisions_total{stage,kind} series equals the run's own decision
+// tally — zero for the preregistered series the run never reached.
+func TestDecisionCounterMatchesRunTally(t *testing.T) {
+	s := startServer(t, Config{Workers: 1})
+	run, err := s.Submit(coldExistingReq(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, run)
+	tally := map[[2]string]float64{}
+	for _, d := range run.prov.Decisions() {
+		tally[[2]string{d.Stage, d.Kind}]++
+	}
+	var text strings.Builder
+	if err := s.om.reg.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := obs.ValidateExposition(strings.NewReader(text.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[[2]string]bool{}
+	for _, f := range fams {
+		if f.Name != "vc2m_decisions_total" {
+			continue
+		}
+		for _, smp := range f.Samples {
+			key := [2]string{smp.Labels["stage"], smp.Labels["kind"]}
+			seen[key] = true
+			if smp.Value != tally[key] { //vc2m:floateq both sides are integer counts
+				t.Errorf("vc2m_decisions_total%v = %v, run recorded %v", key, smp.Value, tally[key])
+			}
+		}
+	}
+	for key, n := range tally { //vc2m:ordered each key is checked on its own
+		if !seen[key] {
+			t.Errorf("run recorded %v %v decisions, no series exposed", n, key)
+		}
+	}
+	if len(tally) < 3 {
+		t.Fatalf("run recorded only %d (stage, kind) pairs", len(tally))
+	}
+}

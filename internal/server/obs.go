@@ -2,6 +2,7 @@ package server
 
 import (
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -143,15 +144,17 @@ func newServerObs(s *Server) *serverObs {
 	return o
 }
 
-// runFinished records a run's terminal state, feeds the per-stage latency
-// histograms from its span trace, and emits the slow-run breakdown when
-// the run exceeded the configured threshold. It runs before the run is
-// marked finished, so the state is passed in. Nil-safe: a server without
-// observability (zero-value construction in tests) skips everything.
+// runFinished records a run's terminal state, adds its decision tally to
+// vc2m_decisions_total, feeds the per-stage latency histograms from its
+// span trace, and emits the slow-run breakdown when the run exceeded the
+// configured threshold. It runs before the run is marked finished, so the
+// state is passed in. Nil-safe: a server without observability
+// (zero-value construction in tests) skips everything.
 func (o *serverObs) runFinished(log *obs.Logger, run *Run, state State, tr *obs.Trace, elapsed, slowRun time.Duration) {
 	if o == nil {
 		return
 	}
+	run.tally.addTo(o.decisions)
 	o.runs.Inc(string(state))
 	// Exemplars tie each latency bucket to the trace that landed in it, so
 	// a slow bucket on /metrics names the exact run to pull spans for.
@@ -170,13 +173,25 @@ func (o *serverObs) runFinished(log *obs.Logger, run *Run, state State, tr *obs.
 	}
 }
 
-// countingSink counts every provenance decision by stage and kind before
-// forwarding to the next sink (the run's pubSub broadcaster). A nil
-// *countingSink drops nothing silently — it simply forwards nowhere, like
+// countingSink tallies a run's provenance decisions by stage and kind,
+// then forwards each one to the next sink. The tally stays on the run:
+// runFinished adds it to vc2m_decisions_total once, before the run is
+// marked finished, so recording a decision never touches the shared
+// metric registry. A nil *countingSink counts and forwards nothing, like
 // every sink in this repository.
 type countingSink struct {
-	c    *obs.Counter
 	next provenance.Sink
+
+	mu sync.Mutex
+	// counts has one entry per (stage, kind) seen, in first-seen order;
+	// a run records a dozen distinct pairs at most, so a scan beats a map.
+	//vc2m:guardedby mu
+	counts []decisionCount
+}
+
+type decisionCount struct {
+	stage, kind string
+	n           int
 }
 
 // Record implements provenance.Sink.
@@ -184,19 +199,42 @@ func (s *countingSink) Record(d provenance.Decision) {
 	if s == nil {
 		return
 	}
-	if s.c != nil {
-		s.c.Inc(d.Stage, d.Kind)
+	s.mu.Lock()
+	i := 0
+	for i < len(s.counts) && (s.counts[i].stage != d.Stage || s.counts[i].kind != d.Kind) {
+		i++
 	}
+	if i == len(s.counts) {
+		s.counts = append(s.counts, decisionCount{stage: d.Stage, kind: d.Kind})
+	}
+	s.counts[i].n++
+	s.mu.Unlock()
 	if s.next != nil {
 		s.next.Record(d)
 	}
 }
 
-// stageSink publishes a stage-entered lifecycle event whenever the
-// provenance decision stream crosses into a new pipeline stage, then
-// forwards to the next sink. Deduplicating on stage transitions keeps the
-// event stream proportional to pipeline depth, not decision count. A nil
-// *stageSink forwards nowhere, like every sink in this repository.
+// addTo adds the tally to c and clears it, so a run is counted once.
+func (s *countingSink) addTo(c *obs.Counter) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	counts := s.counts
+	s.counts = nil
+	s.mu.Unlock()
+	for _, e := range counts {
+		c.Add(float64(e.n), e.stage, e.kind)
+	}
+}
+
+// stageSink publishes a stage-entered lifecycle event the first time the
+// run's provenance decision stream enters each pipeline stage, then
+// forwards to the next sink. The hypervisor-level search alternates
+// between its stages on every permutation; publishing first entries only
+// keeps the event stream proportional to pipeline depth, not decision
+// count. A nil *stageSink forwards nowhere, like every sink in this
+// repository.
 type stageSink struct {
 	bus     *eventBus
 	run     string
@@ -205,8 +243,10 @@ type stageSink struct {
 	next    provenance.Sink
 
 	mu sync.Mutex
+	// entered lists every stage already published; a run enters half a
+	// dozen at most.
 	//vc2m:guardedby mu
-	last string
+	entered []string
 }
 
 // Record implements provenance.Sink.
@@ -215,12 +255,12 @@ func (s *stageSink) Record(d provenance.Decision) {
 		return
 	}
 	s.mu.Lock()
-	changed := d.Stage != s.last
-	if changed {
-		s.last = d.Stage
+	first := !slices.Contains(s.entered, d.Stage)
+	if first {
+		s.entered = append(s.entered, d.Stage)
 	}
 	s.mu.Unlock()
-	if changed {
+	if first {
 		s.bus.publish(RunEvent{
 			Type: EventStage, Run: s.run, Kind: s.kind,
 			State: StateRunning, Stage: d.Stage, TraceID: s.traceID,

@@ -49,6 +49,9 @@ type Run struct {
 
 	prov *provenance.Recorder
 	pub  *pubSub
+	// tally counts the run's decisions by stage and kind; runFinished
+	// adds it to vc2m_decisions_total before the run is marked finished.
+	tally *countingSink
 
 	// execCtx is the context workers execute the run under; cancel
 	// aborts it (explicit cancel endpoint or hard shutdown). Both are
@@ -63,10 +66,17 @@ type Run struct {
 	state State
 	//vc2m:guardedby mu
 	errMsg string
-	//vc2m:guardedby mu
-	doc *report.Document
+	// docJSON is the marshaled report of a done run. The document itself
+	// is not retained: Status needs only its title and, for a KindRun
+	// document, whether it carries a rejection.
 	//vc2m:guardedby mu
 	docJSON []byte
+	//vc2m:guardedby mu
+	docTitle string
+	//vc2m:guardedby mu
+	docKind string
+	//vc2m:guardedby mu
+	rejected bool
 	// alloc is the accepted final allocation of a done run (KindRun and
 	// KindChurn); nil on sweeps, rejections and failures. Churn runs read
 	// their base run's allocation through it.
@@ -124,10 +134,10 @@ func (r *Run) Status() RunStatus {
 		Decisions: r.prov.Len(),
 		TraceID:   r.traceCtx.TraceID,
 	}
-	if r.doc != nil {
-		st.Title = r.doc.Title
-		if r.doc.Kind == report.KindRun {
-			sched := r.doc.Rejection == nil
+	if r.docJSON != nil {
+		st.Title = r.docTitle
+		if r.docKind == report.KindRun {
+			sched := !r.rejected
 			st.Schedulable = &sched
 		}
 	}
@@ -173,12 +183,16 @@ func (r *Run) setRunning() bool {
 }
 
 // finish records the terminal state and wakes every waiter, including
-// provenance streamers blocked on the next decision.
+// provenance streamers blocked on the next decision. doc and docJSON are
+// both set on a done run and both nil otherwise; of doc, only the fields
+// Status reports are kept.
 func (r *Run) finish(state State, doc *report.Document, docJSON []byte, errMsg string) {
 	r.mu.Lock()
 	r.state = state
-	r.doc = doc
 	r.docJSON = docJSON
+	if doc != nil {
+		r.docTitle, r.docKind, r.rejected = doc.Title, doc.Kind, doc.Rejection != nil
+	}
 	r.errMsg = errMsg
 	r.mu.Unlock()
 	close(r.done)
@@ -197,16 +211,9 @@ type Registry struct {
 	//vc2m:guardedby mu
 	order []string
 
-	// decisions, when non-nil, counts every recorded provenance decision
-	// by stage and kind (vc2m_decisions_total). Set once via
-	// SetDecisionCounter before any Add; the counter is chained ahead of
-	// the run's pubSub broadcaster so streamers still wake on every
-	// decision.
-	//vc2m:guardedby mu
-	decisions *obs.Counter
 	// events, when non-nil, receives stage-entered lifecycle events derived
 	// from the provenance sink chain. Set once via SetEventBus before any
-	// Add, like the decision counter.
+	// Add.
 	//vc2m:guardedby mu
 	events *eventBus
 }
@@ -216,16 +223,9 @@ func NewRegistry() *Registry {
 	return &Registry{runs: make(map[string]*Run)}
 }
 
-// SetDecisionCounter installs the decision counter. Call it once, before
-// any Add — later runs would otherwise race the sink chain construction.
-func (g *Registry) SetDecisionCounter(c *obs.Counter) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.decisions = c
-}
-
 // SetEventBus installs the lifecycle event bus the stage sink publishes
-// to. Call it once, before any Add, like SetDecisionCounter.
+// to. Call it once, before any Add — later runs would otherwise race the
+// sink chain construction.
 func (g *Registry) SetEventBus(b *eventBus) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -240,7 +240,7 @@ func (g *Registry) SetEventBus(b *eventBus) {
 // from the moment it exists; reqID is the submitting HTTP request's ID
 // ("" for direct Submit calls).
 func (g *Registry) Add(req SubmitRequest, execCtx context.Context, cancel context.CancelFunc, tc obs.TraceContext, reqID string) *Run {
-	pub := newPubSub()
+	pub := &pubSub{}
 	kind := req.Kind
 	if kind == "" {
 		kind = KindRun
@@ -256,17 +256,16 @@ func (g *Registry) Add(req SubmitRequest, execCtx context.Context, cancel contex
 	if g.events != nil {
 		sink = &stageSink{bus: g.events, run: id, kind: kind, traceID: tc.TraceID, next: sink}
 	}
-	if g.decisions != nil {
-		sink = &countingSink{c: g.decisions, next: sink}
-	}
+	tally := &countingSink{next: sink}
 	r := &Run{
 		id:       id,
 		kind:     kind,
 		req:      req,
 		traceCtx: tc,
 		reqID:    reqID,
-		prov:     provenance.NewStreaming(sink),
+		prov:     provenance.NewStreaming(tally),
 		pub:      pub,
+		tally:    tally,
 		execCtx:  execCtx,
 		cancel:   cancel,
 		done:     make(chan struct{}),
@@ -332,16 +331,16 @@ func (g *Registry) Count() (total int, byState map[State]int) {
 
 // pubSub wakes provenance streamers when a new decision lands. It
 // implements provenance.Sink: the recorder retains the decisions, the
-// sink only broadcasts "there is more to read". A nil *pubSub drops
-// notifications, like every sink in this repository.
+// sink only broadcasts "there is more to read". The wakeup channel exists
+// only while someone waits: wait creates it, notify closes and clears it,
+// so a decision nobody is streaming costs a lock and a nil check. A nil
+// *pubSub drops notifications, like every sink in this repository.
 type pubSub struct {
 	mu sync.Mutex
+	// ch is closed at the next notify; nil when no streamer has called
+	// wait since the last one.
 	//vc2m:guardedby mu
 	ch chan struct{}
-}
-
-func newPubSub() *pubSub {
-	return &pubSub{ch: make(chan struct{})}
 }
 
 // Record implements provenance.Sink.
@@ -358,8 +357,10 @@ func (p *pubSub) notify() {
 		return
 	}
 	p.mu.Lock()
-	close(p.ch)
-	p.ch = make(chan struct{})
+	if p.ch != nil {
+		close(p.ch)
+		p.ch = nil
+	}
 	p.mu.Unlock()
 }
 
@@ -374,5 +375,8 @@ func (p *pubSub) wait() <-chan struct{} {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if p.ch == nil {
+		p.ch = make(chan struct{})
+	}
 	return p.ch
 }

@@ -120,7 +120,6 @@ func New(cfg Config) *Server {
 	}
 	s.events = newEventBus(s.cfg.EventHistory, s.cfg.EventBuffer)
 	s.om = newServerObs(s)
-	s.reg.SetDecisionCounter(s.om.decisions)
 	s.reg.SetEventBus(s.events)
 	s.handler = s.buildHandler()
 	return s
