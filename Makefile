@@ -98,7 +98,7 @@ fuzz-smoke:
 	           internal/timeunit:FuzzGCDLCM internal/workload:FuzzGenerate \
 	           internal/alloc:FuzzIncrementalChurn internal/obs:FuzzPromParse \
 	           internal/csa:FuzzMinBudget internal/server:FuzzSubmitRequestJSON \
-	           internal/wirejson:FuzzScannerScalars; do \
+	           internal/wirejson:FuzzScannerScalars internal/wirejson:FuzzFloat64s; do \
 		pkg=$${tgt%%:*}; fn=$${tgt##*:}; \
 		$(GO) test -run=^$$ -fuzz="^$$fn$$" -fuzztime=300x ./$$pkg || exit 1; \
 	done

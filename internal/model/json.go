@@ -46,9 +46,9 @@ func (t *ResourceTable) MarshalJSON() ([]byte, error) {
 // order, the last of a repeated member winning, null leaving a bound or an
 // element as it was — with two differences: a member other than the
 // exact five wire keys is an error (json.Unmarshal would ignore it, or match
-// a case variant), and so is a range whose size overflows int. Values
-// parse with strconv.ParseFloat, as in encoding/json, so they are
-// bit-identical to its; an out-of-range number is an error. The retained
+// a case variant), and so is a range whose size overflows int. Values are
+// bit-identical to what strconv.ParseFloat, and so encoding/json, makes
+// of them; an out-of-range number is an error. The retained
 // values slice has exactly the table's length and capacity.
 func (t *ResourceTable) UnmarshalJSON(data []byte) error {
 	s := wirejson.NewScanner(data)
@@ -86,7 +86,7 @@ func scanTable(s *wirejson.Scanner, repeatOK bool) (*ResourceTable, error) {
 			return s.Int(&bmax)
 		default: // "values"
 			var err error
-			vals, err = scanValues(s, vals, valuesHint(cmin, cmax, bmin, bmax, s.Remaining()))
+			vals, _, err = s.Float64s(vals, valuesHint(cmin, cmax, bmin, bmax, s.Remaining()))
 			return err
 		}
 	}
@@ -128,32 +128,6 @@ func valuesHint(cmin, cmax, bmin, bmax, n int) int {
 		return limit
 	}
 	return nc * nb
-}
-
-// scanValues decodes the values array into vals' backing array the way
-// encoding/json reuses a slice: null is nil, [] a new empty slice, and a
-// null element keeps what the array held at that index.
-func scanValues(s *wirejson.Scanner, vals []float64, hint int) ([]float64, error) {
-	n := 0
-	present, err := s.Array(func(i int) error {
-		switch {
-		case vals == nil:
-			vals = make([]float64, 1, max(hint, 1))
-		case i < cap(vals):
-			vals = vals[:i+1]
-		default:
-			vals = append(vals[:i], 0)
-		}
-		n = i + 1
-		return s.Float64(&vals[i])
-	})
-	switch {
-	case err != nil || !present:
-		return nil, err
-	case n == 0:
-		return []float64{}, nil
-	}
-	return vals[:n], nil
 }
 
 // The served request's decoders. They read a system in the same single

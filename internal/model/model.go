@@ -302,8 +302,24 @@ func (s *System) RefUtil() float64 {
 	return u
 }
 
+// ErrInvalidSystem matches, under errors.Is, every error System.Validate
+// returns. The error's message is the validation failure's own.
+var ErrInvalidSystem = errors.New("model: invalid system")
+
+type invalidSystemError struct{ error }
+
+func (e invalidSystemError) Is(target error) bool { return target == ErrInvalidSystem }
+func (e invalidSystemError) Unwrap() error        { return e.error }
+
 // Validate checks the platform, every task, and ID uniqueness.
 func (s *System) Validate() error {
+	if err := s.validate(); err != nil {
+		return invalidSystemError{err}
+	}
+	return nil
+}
+
+func (s *System) validate() error {
 	if err := s.Platform.Validate(); err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -136,7 +137,7 @@ func executeRun(ctx context.Context, req SubmitRequest, prov *provenance.Recorde
 		Mode: mode, Seed: req.Seed, Metrics: rec, Provenance: prov, Context: ctx, Span: sp,
 	})
 	if aerr != nil {
-		if ctx.Err() != nil {
+		if ctx.Err() != nil || errors.Is(aerr, model.ErrInvalidSystem) {
 			return nil, nil, aerr
 		}
 		// The rejection is itself a result: the report carries the
@@ -232,12 +233,11 @@ func (s *Server) executeChurn(ctx context.Context, run *Run, sp *obs.Span) (*rep
 
 // buildSystem materializes the run's taskset: the posted system verbatim,
 // or a workload generated from the posted spec with the request's
-// generation seed — the same call vc2m-sim's loadOrGenerate makes.
+// generation seed — the same call vc2m-sim's loadOrGenerate makes. A
+// posted system is not validated here: submit did, and vc2m.Allocate
+// does again.
 func buildSystem(req SubmitRequest) (*model.System, error) {
 	if req.System != nil {
-		if err := req.System.Validate(); err != nil {
-			return nil, err
-		}
 		return req.System, nil
 	}
 	if req.Generate == nil {

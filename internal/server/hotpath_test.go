@@ -1,14 +1,20 @@
 package server
 
 // Tests of the served decision path: the run's retained status summary,
-// first-entry-only stage events, and the run-end decision counts.
+// first-entry-only stage events, the run-end decision counts, and where a
+// posted system is validated.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"vc2m"
 	"vc2m/internal/model"
 	"vc2m/internal/obs"
 	"vc2m/internal/report"
@@ -185,5 +191,52 @@ func TestDecisionCounterMatchesRunTally(t *testing.T) {
 	}
 	if len(tally) < 3 {
 		t.Fatalf("run recorded only %d (stage, kind) pairs", len(tally))
+	}
+}
+
+// TestInvalidSystemValidatedAtSubmitAndAllocate: a posted system is
+// validated when it is submitted and again by vc2m.Allocate, not by the
+// run between them. A system with a table increasing in c is a 400 with
+// System.Validate's message over HTTP, and the same system added straight
+// to the registry fails with vc2m.Allocate's error, word for word.
+func TestInvalidSystemValidatedAtSubmitAndAllocate(t *testing.T) {
+	wcet := model.ConstTable(model.PlatformA, 10)
+	wcet.Set(model.PlatformA.Cmin, model.PlatformA.Bmin, 5)
+	sys := &model.System{Platform: model.PlatformA, VMs: []*model.VM{
+		{ID: "v", Tasks: []*model.Task{{ID: "t", VM: "v", Period: 100, WCET: wcet}}},
+	}}
+	req := SubmitRequest{Kind: KindRun, Mode: "flattening", System: sys}
+	want := sys.Validate()
+	if want == nil || !strings.Contains(want.Error(), "table increases in c") {
+		t.Fatalf("System.Validate() = %v, want a monotonicity error", want)
+	}
+
+	s := startServer(t, Config{Workers: 1})
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(hs.URL+"/v1/runs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close() //vc2m:closeflush response body close errors are uninformative by contract
+	var msg ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&msg); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || msg.Error != want.Error() {
+		t.Errorf("POST /v1/runs: %d %q, want 400 %q", resp.StatusCode, msg.Error, want)
+	}
+
+	_, allocErr := vc2m.Allocate(sys, vc2m.Options{Mode: vc2m.Flattening})
+	if !errors.Is(allocErr, model.ErrInvalidSystem) || allocErr.Error() != want.Error() {
+		t.Fatalf("vc2m.Allocate: %v, want the invalid-system error %q", allocErr, want)
+	}
+	st := executeNow(New(Config{}), req, false).Status()
+	if st.State != StateFailed || st.Error != allocErr.Error() {
+		t.Errorf("registry run: %s %q, want failed %q", st.State, st.Error, allocErr)
 	}
 }

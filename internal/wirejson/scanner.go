@@ -1,6 +1,7 @@
 package wirejson
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -372,20 +373,87 @@ func (s *Scanner) Float64(dst *float64) error {
 	if s.Null() {
 		return nil
 	}
-	n, err := s.decimal()
-	if err != nil {
-		return err
+	f, _, err := s.float()
+	if err == nil {
+		*dst = f
+	}
+	return err
+}
+
+// Float64s decodes an array of numbers into vals' backing array the way
+// encoding/json decodes into a []float64 holding vals: null gives nil and
+// false, [] a new empty slice, and each element is decoded as by Float64,
+// so a null element keeps what the backing array held at its index. A
+// fresh backing array has capacity hint, or one if hint is smaller.
+//
+// A number written exactly as the previous one, with nothing after it
+// that could continue a number, takes the previous one's value without
+// being read again: the same bytes give the same bits. Saturated WCET
+// tables repeat most of their values.
+func (s *Scanner) Float64s(vals []float64, hint int) ([]float64, bool, error) {
+	if s.Null() {
+		return nil, false, nil
+	}
+	if !s.consume('[') {
+		return nil, false, s.Errorf("expected an array")
+	}
+	if s.consume(']') {
+		return []float64{}, true, nil
+	}
+	var prev []byte // the last number read, whose value is pv
+	var pv float64
+	for i := 0; ; i++ {
+		switch {
+		case vals == nil:
+			vals = make([]float64, 1, max(hint, 1))
+		case i < cap(vals):
+			vals = vals[:i+1]
+		default:
+			vals = append(vals[:i], 0)
+		}
+		s.skipSpace()
+		d, off := s.data, s.off
+		switch end := off + len(prev); {
+		case prev != nil && end < len(d) && string(d[off:end]) == string(prev) && !numberByte(d[end]):
+			vals[i] = pv
+			s.off = end
+		case off < len(d) && d[off] == 'n' && s.Null():
+		default:
+			f, tok, err := s.float()
+			if err != nil {
+				return nil, false, s.within(err, "["+strconv.Itoa(i)+"]")
+			}
+			vals[i], prev, pv = f, tok, f
+		}
+		switch {
+		case s.consume(','):
+		case s.consume(']'):
+			return vals, true, nil
+		default:
+			return nil, false, s.Errorf("expected ',' or ']' in an array")
+		}
+	}
+}
+
+// numberByte reports whether c can continue a JSON number.
+func numberByte(c byte) bool {
+	return '0' <= c && c <= '9' || c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-'
+}
+
+// float consumes a number and returns its value and its text.
+func (s *Scanner) float() (float64, []byte, error) {
+	var n decimalNumber
+	if err := s.decimal(&n); err != nil {
+		return 0, nil, err
 	}
 	if f, ok := n.exact(); ok {
-		*dst = f
-		return nil
+		return f, n.tok, nil
 	}
 	f, err := strconv.ParseFloat(string(n.tok), 64)
 	if err != nil {
-		return s.Errorf("number %s is out of range", n.tok)
+		return 0, nil, s.Errorf("number %s is out of range", n.tok)
 	}
-	*dst = f
-	return nil
+	return f, n.tok, nil
 }
 
 // decimalNumber is a JSON number as written and, when trunc is false, as
@@ -402,16 +470,25 @@ type decimalNumber struct {
 var pow10 = [...]uint64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
 	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
 
+// pow10f holds the powers of ten that are exact float64s.
+var pow10f = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
 // exact converts n without strconv when its value mant × 10^exp can be
-// rounded in integer arithmetic: every digit is in mant and 10^|exp| fits
-// a uint64. The result is the float64 nearest the exact value, ties to
-// even, which is what ParseFloat returns, so the bits are the same. ok is
-// false for every other number.
-func (n decimalNumber) exact() (f float64, ok bool) {
-	if n.trunc || n.exp < -19 || n.exp > 19 {
-		return 0, false
-	}
+// rounded exactly: every digit is in mant and either mant and 10^-exp are
+// both exact float64s, so one IEEE division rounds their quotient
+// (Clinger's fast path), or 10^|exp| fits a uint64, so integer arithmetic
+// can. The result is the float64 nearest the exact value, ties to even,
+// which is what ParseFloat returns, so the bits are the same. ok is false
+// for every other number.
+func (n *decimalNumber) exact() (f float64, ok bool) {
 	switch {
+	case n.trunc:
+		return 0, false
+	case n.exp < 0 && n.exp >= -22 && n.mant < 1<<53:
+		f = float64(n.mant) / pow10f[-n.exp]
+	case n.exp < -19 || n.exp > 19:
+		return 0, false
 	case n.mant == 0:
 	case n.exp >= 0:
 		hi, lo := bits.Mul64(n.mant, pow10[n.exp])
@@ -467,16 +544,16 @@ func nearest(hi, lo uint64, sticky bool, e2 int) float64 {
 
 // number consumes a JSON number and returns its text.
 func (s *Scanner) number() ([]byte, error) {
-	n, err := s.decimal()
+	var n decimalNumber
+	err := s.decimal(&n)
 	return n.tok, err
 }
 
-// decimal consumes a JSON number, validating its grammar and reading its
-// decimal value in the same pass.
-func (s *Scanner) decimal() (decimalNumber, error) {
+// decimal consumes a JSON number into n, which must be zero, validating
+// its grammar and reading its decimal value in the same pass.
+func (s *Scanner) decimal(n *decimalNumber) error {
 	s.skipSpace()
 	d, i := s.data, s.off
-	var n decimalNumber
 	if i < len(d) && d[i] == '-' {
 		n.neg = true
 		i++
@@ -489,12 +566,12 @@ func (s *Scanner) decimal() (decimalNumber, error) {
 		j := n.digits(d, i)
 		nd, i = j-i, j
 	default:
-		return n, s.Errorf("expected a number")
+		return s.Errorf("expected a number")
 	}
 	if i < len(d) && d[i] == '.' {
 		j := n.digits(d, i+1)
 		if j == i+1 {
-			return n, s.Errorf("expected a digit after the decimal point")
+			return s.Errorf("expected a digit after the decimal point")
 		}
 		nd += j - i - 1
 		n.exp = i + 1 - j
@@ -519,25 +596,49 @@ func (s *Scanner) decimal() (decimalNumber, error) {
 			}
 		}
 		if j == i {
-			return n, s.Errorf("expected a digit in the exponent")
+			return s.Errorf("expected a digit in the exponent")
 		}
 		n.exp += sign * e
 		i = j
 	}
 	n.tok = d[s.off:i]
 	s.off = i
-	return n, nil
+	return nil
 }
 
 // digits reads the decimal digits of d from i into n.mant, which wraps
-// past 19 of them, and returns the index of the first non-digit.
+// past 19 of them, and returns the index of the first non-digit. While
+// eight bytes remain it reads them as one word: a lane holds a digit when
+// its high nibble is 3 and stays 3 with 6 added (adding 6 carries out of
+// a lane only from a non-digit, so no lane before the first non-digit is
+// misread). The digits before the first non-digit lane, shifted to the
+// top of the word with zeros below, fold into their value in three
+// multiplies.
 func (n *decimalNumber) digits(d []byte, i int) int {
+	m := n.mant
+	for len(d)-i >= 8 {
+		w := binary.LittleEndian.Uint64(d[i:])
+		const hi = 0xF0F0F0F0F0F0F0F0
+		k := bits.TrailingZeros64((w&hi|(w+0x0606060606060606)&hi>>4)^0x3333333333333333) >> 3
+		if k == 0 {
+			break
+		}
+		t := (w - 0x3030303030303030) << (64 - 8*k)
+		t = t * (10<<8 + 1) >> 8 & 0x00FF00FF00FF00FF
+		t = t * (100<<16 + 1) >> 16 & 0x0000FFFF0000FFFF
+		t = t * (10000<<32 + 1) >> 32
+		m = m*pow10[k] + t
+		if i += k; k < 8 {
+			break
+		}
+	}
 	for ; i < len(d); i++ {
 		c := d[i] - '0'
 		if c > 9 {
 			break
 		}
-		n.mant = n.mant*10 + uint64(c)
+		m = m*10 + uint64(c)
 	}
+	n.mant = m
 	return i
 }

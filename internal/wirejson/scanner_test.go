@@ -68,13 +68,14 @@ func FuzzScannerScalars(f *testing.F) {
 
 // TestFloat64ExactPath: the strconv-free path reads every number of up
 // to 19 digits with an exponent within ±19, covering the WCET tables'
-// shortest-form values, and rounds exactly as ParseFloat does, ties and
-// halfway cases included.
+// shortest-form values, and every number of up to 53 bits with an
+// exponent from -22 to -1, and rounds exactly as ParseFloat does, ties
+// and halfway cases included.
 func TestFloat64ExactPath(t *testing.T) {
 	check := func(in string) bool {
 		t.Helper()
-		n, err := NewScanner([]byte(in)).decimal()
-		if err != nil {
+		var n decimalNumber
+		if err := NewScanner([]byte(in)).decimal(&n); err != nil {
 			t.Fatal(err)
 		}
 		f, ok := n.exact()
@@ -87,15 +88,28 @@ func TestFloat64ExactPath(t *testing.T) {
 	for _, in := range []string{
 		"111.5072002246304", "12.345678901234567", "0.5", "-3", "-0", "0e5", "1e19", "1e-19",
 		"9007199254740993", "9007199254740995", "9999999999999999999e-19",
-		"9999999999999999999", "0.1", "0.30000000000000004", "123456789e19",
+		"9999999999999999999", "0.1", "0.30000000000000004", "123456789e19", "1e-20", "-5e-22",
 	} {
 		if !check(in) {
 			t.Errorf("exact(%s) left the number to strconv", in)
 		}
 	}
-	for _, in := range []string{"1e20", "1e-20", "12345678901234567890", "18446744073709551615e-5", "0.00000000000000000001"} {
+	for _, in := range []string{"1e20", "1e-23", "12345678901234567890", "18446744073709551615e-5", "0.00000000000000000001"} {
 		if check(in) {
 			t.Errorf("exact(%s) took the exact path", in)
+		}
+	}
+	// At the edges of Clinger's fast path: mant below 2^53 divides by
+	// 10^22 at most; 2^53 and above takes the integer path within ±19.
+	for _, tc := range []struct {
+		exp  int
+		want [3]bool // for mant 2^53-1, 2^53, 2^53+1
+	}{{-22, [3]bool{true, false, false}}, {-23, [3]bool{}}, {-1, [3]bool{true, true, true}}, {0, [3]bool{true, true, true}}} {
+		for j, mant := range []uint64{1<<53 - 1, 1 << 53, 1<<53 + 1} {
+			in := strconv.FormatUint(mant, 10) + "e" + strconv.Itoa(tc.exp)
+			if got := check(in); got != tc.want[j] {
+				t.Errorf("exact(%s) took the exact path: %v, want %v", in, got, tc.want[j])
+			}
 		}
 	}
 	rng := rngutil.New(1)
@@ -106,7 +120,7 @@ func TestFloat64ExactPath(t *testing.T) {
 		if i%3 == 0 { // 54 significant bits, the last set: halfway between two floats
 			mant = (uint64(rng.Int63())>>9 | 1<<53 | 1) << uint(rng.Intn(10))
 		}
-		check(strconv.FormatUint(mant, 10) + "e" + strconv.Itoa(rng.Intn(41)-20))
+		check(strconv.FormatUint(mant, 10) + "e" + strconv.Itoa(rng.Intn(44)-23))
 	}
 }
 
@@ -177,4 +191,136 @@ func TestArrayPaths(t *testing.T) {
 	if present, err := s.Array(func(int) error { return nil }); present || err != nil {
 		t.Errorf("null array: present %v, %v", present, err)
 	}
+}
+
+// digitsRef is the byte-at-a-time digit reader digits replaces.
+func digitsRef(mant uint64, d []byte, i int) (uint64, int) {
+	for ; i < len(d) && '0' <= d[i] && d[i] <= '9'; i++ {
+		mant = mant*10 + uint64(d[i]-'0')
+	}
+	return mant, i
+}
+
+// TestDigitsLanes holds the eight-byte digit reader to digitsRef with
+// every byte value in every lane of the first two words after a digit
+// run, followed by digits, bytes that carry when 6 is added, or control
+// bytes, and with every buffer end from 0 to 17 bytes.
+func TestDigitsLanes(t *testing.T) {
+	check := func(d []byte, i int) {
+		t.Helper()
+		n := decimalNumber{mant: 42}
+		got := n.digits(d, i)
+		wantMant, want := digitsRef(42, d, i)
+		if got != want || n.mant != wantMant {
+			t.Fatalf("digits(%q, %d) = %d, mant %d; want %d, mant %d", d, i, got, n.mant, want, wantMant)
+		}
+	}
+	const run = "98765432109876543"
+	for lead := 0; lead <= 16; lead++ {
+		for _, tail := range []string{"12345678", "\xfa\xff\xfb\xfc\xfd\xfe\xff\xff", "\x00\x01\x02\x03\x04\x05\x06\x07"} {
+			for v := 0; v < 256; v++ {
+				d := append(append([]byte("-"+run[:lead]), byte(v)), tail...)
+				check(d, 1)
+			}
+		}
+	}
+	for end := 0; end <= 17; end++ {
+		check([]byte(run[:end]), 0)
+		check([]byte("0."+run[:end]), 2)
+	}
+}
+
+// TestFloat64sReuse checks the repeated-value shortcut against
+// encoding/json on arrays where the next number starts with the previous
+// one's bytes but is a different number, is not a number, or is the
+// same number, decoded into a slice whose old values a null keeps.
+func TestFloat64sReuse(t *testing.T) {
+	for _, tc := range []struct {
+		in, path string // path is the error's member path
+	}{
+		{in: "[1.5,1.55]"},
+		{in: "[0,01]"},
+		{in: "[1.5,1.5e3]"},
+		{in: "[7,7.]", path: "[1]"},
+		{in: "[2,null,2]"},
+		{in: "[-1,-1]"},
+		{in: "[3 , 3]"},
+		{in: "[1e400,1e400]", path: "[0]"},
+		{in: "[5,5e]", path: "[1]"},
+		{in: "[8,8,8x]"},
+	} {
+		got, _, gotErr := NewScanner([]byte(tc.in)).Float64s([]float64{9, 9, 9}, 0)
+		want := []float64{9, 9, 9}
+		wantErr := json.Unmarshal([]byte(tc.in), &want)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Errorf("Float64s(%s): %v, encoding/json %v", tc.in, gotErr, wantErr)
+			continue
+		}
+		if gotErr != nil {
+			if e, ok := gotErr.(*Error); !ok || e.Path != tc.path {
+				t.Errorf("Float64s(%s): error %v, want one at path %q", tc.in, gotErr, tc.path)
+			}
+			continue
+		}
+		if len(got) != len(want) {
+			t.Errorf("Float64s(%s) = %v, encoding/json %v", tc.in, got, want)
+			continue
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Errorf("Float64s(%s) = %v, encoding/json %v", tc.in, got, want)
+				break
+			}
+		}
+	}
+}
+
+// FuzzFloat64s holds the array kernel to encoding/json: on any input,
+// decoding into a slice of length n and capacity n+spare, pre-filled
+// past its length, Float64s followed by End accepts exactly what
+// json.Unmarshal into an identical []float64 accepts, and the results
+// agree in nil-ness, length and the bits of every element, those a null
+// kept included.
+func FuzzFloat64s(f *testing.F) {
+	for _, s := range []string{
+		"[]", "null", " [ ] ", "[1]", "[1,2,3]", "[null]", "[2,null,2]", "[1.5,1.55]", "[0,01]",
+		"[1.5,1.5e3]", "[7,7.]", "[-1,-1]", "[3 , 3]", "[1e400,1e400]", "[121.61448714212153,121.61448714212153]",
+		"[1,]", "[,1]", "[1 2]", "[\"1\"]", "[true]", "[[1]]", "[1]x", "{}", "[12345678901234567,1.2345678901234567e-5]",
+	} {
+		f.Add(s, uint8(0), uint8(0))
+		f.Add(s, uint8(2), uint8(3))
+	}
+	f.Fuzz(func(t *testing.T, in string, n, spare uint8) {
+		fill := func() []float64 {
+			if n == 0 && spare == 0 {
+				return nil
+			}
+			backing := make([]float64, int(n%8)+int(spare%8))
+			for i := range backing {
+				backing[i] = float64(i) + 0.25
+			}
+			return backing[:n%8]
+		}
+		s := NewScanner([]byte(in))
+		got, _, gotErr := s.Float64s(fill(), int(n))
+		if gotErr == nil {
+			gotErr = s.End()
+		}
+		want := fill()
+		wantErr := json.Unmarshal([]byte(in), &want)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("Float64s(%q): %v, encoding/json %v", in, gotErr, wantErr)
+		}
+		if gotErr != nil {
+			return
+		}
+		if (got == nil) != (want == nil) || len(got) != len(want) {
+			t.Fatalf("Float64s(%q) = %#v, encoding/json %#v", in, got, want)
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("Float64s(%q)[%d] = %v, encoding/json %v", in, i, got[i], want[i])
+			}
+		}
+	})
 }

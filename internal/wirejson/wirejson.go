@@ -1,7 +1,8 @@
 // Package wirejson holds the pieces shared by the hand-written wire paths:
 // Scanner, the one-pass JSON reader behind the request decoder (package
-// server) and the WCET-table codec (package model), and the two scalar
-// appenders of the table codec and the report writer (package report).
+// server) and the WCET-table codec (package model), whose Float64s reads a
+// table's values array in one loop, and the two scalar appenders of the
+// table codec and the report writer (package report).
 // encoding/json is the wire specification and the test oracle: the
 // appenders produce exactly the bytes it produces for the same value, the
 // Scanner reads exactly the values it reads, and the differential tests
