@@ -98,7 +98,8 @@ fuzz-smoke:
 	           internal/timeunit:FuzzGCDLCM internal/workload:FuzzGenerate \
 	           internal/alloc:FuzzIncrementalChurn internal/obs:FuzzPromParse \
 	           internal/csa:FuzzMinBudget internal/server:FuzzSubmitRequestJSON \
-	           internal/wirejson:FuzzScannerScalars internal/wirejson:FuzzFloat64s; do \
+	           internal/wirejson:FuzzScannerScalars internal/wirejson:FuzzFloat64s \
+	           internal/wirejson:FuzzAppendString; do \
 		pkg=$${tgt%%:*}; fn=$${tgt##*:}; \
 		$(GO) test -run=^$$ -fuzz="^$$fn$$" -fuzztime=300x ./$$pkg || exit 1; \
 	done

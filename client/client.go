@@ -64,7 +64,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		return err
 	}
 	defer resp.Body.Close() //vc2m:closeflush response body close errors are uninformative by contract
-	data, err := io.ReadAll(resp.Body)
+	data, err := readBody(resp)
 	if err != nil {
 		return err
 	}
@@ -340,12 +340,33 @@ func (c *Client) ReportBytes(ctx context.Context, id string) ([]byte, error) {
 		return nil, err
 	}
 	defer resp.Body.Close() //vc2m:closeflush response body close errors are uninformative by contract
-	data, err := io.ReadAll(resp.Body)
+	data, err := readBody(resp)
 	if err != nil {
 		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
 		return nil, apiError(resp.StatusCode, data)
+	}
+	return data, nil
+}
+
+// maxPresize bounds the buffer readBody allocates from a declared
+// Content-Length before any byte arrives, so a bogus header cannot make
+// the client allocate what the server never sends.
+const maxPresize = 64 << 20
+
+// readBody reads a response body whole. A body that declares its length,
+// up to maxPresize, is read into one buffer of exactly that length; a
+// body that ends short of it is an error, never short data. Any other
+// body is read with io.ReadAll, which grows only as bytes arrive.
+func readBody(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n < 0 || n > maxPresize {
+		return io.ReadAll(resp.Body)
+	}
+	data := make([]byte, n)
+	if _, err := io.ReadFull(resp.Body, data); err != nil {
+		return nil, err
 	}
 	return data, nil
 }

@@ -144,6 +144,12 @@ type Sink interface {
 // pointer comparison when provenance is off. A Recorder may be shared by
 // goroutines; all methods are mutex-protected, but deterministic streams
 // require recording from deterministic (serial) control flow.
+//
+// A recorded decision is never written again: Record only appends past
+// the stream's length and Reset drops the backing array instead of
+// reusing it. A slice header read under the mutex therefore stays valid
+// without it, which is what lets Each walk the stream unlocked and Trim
+// share the stream with the reports built from it.
 type Recorder struct {
 	mu sync.Mutex
 	//vc2m:guardedby mu
@@ -199,6 +205,41 @@ func (r *Recorder) Decisions() []Decision {
 	return append([]Decision(nil), r.decisions...)
 }
 
+// Each calls fn with every decision recorded so far, in record order.
+// The walk runs without the recorder's lock, so fn may itself record;
+// decisions recorded after Each starts are not visited.
+func (r *Recorder) Each(fn func(Decision)) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	ds := r.decisions
+	r.mu.Unlock()
+	for i := range ds {
+		fn(ds[i])
+	}
+}
+
+// Trim drops the stream's growth slack and returns the stream, nil when
+// it is empty. The returned slice has no spare capacity and is shared
+// with the recorder rather than copied, so callers must not modify it; a
+// later Record reallocates instead of writing behind it. Trimming a
+// trimmed stream copies nothing.
+func (r *Recorder) Trim() []Decision {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.decisions) == 0 {
+		return nil
+	}
+	if cap(r.decisions) > len(r.decisions) {
+		r.decisions = append(make([]Decision, 0, len(r.decisions)), r.decisions...)
+	}
+	return r.decisions
+}
+
 // DecisionsFrom returns a copy of the stream from sequence n on (nil when
 // nothing new). Incremental readers — the allocation server's live
 // provenance stream — use it to drain only what they have not yet seen
@@ -218,12 +259,14 @@ func (r *Recorder) DecisionsFrom(n int) []Decision {
 	return append([]Decision(nil), r.decisions[n:]...)
 }
 
-// Reset discards everything recorded so far; sequence numbers restart at 0.
+// Reset discards everything recorded so far; sequence numbers restart at
+// 0. The old stream's backing array is dropped, not reused: Trim and Each
+// may have handed it out.
 func (r *Recorder) Reset() {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	r.decisions = r.decisions[:0]
+	r.decisions = nil
 	r.mu.Unlock()
 }

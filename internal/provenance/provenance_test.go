@@ -81,3 +81,130 @@ func TestValidResource(t *testing.T) {
 		t.Fatal("unknown resource accepted")
 	}
 }
+
+// grantShaped is a Phase 2 partition grant as the hypervisor-level search
+// records it.
+func grantShaped(i int) Decision {
+	return Decision{
+		Stage: StagePhase2, Kind: KindGrant, Subject: "core 2", Target: "cache",
+		Cache: 4 + i%8, BW: 3 + i%5, Value: 0.0123, Accepted: true,
+		Reason: "best utilization gain 0.0123 among unschedulable cores",
+	}
+}
+
+func TestEachWalksRecordOrder(t *testing.T) {
+	r := New()
+	for i := 0; i < 100; i++ {
+		r.Record(grantShaped(i))
+	}
+	var seen []Decision
+	r.Each(func(d Decision) {
+		seen = append(seen, d)
+		if len(seen) == 1 {
+			r.Record(grantShaped(100)) // Each holds no lock: recording from fn is allowed
+		}
+	})
+	if len(seen) != 100 {
+		t.Fatalf("Each visited %d decisions, want the 100 recorded before it started", len(seen))
+	}
+	for i, d := range seen {
+		want := grantShaped(i)
+		want.Seq = i
+		if !reflect.DeepEqual(d, want) {
+			t.Fatalf("decision %d: %+v, want %+v", i, d, want)
+		}
+	}
+	if !reflect.DeepEqual(seen, r.Decisions()[:100]) {
+		t.Fatal("Each and Decisions disagree")
+	}
+	var nilRec *Recorder
+	nilRec.Each(func(Decision) { t.Fatal("nil recorder visited a decision") })
+}
+
+// TestEachDuringRecord walks and trims the stream while another goroutine
+// records into it; run it under -race.
+func TestEachDuringRecord(t *testing.T) {
+	r := New()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 2000; i++ {
+			r.Record(grantShaped(i))
+		}
+	}()
+	for walking := true; walking; {
+		select {
+		case <-done:
+			walking = false
+		default:
+		}
+		n := 0
+		r.Each(func(d Decision) {
+			if d.Seq != n || d.Cache != 4+n%8 {
+				t.Errorf("decision %d read as seq %d cache %d", n, d.Seq, d.Cache)
+			}
+			n++
+		})
+		if ds := r.Trim(); len(ds) < n || cap(ds) != len(ds) {
+			t.Fatalf("Trim after walking %d: len %d cap %d", n, len(ds), cap(ds))
+		}
+	}
+	if r.Len() != 2000 {
+		t.Fatalf("recorded %d decisions, want 2000", r.Len())
+	}
+}
+
+// TestTrimSharesExactStream: Trim leaves no growth slack and hands out the
+// recorder's own array, and nothing the recorder does afterwards — more
+// decisions, another Trim, Reset and re-recording — writes into a slice
+// it handed out.
+func TestTrimSharesExactStream(t *testing.T) {
+	r := New()
+	if r.Trim() != nil {
+		t.Fatal("Trim of an empty stream is not nil")
+	}
+	for i := 0; i < 650; i++ {
+		r.Record(grantShaped(i))
+	}
+	ds := r.Trim()
+	if len(ds) != 650 || cap(ds) != len(ds) {
+		t.Fatalf("Trim: len %d cap %d, want both 650", len(ds), cap(ds))
+	}
+	if again := r.Trim(); &again[0] != &ds[0] || cap(again) != cap(ds) {
+		t.Fatal("Trim of a trimmed stream copied it")
+	}
+	want := append([]Decision(nil), ds...)
+
+	r.Record(grantShaped(650))
+	if r.Len() != 651 || r.Decisions()[650].Seq != 650 {
+		t.Fatalf("recording after Trim: len %d", r.Len())
+	}
+	more := r.Trim()
+	r.Reset()
+	for i := 0; i < 700; i++ {
+		r.Record(Decision{Stage: StageAdmit, Kind: KindReject, Reason: "overwritten?"})
+	}
+	if !reflect.DeepEqual(ds, want) || !reflect.DeepEqual(more[:650], want) || more[650].Seq != 650 {
+		t.Fatal("a trimmed stream changed after the recorder went on recording")
+	}
+}
+
+// BenchmarkRecorderRecord records one run's worth of grant-shaped
+// decisions, about what a cold existing-CSA run records, into a fresh
+// recorder and trims it as a finished run does.
+func BenchmarkRecorderRecord(b *testing.B) {
+	ds := make([]Decision, 650)
+	for i := range ds {
+		ds[i] = grantShaped(i)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r := New()
+		for _, d := range ds {
+			r.Record(d)
+		}
+		if len(r.Trim()) != len(ds) {
+			b.Fatal("short stream")
+		}
+	}
+}

@@ -150,7 +150,9 @@ type Document struct {
 	// counts, so identically-seeded runs produce byte-identical documents.
 	Counters map[string]int64 `json:"counters,omitempty"`
 
-	// Decisions is the full provenance stream, in Seq order.
+	// Decisions is the full provenance stream, in Seq order. BuildRun and
+	// BuildSweep share it with the recorder (provenance.Recorder.Trim):
+	// writing a built document's decisions writes the recorder's stream.
 	Decisions []provenance.Decision `json:"decisions,omitempty"`
 }
 
@@ -184,7 +186,7 @@ func BuildRun(in RunInput) *Document {
 		Sim:        summarizeSim(in.Sim),
 		Misses:     summarizeMisses(in.Diagnosis),
 		Counters:   counterSnapshot(in.Metrics),
-		Decisions:  in.Provenance.Decisions(),
+		Decisions:  in.Provenance.Trim(),
 	}
 	return doc
 }
@@ -212,7 +214,7 @@ func BuildSweep(in SweepInput) *Document {
 
 		Sweep:     in.Sweep,
 		Counters:  counterSnapshot(in.Metrics),
-		Decisions: in.Provenance.Decisions(),
+		Decisions: in.Provenance.Trim(),
 	}
 }
 

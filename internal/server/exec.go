@@ -80,6 +80,9 @@ func (s *Server) execute(ctx context.Context, run *Run) {
 	if state != StateDone {
 		doc, data = nil, nil
 	}
+	// The stream is final: keep it at its exact length. A done run's
+	// report build has already trimmed it, sharing the array with doc.
+	run.prov.Trim()
 	// Record the run's metrics before finish, so a client woken by Done()
 	// scrapes a /metrics that already counts this run.
 	s.om.runFinished(s.log, run, state, tr, elapsed, s.cfg.SlowRun)

@@ -1,22 +1,26 @@
 package server
 
 // Tests of the served decision path: the run's retained status summary,
-// first-entry-only stage events, the run-end decision counts, and where a
-// posted system is validated.
+// first-entry-only stage events, the run-end decision counts, the served
+// report's framing, and where a posted system is validated.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
 	"vc2m"
 	"vc2m/internal/model"
 	"vc2m/internal/obs"
+	"vc2m/internal/provenance"
 	"vc2m/internal/report"
 	"vc2m/internal/workload"
 )
@@ -191,6 +195,88 @@ func TestDecisionCounterMatchesRunTally(t *testing.T) {
 	}
 	if len(tally) < 3 {
 		t.Fatalf("run recorded only %d (stage, kind) pairs", len(tally))
+	}
+}
+
+// TestReportServedWithLength: GET /v1/runs/{id}/report answers with the
+// run's retained bytes under a Content-Length, not chunked, equal to
+// report.Marshal of the same run executed in process; the route is still
+// normalized, and the access log and vc2m_http_requests_total count it.
+// The run's stream stays at its exact length and the report bytes do not
+// change when the recorder goes on recording.
+func TestReportServedWithLength(t *testing.T) {
+	var logBuf bytes.Buffer
+	lg, err := (&obs.LogConfig{Level: "debug"}).Build(&logBuf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Logger: lg})
+	req := coldExistingReq(3)
+	run := executeNow(s, req, false)
+	retained, ok := run.ReportJSON()
+	if !ok {
+		t.Fatalf("run %+v has no report", run.Status())
+	}
+	doc, _, err := executeRun(context.Background(), req, provenance.New(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inProcess, err := report.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(retained, inProcess) {
+		t.Fatalf("retained report (%d bytes) differs from the in-process run's (%d bytes)", len(retained), len(inProcess))
+	}
+	if len(retained) < 64<<10 {
+		t.Fatalf("report of %d bytes is too small to have been chunked", len(retained))
+	}
+
+	hs := httptest.NewServer(s.Handler())
+	resp, err := http.Get(hs.URL + "/v1/runs/" + run.ID() + "/report")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served, err := io.ReadAll(resp.Body)
+	_ = resp.Body.Close()
+	hs.Close() // waits for the handler, and so for its access log line
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || resp.ContentLength != int64(len(retained)) ||
+		resp.Header.Get("Content-Length") != strconv.Itoa(len(retained)) || len(resp.TransferEncoding) != 0 {
+		t.Fatalf("status %d, Content-Length %d (%q), Transfer-Encoding %v; want 200 with length %d, unchunked",
+			resp.StatusCode, resp.ContentLength, resp.Header.Get("Content-Length"), resp.TransferEncoding, len(retained))
+	}
+	if !bytes.Equal(served, retained) {
+		t.Fatal("served report differs from the retained bytes")
+	}
+
+	const route = "/v1/runs/{id}/report"
+	if got := routeLabel(resp.Request); got != route {
+		t.Errorf("routeLabel = %q, want %q", got, route)
+	}
+	if !strings.Contains(logBuf.String(), "route="+route) {
+		t.Errorf("access log lacks the report request:\n%s", logBuf.String())
+	}
+	var text strings.Builder
+	if err := s.om.reg.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	if want := `vc2m_http_requests_total{route="` + route + `",method="GET",code="200"} 1`; !strings.Contains(text.String(), want) {
+		t.Errorf("exposition lacks %s", want)
+	}
+
+	ds := run.prov.Trim()
+	if cap(ds) != len(ds) || len(ds) != run.Status().Decisions {
+		t.Fatalf("finished stream: len %d cap %d, %d decisions", len(ds), cap(ds), run.Status().Decisions)
+	}
+	want := append([]provenance.Decision(nil), ds...)
+	run.prov.Record(provenance.Decision{Stage: provenance.StageAdmit, Kind: provenance.KindReject})
+	run.prov.Reset()
+	run.prov.Record(provenance.Decision{Stage: provenance.StageAdmit, Kind: provenance.KindReject})
+	if after, _ := run.ReportJSON(); !bytes.Equal(after, inProcess) || !reflect.DeepEqual(ds, want) {
+		t.Fatal("recording after the run finished changed its report or its trimmed stream")
 	}
 }
 

@@ -26,14 +26,14 @@ import (
 	"vc2m/internal/workload"
 )
 
-func startHTTP(t *testing.T, cfg server.Config) (*server.Server, *client.Client) {
+func startHTTP(t testing.TB, cfg server.Config) (*server.Server, *client.Client) {
 	t.Helper()
 	s, hs := startHTTPServer(t, cfg)
 	return s, client.New(hs.URL, &http.Client{Timeout: 2 * time.Minute})
 }
 
 // startHTTPServer starts a server behind httptest, both stopped at cleanup.
-func startHTTPServer(t *testing.T, cfg server.Config) (*server.Server, *httptest.Server) {
+func startHTTPServer(t testing.TB, cfg server.Config) (*server.Server, *httptest.Server) {
 	t.Helper()
 	s := server.New(cfg)
 	s.Start()

@@ -144,17 +144,20 @@ func newServerObs(s *Server) *serverObs {
 	return o
 }
 
-// runFinished records a run's terminal state, adds its decision tally to
-// vc2m_decisions_total, feeds the per-stage latency histograms from its
-// span trace, and emits the slow-run breakdown when the run exceeded the
-// configured threshold. It runs before the run is marked finished, so the
-// state is passed in. Nil-safe: a server without observability
-// (zero-value construction in tests) skips everything.
+// runFinished records a run's terminal state, adds its decisions by stage
+// and kind to vc2m_decisions_total, feeds the per-stage latency histograms
+// from its span trace, and emits the slow-run breakdown when the run
+// exceeded the configured threshold. It runs once per run, after the run's
+// last decision and before the run is marked finished, so the state is
+// passed in. Nil-safe: a server without observability (zero-value
+// construction in tests) skips everything.
 func (o *serverObs) runFinished(log *obs.Logger, run *Run, state State, tr *obs.Trace, elapsed, slowRun time.Duration) {
 	if o == nil {
 		return
 	}
-	run.tally.addTo(o.decisions)
+	for _, c := range tallyDecisions(run.prov) {
+		o.decisions.Add(float64(c.n), c.stage, c.kind)
+	}
 	o.runs.Inc(string(state))
 	// Exemplars tie each latency bucket to the trace that landed in it, so
 	// a slow bucket on /metrics names the exact run to pull spans for.
@@ -173,59 +176,28 @@ func (o *serverObs) runFinished(log *obs.Logger, run *Run, state State, tr *obs.
 	}
 }
 
-// countingSink tallies a run's provenance decisions by stage and kind,
-// then forwards each one to the next sink. The tally stays on the run:
-// runFinished adds it to vc2m_decisions_total once, before the run is
-// marked finished, so recording a decision never touches the shared
-// metric registry. A nil *countingSink counts and forwards nothing, like
-// every sink in this repository.
-type countingSink struct {
-	next provenance.Sink
-
-	mu sync.Mutex
-	// counts has one entry per (stage, kind) seen, in first-seen order;
-	// a run records a dozen distinct pairs at most, so a scan beats a map.
-	//vc2m:guardedby mu
-	counts []decisionCount
-}
-
+// decisionCount is the number of a run's decisions of one stage and kind.
 type decisionCount struct {
 	stage, kind string
 	n           int
 }
 
-// Record implements provenance.Sink.
-func (s *countingSink) Record(d provenance.Decision) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	i := 0
-	for i < len(s.counts) && (s.counts[i].stage != d.Stage || s.counts[i].kind != d.Kind) {
-		i++
-	}
-	if i == len(s.counts) {
-		s.counts = append(s.counts, decisionCount{stage: d.Stage, kind: d.Kind})
-	}
-	s.counts[i].n++
-	s.mu.Unlock()
-	if s.next != nil {
-		s.next.Record(d)
-	}
-}
-
-// addTo adds the tally to c and clears it, so a run is counted once.
-func (s *countingSink) addTo(c *obs.Counter) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	counts := s.counts
-	s.counts = nil
-	s.mu.Unlock()
-	for _, e := range counts {
-		c.Add(float64(e.n), e.stage, e.kind)
-	}
+// tallyDecisions counts the recorded stream by (stage, kind) in one pass,
+// in first-seen order. A run records a dozen distinct pairs at most, so a
+// scan beats a map.
+func tallyDecisions(prov *provenance.Recorder) []decisionCount {
+	var counts []decisionCount
+	prov.Each(func(d provenance.Decision) {
+		i := 0
+		for i < len(counts) && (counts[i].stage != d.Stage || counts[i].kind != d.Kind) {
+			i++
+		}
+		if i == len(counts) {
+			counts = append(counts, decisionCount{stage: d.Stage, kind: d.Kind})
+		}
+		counts[i].n++
+	})
+	return counts
 }
 
 // stageSink publishes a stage-entered lifecycle event the first time the

@@ -49,9 +49,6 @@ type Run struct {
 
 	prov *provenance.Recorder
 	pub  *pubSub
-	// tally counts the run's decisions by stage and kind; runFinished
-	// adds it to vc2m_decisions_total before the run is marked finished.
-	tally *countingSink
 
 	// execCtx is the context workers execute the run under; cancel
 	// aborts it (explicit cancel endpoint or hard shutdown). Both are
@@ -256,16 +253,14 @@ func (g *Registry) Add(req SubmitRequest, execCtx context.Context, cancel contex
 	if g.events != nil {
 		sink = &stageSink{bus: g.events, run: id, kind: kind, traceID: tc.TraceID, next: sink}
 	}
-	tally := &countingSink{next: sink}
 	r := &Run{
 		id:       id,
 		kind:     kind,
 		req:      req,
 		traceCtx: tc,
 		reqID:    reqID,
-		prov:     provenance.NewStreaming(tally),
+		prov:     provenance.NewStreaming(sink),
 		pub:      pub,
-		tally:    tally,
 		execCtx:  execCtx,
 		cancel:   cancel,
 		done:     make(chan struct{}),

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -275,7 +276,10 @@ func (s *Server) buildHandler() http.Handler {
 	// blocking endpoints (wait-polling, provenance streaming) and the
 	// pprof profile endpoints (a 30s CPU profile is the point) manage
 	// their own deadlines because http.TimeoutHandler buffers bodies,
-	// which would break chunked streaming.
+	// which would break chunked streaming. The report endpoint is a map
+	// lookup and one Write of retained bytes: the timeout would bound
+	// nothing but a copy of the report into its buffer, since the
+	// buffered body reaches the network only after the deadline is off.
 	bounded := http.NewServeMux()
 	bounded.HandleFunc("GET /healthz", s.handleHealth)
 	bounded.Handle("GET /metrics", s.om.reg.Handler())
@@ -283,7 +287,6 @@ func (s *Server) buildHandler() http.Handler {
 	bounded.HandleFunc("GET /dashboard", s.handleDashboard)
 	bounded.HandleFunc("POST /v1/runs", s.handleSubmit)
 	bounded.HandleFunc("GET /v1/runs", s.handleList)
-	bounded.HandleFunc("GET /v1/runs/{id}/report", s.handleReport)
 	bounded.HandleFunc("POST /v1/runs/{id}/cancel", s.handleCancel)
 	bounded.HandleFunc("POST /v1/runs/{id}/churn", s.handleChurn)
 	if s.cfg.DebugRoutes {
@@ -294,6 +297,7 @@ func (s *Server) buildHandler() http.Handler {
 
 	root := http.NewServeMux()
 	root.HandleFunc("GET /v1/runs/{id}", s.handleGet)
+	root.HandleFunc("GET /v1/runs/{id}/report", s.handleReport)
 	root.HandleFunc("GET /v1/runs/{id}/provenance", s.handleProvenance)
 	root.HandleFunc("GET /v1/runs/{id}/events", s.handleRunEvents)
 	root.HandleFunc("GET /v1/events", s.handleEvents)
@@ -450,8 +454,11 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Serve the marshaled document verbatim: byte-identical to
-	// report.Save of the same in-process run.
+	// report.Save of the same in-process run. The declared length lets
+	// the client read it into one buffer of that size, and the response
+	// goes out unchunked.
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	_, _ = w.Write(data)
 }
 

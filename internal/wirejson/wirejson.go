@@ -12,6 +12,7 @@ package wirejson
 import (
 	"encoding/json"
 	"math"
+	"math/bits"
 	"reflect"
 	"strconv"
 	"unicode/utf8"
@@ -23,11 +24,21 @@ const hex = "0123456789abcdef"
 // json.Marshal escapes it (HTML escaping on): a backslash before `"` and
 // `\`, the short forms of \b \f \n \r \t, \u00XX for the other control
 // bytes and for `<`, `>`, `&`, the escaped replacement character U+FFFD
-// for each invalid UTF-8 byte, and escapes for U+2028 and U+2029.
+// for each invalid UTF-8 byte, and escapes for U+2028 and U+2029. While
+// eight bytes remain it tests them as one word and skips straight to the
+// first byte that is not plain ASCII to be copied as is.
 func AppendString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); {
+		if len(s)-i >= 8 {
+			m := specialLanes(load64(s, i))
+			if m == 0 {
+				i += 8
+				continue
+			}
+			i += bits.TrailingZeros64(m) >> 3
+		}
 		if b := s[i]; b < utf8.RuneSelf {
 			if b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
 				i++
@@ -72,6 +83,33 @@ func AppendString(dst []byte, s string) []byte {
 	dst = append(dst, s[start:]...)
 	return append(dst, '"')
 }
+
+// load64 returns the eight bytes of s from i as a little-endian word;
+// the compiler merges the byte loads into one.
+func load64(s string, i int) uint64 {
+	_ = s[i+7]
+	return uint64(s[i]) | uint64(s[i+1])<<8 | uint64(s[i+2])<<16 | uint64(s[i+3])<<24 |
+		uint64(s[i+4])<<32 | uint64(s[i+5])<<40 | uint64(s[i+6])<<48 | uint64(s[i+7])<<56
+}
+
+const (
+	lanes = 0x0101010101010101 // 1 in every byte lane
+	highs = 0x8080808080808080 // the high bit of every byte lane
+)
+
+// specialLanes flags each byte lane of w that AppendString cannot copy as
+// is: a control byte, `"`, `\`, `<`, `>`, `&`, or a byte of a multi-byte
+// or invalid UTF-8 sequence. A flagged lane has its high bit set. Lanes
+// above the lowest flagged one may be flagged falsely (a borrow carries
+// upward), but the lowest is exact, so its index is the first such byte.
+func specialLanes(w uint64) uint64 {
+	below := (w - lanes*0x20) &^ w
+	return (below | zeroLanes(w^lanes*'"') | zeroLanes(w^lanes*'\\') |
+		zeroLanes(w^lanes*'<') | zeroLanes(w^lanes*'>') | zeroLanes(w^lanes*'&') | w) & highs
+}
+
+// zeroLanes sets the high bit of x's zero lanes, exactly up to the lowest.
+func zeroLanes(x uint64) uint64 { return (x - lanes) &^ x }
 
 // AppendFloat appends f as json.Marshal encodes a float64: the shortest
 // 'f' form, or the 'e' form below 1e-6 and at or above 1e21 with a

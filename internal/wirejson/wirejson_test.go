@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -21,6 +22,38 @@ func TestAppendStringMatchesEncodingJSON(t *testing.T) {
 			t.Errorf("AppendString(%q) = %s, encoding/json %s", s, got, spec)
 		}
 	}
+}
+
+// FuzzAppendString holds AppendString to json.Marshal. The seeds put one
+// byte of every class the word test flags at each offset 0-16 of plain
+// strings of length 0-24, so the flag lands in every lane of the first
+// words, in the tail after them and on a word boundary; and multi-byte,
+// U+2028/U+2029 and invalid sequences across the boundary at 8.
+func FuzzAppendString(f *testing.F) {
+	for _, c := range []string{
+		"\x00", "\x1f", "\n", " ", "\x7f", `"`, `\`, "<", ">", "&", "\x80", "\xff",
+		"é", "€", "\U0001F600", "\u2028", "\u2029", "\xed\xa0\x80",
+	} {
+		for n := 0; n <= 24; n++ {
+			for off := 0; off <= 16 && off <= n; off++ {
+				f.Add(strings.Repeat("a", off) + c + strings.Repeat("b", n-off))
+			}
+		}
+	}
+	for _, c := range []string{"é", "€", "\U0001F600", "\u2028", "\xe2\x80", "\xf0\x9f\x98"} {
+		for off := 4; off <= 8; off++ {
+			f.Add(strings.Repeat("x", off) + c + "yyyyyyyyyy")
+		}
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		spec, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := AppendString([]byte("x"), s); string(got[1:]) != string(spec) || got[0] != 'x' {
+			t.Fatalf("AppendString(%q) = %s, encoding/json %s", s, got[1:], spec)
+		}
+	})
 }
 
 func TestAppendFloatMatchesEncodingJSON(t *testing.T) {
