@@ -302,23 +302,21 @@ func grantTo(cs *coreState, plat model.Platform, v *model.VCPU, spareCache, spar
 	cur := cs.util() + v.Bandwidth(cs.cache, cs.bw)
 	gainCache, gainBW := 0.0, 0.0
 	if *spareCache > 0 && cs.cache < plat.C {
-		gainCache = gain(cur, cs.utilAt(cs.cache+1, cs.bw)+v.Bandwidth(cs.cache+1, cs.bw))
+		gainCache = gain(cur, cs.utilMoreCache()+v.Bandwidth(cs.cache+1, cs.bw))
 	}
 	if *spareBW > 0 && cs.bw < plat.B {
-		gainBW = gain(cur, cs.utilAt(cs.cache, cs.bw+1)+v.Bandwidth(cs.cache, cs.bw+1))
+		gainBW = gain(cur, cs.utilMoreBW()+v.Bandwidth(cs.cache, cs.bw+1))
 	}
 	switch {
 	case gainCache <= schedEps && gainBW <= schedEps:
 		return false, false
 	case gainCache >= gainBW:
-		cs.cache++
 		*spareCache--
 		isCache = true
 	default:
-		cs.bw++
 		*spareBW--
 	}
-	cs.touch()
+	cs.grant(isCache)
 	return true, isCache
 }
 
@@ -331,10 +329,10 @@ func grantTo(cs *coreState, plat model.Platform, v *model.VCPU, spareCache, spar
 func grantViolations(cs *coreState, plat model.Platform, v *model.VCPU, spareCache, spareBW int) failCause {
 	cur := cs.util() + v.Bandwidth(cs.cache, cs.bw)
 	var f failCause
-	if cs.cache < plat.C && gain(cur, cs.utilAt(cs.cache+1, cs.bw)+v.Bandwidth(cs.cache+1, cs.bw)) > schedEps && spareCache == 0 {
+	if cs.cache < plat.C && gain(cur, cs.utilMoreCache()+v.Bandwidth(cs.cache+1, cs.bw)) > schedEps && spareCache == 0 {
 		f.cache = true
 	}
-	if cs.bw < plat.B && gain(cur, cs.utilAt(cs.cache, cs.bw+1)+v.Bandwidth(cs.cache, cs.bw+1)) > schedEps && spareBW == 0 {
+	if cs.bw < plat.B && gain(cur, cs.utilMoreBW()+v.Bandwidth(cs.cache, cs.bw+1)) > schedEps && spareBW == 0 {
 		f.bw = true
 	}
 	if !f.cache && !f.bw {

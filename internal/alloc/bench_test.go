@@ -25,6 +25,7 @@ func benchSystem(b *testing.B, util float64) *model.System {
 
 func benchAllocator(b *testing.B, a Allocator, util float64) {
 	sys := benchSystem(b, util)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := a.Allocate(sys, rngutil.New(int64(i))); err != nil &&

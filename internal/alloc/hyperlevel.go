@@ -92,16 +92,20 @@ type coreState struct {
 	cache int
 	bw    int
 
-	// memoUtil caches util(): Phase 2 and Phase 3 (and online admission)
-	// re-evaluate each core's utilization many times between mutations, and
-	// each evaluation walks every hosted VCPU. Any mutation of vcpus, cache
-	// or bw must go through touch() to invalidate the memo.
-	memoUtil  float64
-	memoValid bool
+	// memoUtil caches util(), memoMoreCache utilMoreCache() and memoMoreBW
+	// utilMoreBW(): Phase 2 and Phase 3 (and online admission) re-evaluate
+	// each core's utilization, and the price of one more partition, many
+	// times between mutations, and each evaluation walks every hosted VCPU.
+	// Any mutation of vcpus, cache or bw must go through touch() to
+	// invalidate all three.
+	memoUtil, memoMoreCache, memoMoreBW    float64
+	memoValid, moreCacheValid, moreBWValid bool
 }
 
-// touch invalidates the memoized utilization after a mutation.
-func (cs *coreState) touch() { cs.memoValid = false }
+// touch invalidates the memoized utilizations after a mutation.
+func (cs *coreState) touch() {
+	cs.memoValid, cs.moreCacheValid, cs.moreBWValid = false, false, false
+}
 
 // util returns the core's total VCPU bandwidth under its current partition
 // allocation; +Inf entries (existing-CSA infeasible allocations) propagate.
@@ -111,6 +115,42 @@ func (cs *coreState) util() float64 {
 		cs.memoValid = true
 	}
 	return cs.memoUtil
+}
+
+// utilMoreCache returns the core's bandwidth with one more cache
+// partition, utilAt(cache+1, bw).
+func (cs *coreState) utilMoreCache() float64 {
+	if !cs.moreCacheValid {
+		cs.memoMoreCache = cs.utilAt(cs.cache+1, cs.bw)
+		cs.moreCacheValid = true
+	}
+	return cs.memoMoreCache
+}
+
+// utilMoreBW returns the core's bandwidth with one more bandwidth
+// partition, utilAt(cache, bw+1).
+func (cs *coreState) utilMoreBW() float64 {
+	if !cs.moreBWValid {
+		cs.memoMoreBW = cs.utilAt(cs.cache, cs.bw+1)
+		cs.moreBWValid = true
+	}
+	return cs.memoMoreBW
+}
+
+// grant gives the core one more cache or bandwidth partition. Its new
+// util() is the candidate it was priced at — the same sum over the same
+// VCPUs — so that value is kept instead of re-summed.
+func (cs *coreState) grant(isCache bool) {
+	var u float64
+	if isCache {
+		u = cs.utilMoreCache()
+		cs.cache++
+	} else {
+		u = cs.utilMoreBW()
+		cs.bw++
+	}
+	cs.touch()
+	cs.memoUtil, cs.memoValid = u, true
 }
 
 // utilAt evaluates the core's bandwidth under a hypothetical allocation.
@@ -174,11 +214,8 @@ func HyperLevel(vcpus []*model.VCPU, plat model.Platform, cfg HyperConfig, rng *
 	if cfg.NoClustering {
 		groups = [][]*model.VCPU{append([]*model.VCPU(nil), inflated...)}
 	} else {
-		points := make([][]float64, len(inflated))
-		for i, v := range inflated {
-			points[i] = clampVector(v.Budget.Slowdown())
-		}
-		clustering := kmeans.Cluster(points, cfg.Clusters, rng)
+		points, dim := slowdownPoints(len(inflated), func(i int) *model.ResourceTable { return inflated[i].Budget })
+		clustering := kmeans.Cluster(points, dim, cfg.Clusters, rng)
 		rec.Inc(MetricKMeansRuns)
 		rec.Add(MetricKMeansIters, int64(clustering.Iterations))
 		groups = make([][]*model.VCPU, clustering.K)
@@ -230,9 +267,9 @@ func HyperLevel(vcpus []*model.VCPU, plat model.Platform, cfg HyperConfig, rng *
 					recordPlacements(prov, cores)
 					prov.Record(provenance.Decision{
 						Stage: provenance.StageHyper, Kind: provenance.KindAccept,
-						Subject: "system", Target: fmt.Sprintf("m=%d", m),
+						Subject: "system", Target: "m=" + strconv.Itoa(m),
 						Value: float64(m), Accepted: true,
-						Reason: fmt.Sprintf("schedulable on %d cores at iteration %d", m, iter),
+						Reason: acceptReason(m, iter),
 					})
 				}
 				return buildAllocation(cores, plat), nil
@@ -249,7 +286,7 @@ func HyperLevel(vcpus []*model.VCPU, plat model.Platform, cfg HyperConfig, rng *
 			if prov.Enabled() {
 				prov.Record(provenance.Decision{
 					Stage: provenance.StageHyper, Kind: provenance.KindAttempt,
-					Subject:  fmt.Sprintf("m=%d iter=%d", m, iter),
+					Subject:  attemptSubject(m, iter),
 					Value:    totalOverload(cores),
 					Reason:   "packing attempt left unschedulable cores (value = total overload)",
 					Violated: cause.violated(),
@@ -448,13 +485,13 @@ func allocatePhase2(cores []*coreState, plat model.Platform, rec *metrics.Record
 			allOK = false
 			if spareCache > 0 && cs.cache < plat.C {
 				attempts++
-				if g := gain(u, cs.utilAt(cs.cache+1, cs.bw)); g > bestGain {
+				if g := gain(u, cs.utilMoreCache()); g > bestGain {
 					bestGain, bestCore, bestIsCache = g, i, true
 				}
 			}
 			if spareBW > 0 && cs.bw < plat.B {
 				attempts++
-				if g := gain(u, cs.utilAt(cs.cache, cs.bw+1)); g > bestGain {
+				if g := gain(u, cs.utilMoreBW()); g > bestGain {
 					bestGain, bestCore, bestIsCache = g, i, false
 				}
 			}
@@ -488,14 +525,12 @@ func allocatePhase2(cores []*coreState, plat model.Platform, rec *metrics.Record
 				Reason: grantReason(bestGain),
 			})
 		}
+		cores[bestCore].grant(bestIsCache)
 		if bestIsCache {
-			cores[bestCore].cache++
 			spareCache--
 		} else {
-			cores[bestCore].bw++
 			spareBW--
 		}
-		cores[bestCore].touch()
 	}
 }
 
@@ -556,6 +591,26 @@ func grantReason(gain float64) string {
 	b := append(buf[:0], "best utilization gain "...)
 	b = strconv.AppendFloat(b, gain, 'g', 4, 64)
 	return string(append(b, " among unschedulable cores"...))
+}
+
+// attemptSubject renders a Phase 1 attempt's subject, byte for byte what
+// fmt.Sprintf("m=%d iter=%d", m, iter) prints, without fmt's reflection.
+func attemptSubject(m, iter int) string {
+	var buf [48]byte
+	b := append(buf[:0], "m="...)
+	b = strconv.AppendInt(b, int64(m), 10)
+	b = append(b, " iter="...)
+	return string(strconv.AppendInt(b, int64(iter), 10))
+}
+
+// acceptReason renders the accept decision's reason, byte for byte what
+// fmt.Sprintf("schedulable on %d cores at iteration %d", m, iter) prints.
+func acceptReason(m, iter int) string {
+	var buf [80]byte
+	b := append(buf[:0], "schedulable on "...)
+	b = strconv.AppendInt(b, int64(m), 10)
+	b = append(b, " cores at iteration "...)
+	return string(strconv.AppendInt(b, int64(iter), 10))
 }
 
 // coreNames holds the provenance names "core 0" .. "core 63", built once:

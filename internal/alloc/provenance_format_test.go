@@ -3,6 +3,7 @@ package alloc
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"testing"
 
 	"vc2m/internal/rngutil"
@@ -55,5 +56,38 @@ func TestCoreNameMatchesSprintf(t *testing.T) {
 		if got, want := coreName(i), fmt.Sprintf("core %d", i); got != want {
 			t.Fatalf("coreName(%d) = %q, want %q", i, got, want)
 		}
+	}
+}
+
+// TestPhase1StringsMatchSprintf is the differential oracle for the
+// fmt-free HyperLevel strings: the attempt subject, the accept target and
+// the accept reason must print exactly what their fmt.Sprintf forms did.
+func TestPhase1StringsMatchSprintf(t *testing.T) {
+	check := func(m, iter int) {
+		t.Helper()
+		if got, want := attemptSubject(m, iter), fmt.Sprintf("m=%d iter=%d", m, iter); got != want {
+			t.Fatalf("attemptSubject(%d, %d) = %q, want %q", m, iter, got, want)
+		}
+		if got, want := "m="+strconv.Itoa(m), fmt.Sprintf("m=%d", m); got != want {
+			t.Fatalf("accept target for m=%d: %q, want %q", m, got, want)
+		}
+		if got, want := acceptReason(m, iter), fmt.Sprintf("schedulable on %d cores at iteration %d", m, iter); got != want {
+			t.Fatalf("acceptReason(%d, %d) = %q, want %q", m, iter, got, want)
+		}
+	}
+	edges := []int{0, 1, 9, 10, 99, 100, -1, -10, math.MaxInt32, math.MaxInt, math.MinInt}
+	for _, m := range edges {
+		for _, iter := range edges {
+			check(m, iter)
+		}
+	}
+	for m := 0; m < 70; m++ {
+		for iter := 0; iter < 120; iter++ {
+			check(m, iter)
+		}
+	}
+	rng := rngutil.New(21)
+	for i := 0; i < 20000; i++ {
+		check(int(rng.Int63())-int(rng.Int63()), int(rng.Int63()))
 	}
 }

@@ -100,10 +100,10 @@ func (f failCause) violated() []provenance.Resource {
 func coreFailCause(cs *coreState, plat model.Platform) failCause {
 	u := cs.util()
 	var f failCause
-	if cs.cache < plat.C && gain(u, cs.utilAt(cs.cache+1, cs.bw)) > schedEps {
+	if cs.cache < plat.C && gain(u, cs.utilMoreCache()) > schedEps {
 		f.cache = true
 	}
-	if cs.bw < plat.B && gain(u, cs.utilAt(cs.cache, cs.bw+1)) > schedEps {
+	if cs.bw < plat.B && gain(u, cs.utilMoreBW()) > schedEps {
 		f.bw = true
 	}
 	if !f.cache && !f.bw {

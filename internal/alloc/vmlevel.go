@@ -163,11 +163,8 @@ func clusterPackVM(vm *model.VM, plat model.Platform, cfg VMLevelConfig, firstIn
 		k = m
 	}
 
-	points := make([][]float64, len(tasks))
-	for i, t := range tasks {
-		points[i] = clampVector(t.WCET.Slowdown())
-	}
-	clustering := kmeans.Cluster(points, k, rng)
+	points, dim := slowdownPoints(len(tasks), func(i int) *model.ResourceTable { return tasks[i].WCET })
+	clustering := kmeans.Cluster(points, dim, k, rng)
 	rec := cfg.Metrics
 	rec.Inc(MetricKMeansRuns)
 	rec.Add(MetricKMeansIters, int64(clustering.Iterations))
@@ -342,7 +339,28 @@ func apportion(utils []float64, groups [][]int, total int) []int {
 	return counts
 }
 
-// clampVector caps entries (existing-CSA budget tables may contain +Inf).
+// slowdownPoints lays out the slowdown vectors of n tables row after row
+// in one flat buffer, the layout kmeans.Cluster takes, and returns it with
+// the vectors' length. Each vector is written and clamped in place. n must
+// be positive; tables of different shapes are a caller bug and panic, as
+// ragged points do in kmeans.Cluster.
+func slowdownPoints(n int, table func(i int) *model.ResourceTable) ([]float64, int) {
+	cmin, cmax, bmin, bmax := table(0).Bounds()
+	dim := (cmax - cmin + 1) * (bmax - bmin + 1)
+	points := make([]float64, 0, n*dim)
+	for i := 0; i < n; i++ {
+		start := len(points)
+		points = table(i).AppendSlowdown(points)
+		if len(points)-start != dim {
+			panic("alloc: slowdown tables of different shapes")
+		}
+		clampVector(points[start:])
+	}
+	return points, dim
+}
+
+// clampVector caps entries in place (existing-CSA budget tables may
+// contain +Inf) and returns v.
 func clampVector(v []float64) []float64 {
 	for i, x := range v {
 		if x > slowdownCap || math.IsInf(x, 1) || math.IsNaN(x) {

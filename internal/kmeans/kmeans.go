@@ -9,6 +9,14 @@
 // natural similarity measure because entries are normalized slowdowns
 // (s(C,B) = 1 for everything).
 //
+// Points and centers are stored row-major in one flat []float64 with a
+// caller-given dimension. Nearest-center searches abandon a distance once
+// its partial sum reaches the best distance so far: the terms are
+// non-negative and each is added in order into a single accumulator, so
+// every partial sum is a lower bound of the rounded full sum and the
+// result — assignments, tie-breaks, centers and the seeding weights — is
+// bit-identical to computing every distance in full.
+//
 // The implementation is fully deterministic under a caller-supplied RNG.
 package kmeans
 
@@ -22,10 +30,11 @@ import (
 type Result struct {
 	// Assign maps each input point index to a cluster index in [0, K).
 	Assign []int
-	// Centers holds the final cluster centroids.
-	Centers [][]float64
-	// K is the number of non-empty clusters actually produced (always equal
-	// to len(Centers); empty clusters are dropped and indices compacted).
+	// Centers holds the final cluster centroids, K rows of the input
+	// dimension in one flat row-major slice.
+	Centers []float64
+	// K is the number of non-empty clusters actually produced (empty
+	// clusters are dropped and indices compacted).
 	K int
 	// Iterations is the number of Lloyd iterations executed.
 	Iterations int
@@ -35,47 +44,47 @@ type Result struct {
 // repository (tens to hundreds of points, k <= 8) converge in far fewer.
 const maxIterations = 100
 
-// Cluster partitions points into at most k clusters and returns the
-// assignment. It panics if k <= 0. If there are fewer distinct points than
-// k, fewer clusters are returned. An empty point set yields an empty result.
-// All points must have the same dimension; Cluster panics otherwise.
-func Cluster(points [][]float64, k int, rng *rngutil.RNG) Result {
+// Cluster partitions the points — len(points)/dim rows of dim entries in
+// one flat slice — into at most k clusters and returns the assignment. It
+// panics if k <= 0. If there are fewer distinct points than k, fewer
+// clusters are returned. An empty point set yields an empty result.
+// Cluster panics unless dim is positive and divides len(points).
+func Cluster(points []float64, dim, k int, rng *rngutil.RNG) Result {
 	if k <= 0 {
 		panic("kmeans: k must be positive")
 	}
-	n := len(points)
-	if n == 0 {
-		return Result{Assign: []int{}, Centers: [][]float64{}}
+	if len(points) == 0 {
+		return Result{Assign: []int{}, Centers: []float64{}}
 	}
-	dim := len(points[0])
-	for _, p := range points {
-		if len(p) != dim {
-			panic("kmeans: points with inconsistent dimensions")
-		}
+	if dim <= 0 || len(points)%dim != 0 {
+		panic("kmeans: points with inconsistent dimensions")
 	}
+	n := len(points) / dim
 	if k > n {
 		k = n
 	}
 
-	centers := seedPlusPlus(points, k, rng)
+	centers := seedPlusPlus(points, dim, k, rng)
 	assign := make([]int, n)
 	prev := make([]int, n)
 	for i := range prev {
 		prev[i] = -1
 	}
+	counts := make([]int, k)
 
 	iter := 0
 	for ; iter < maxIterations; iter++ {
 		changed := false
-		for i, p := range points {
+		for i := range assign {
+			p := points[i*dim : (i+1)*dim]
 			best, bestD := 0, math.Inf(1)
-			for c, ctr := range centers {
-				if d := sqDist(p, ctr); d < bestD {
+			for c := 0; c < k; c++ {
+				if d := sqDistBelow(p, centers[c*dim:(c+1)*dim], bestD); d < bestD {
 					best, bestD = c, d
 				}
 			}
 			assign[i] = best
-			if assign[i] != prev[i] {
+			if best != prev[i] {
 				changed = true
 			}
 		}
@@ -85,65 +94,68 @@ func Cluster(points [][]float64, k int, rng *rngutil.RNG) Result {
 		copy(prev, assign)
 
 		// Recompute centroids.
-		counts := make([]int, len(centers))
-		for c := range centers {
-			for d := 0; d < dim; d++ {
-				centers[c][d] = 0
-			}
-		}
-		for i, p := range points {
-			c := assign[i]
+		clear(centers)
+		clear(counts)
+		for i, c := range assign {
 			counts[c]++
-			for d := 0; d < dim; d++ {
-				centers[c][d] += p[d]
+			ctr := centers[c*dim : (c+1)*dim]
+			for d, x := range points[i*dim : (i+1)*dim] {
+				ctr[d] += x
 			}
 		}
-		for c := range centers {
+		for c := 0; c < k; c++ {
+			ctr := centers[c*dim : (c+1)*dim]
 			if counts[c] == 0 {
 				// Re-seed an empty cluster at the point farthest from its
 				// current center, a standard fix that keeps k stable when
 				// the data supports it.
-				centers[c] = clonePoint(points[farthestPoint(points, centers, assign)])
+				f := farthestPoint(points, centers, dim, assign)
+				copy(ctr, points[f*dim:(f+1)*dim])
 				continue
 			}
-			for d := 0; d < dim; d++ {
-				centers[c][d] /= float64(counts[c])
+			for d := range ctr {
+				ctr[d] /= float64(counts[c])
 			}
 		}
 	}
 
-	return compact(assign, centers, iter)
+	return compact(assign, centers, dim, k, iter)
 }
 
 // seedPlusPlus picks k initial centers with the kmeans++ strategy: the first
 // uniformly, each subsequent one with probability proportional to its
-// squared distance from the nearest chosen center.
-func seedPlusPlus(points [][]float64, k int, rng *rngutil.RNG) [][]float64 {
-	n := len(points)
-	centers := make([][]float64, 0, k)
-	centers = append(centers, clonePoint(points[rng.Intn(n)]))
+// squared distance from the nearest chosen center. The nearest distances
+// are kept across rounds, and each round only lowers them against the
+// center it just added — the same strict-less fold, in the same center
+// order, as recomputing the minimum over every chosen center.
+func seedPlusPlus(points []float64, dim, k int, rng *rngutil.RNG) []float64 {
+	n := len(points) / dim
+	centers := make([]float64, k*dim)
+	f := rng.Intn(n)
+	copy(centers, points[f*dim:(f+1)*dim])
 	d2 := make([]float64, n)
-	for len(centers) < k {
-		for i, p := range points {
-			best := math.Inf(1)
-			for _, c := range centers {
-				if d := sqDist(p, c); d < best {
-					best = d
-				}
+	for i := range d2 {
+		d2[i] = math.Inf(1)
+	}
+	for c := 1; c < k; c++ {
+		newest := centers[(c-1)*dim : c*dim]
+		for i := range d2 {
+			if d := sqDistBelow(points[i*dim:(i+1)*dim], newest, d2[i]); d < d2[i] {
+				d2[i] = d
 			}
-			d2[i] = best
 		}
-		centers = append(centers, clonePoint(points[rng.Choice(d2)]))
+		f = rng.Choice(d2)
+		copy(centers[c*dim:(c+1)*dim], points[f*dim:(f+1)*dim])
 	}
 	return centers
 }
 
 // farthestPoint returns the index of the point with the greatest distance to
 // its assigned center.
-func farthestPoint(points [][]float64, centers [][]float64, assign []int) int {
+func farthestPoint(points, centers []float64, dim int, assign []int) int {
 	best, bestD := 0, -1.0
-	for i, p := range points {
-		d := sqDist(p, centers[assign[i]])
+	for i, c := range assign {
+		d := sqDist(points[i*dim:(i+1)*dim], centers[c*dim:(c+1)*dim])
 		if d > bestD {
 			best, bestD = i, d
 		}
@@ -151,29 +163,31 @@ func farthestPoint(points [][]float64, centers [][]float64, assign []int) int {
 	return best
 }
 
-// compact removes empty clusters and renumbers assignments densely.
-func compact(assign []int, centers [][]float64, iters int) Result {
-	used := make([]bool, len(centers))
+// compact removes empty clusters and renumbers assignments densely. Kept
+// centers only move to lower rows, so they are packed in place.
+func compact(assign []int, centers []float64, dim, k, iters int) Result {
+	used := make([]bool, k)
 	for _, a := range assign {
 		used[a] = true
 	}
-	remap := make([]int, len(centers))
-	var kept [][]float64
-	for c := range centers {
-		if used[c] {
-			remap[c] = len(kept)
-			kept = append(kept, centers[c])
-		} else {
+	remap := make([]int, k)
+	kept := 0
+	for c := 0; c < k; c++ {
+		if !used[c] {
 			remap[c] = -1
+			continue
 		}
+		remap[c] = kept
+		copy(centers[kept*dim:(kept+1)*dim], centers[c*dim:(c+1)*dim])
+		kept++
 	}
-	out := make([]int, len(assign))
 	for i, a := range assign {
-		out[i] = remap[a]
+		assign[i] = remap[a]
 	}
-	return Result{Assign: out, Centers: kept, K: len(kept), Iterations: iters}
+	return Result{Assign: assign, Centers: centers[:kept*dim], K: kept, Iterations: iters}
 }
 
+// sqDist returns the squared Euclidean distance between a and b.
 func sqDist(a, b []float64) float64 {
 	var s float64
 	for i := range a {
@@ -183,18 +197,51 @@ func sqDist(a, b []float64) float64 {
 	return s
 }
 
-func clonePoint(p []float64) []float64 {
-	out := make([]float64, len(p))
-	copy(out, p)
-	return out
+// sqDistBelow returns sqDist(a, b) when that is below bound, and otherwise
+// some value >= bound. It adds the same terms in the same order into one
+// accumulator as sqDist and stops once a partial sum reaches the bound:
+// the terms are non-negative and rounded addition of a non-negative term
+// never decreases a sum, so no later term can bring it back below. Eight
+// terms go per bound check; the single accumulator keeps the rounding.
+func sqDistBelow(a, b []float64, bound float64) float64 {
+	b = b[:len(a)]
+	var s float64
+	i := 0
+	for ; i+8 <= len(a); i += 8 {
+		d0 := a[i] - b[i]
+		s += d0 * d0
+		d1 := a[i+1] - b[i+1]
+		s += d1 * d1
+		d2 := a[i+2] - b[i+2]
+		s += d2 * d2
+		d3 := a[i+3] - b[i+3]
+		s += d3 * d3
+		d4 := a[i+4] - b[i+4]
+		s += d4 * d4
+		d5 := a[i+5] - b[i+5]
+		s += d5 * d5
+		d6 := a[i+6] - b[i+6]
+		s += d6 * d6
+		d7 := a[i+7] - b[i+7]
+		s += d7 * d7
+		if s >= bound {
+			return s
+		}
+	}
+	for ; i < len(a); i++ {
+		d := a[i] - b[i]
+		s += d * d
+	}
+	return s
 }
 
 // Inertia returns the total within-cluster sum of squared distances for a
-// result, a standard clustering-quality metric used in tests.
-func Inertia(points [][]float64, r Result) float64 {
+// result over the points it was computed from, a standard
+// clustering-quality metric used in tests.
+func Inertia(points []float64, dim int, r Result) float64 {
 	var total float64
-	for i, p := range points {
-		total += sqDist(p, r.Centers[r.Assign[i]])
+	for i, c := range r.Assign {
+		total += sqDist(points[i*dim:(i+1)*dim], r.Centers[c*dim:(c+1)*dim])
 	}
 	return total
 }

@@ -178,19 +178,20 @@ func (t *ResourceTable) AddTable(other *ResourceTable) {
 	}
 }
 
-// Slowdown returns the table normalized by its reference value as a flat
-// vector in row-major (c, then b) order — the slowdown vector s(c,b) used
-// for clustering. It panics if the reference value is not positive.
-func (t *ResourceTable) Slowdown() []float64 {
+// AppendSlowdown appends the table normalized by its reference value to
+// dst in row-major (c, then b) order — the slowdown vector s(c,b) used for
+// clustering — and returns the extended slice. Callers clustering many
+// tables append them all into one flat buffer. It panics if the reference
+// value is not positive.
+func (t *ResourceTable) AppendSlowdown(dst []float64) []float64 {
 	ref := t.Reference()
 	if ref <= 0 {
-		panic("model: Slowdown of table with non-positive reference value")
+		panic("model: AppendSlowdown of table with non-positive reference value")
 	}
-	out := make([]float64, len(t.vals))
-	for i, v := range t.vals {
-		out[i] = v / ref
+	for _, v := range t.vals {
+		dst = append(dst, v/ref)
 	}
-	return out
+	return dst
 }
 
 // CheckMonotone reports an error unless the table is non-increasing in both

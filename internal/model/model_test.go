@@ -135,9 +135,13 @@ func TestSlowdownNormalization(t *testing.T) {
 	tab := NewResourceTable(1, 2, 1, 1)
 	tab.Set(1, 1, 6)
 	tab.Set(2, 1, 2)
-	s := tab.Slowdown()
+	out := tab.AppendSlowdown(make([]float64, 1, 2))
+	if len(out) != 3 {
+		t.Fatalf("AppendSlowdown onto one entry = %v, want 3 entries", out)
+	}
+	s := out[1:]
 	if s[0] != 3 || s[1] != 1 {
-		t.Errorf("Slowdown = %v, want [3 1]", s)
+		t.Errorf("appended slowdown = %v, want [3 1]", s)
 	}
 }
 
@@ -145,10 +149,10 @@ func TestSlowdownPanicsOnZeroReference(t *testing.T) {
 	tab := NewResourceTable(1, 2, 1, 1)
 	defer func() {
 		if recover() == nil {
-			t.Error("Slowdown with zero reference did not panic")
+			t.Error("AppendSlowdown with zero reference did not panic")
 		}
 	}()
-	tab.Slowdown()
+	tab.AppendSlowdown(nil)
 }
 
 func TestCheckMonotone(t *testing.T) {

@@ -11,6 +11,7 @@ func BenchmarkProfile(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bm.Profile(model.PlatformA)

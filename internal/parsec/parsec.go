@@ -136,11 +136,21 @@ func (bm Benchmark) Raw(c, b int) float64 {
 
 // Profile returns the benchmark's slowdown table on the platform:
 // s(c,b) = r(c,b) / r(C,B), so s is 1 at the full allocation and monotone
-// non-increasing in both resources.
+// non-increasing in both resources. Each cell is Raw(c,b) / Raw(C,B) bit
+// for bit: the same expression, with mu(c) — the one math.Pow — computed
+// once per cache column instead of once per cell.
 func (bm Benchmark) Profile(p model.Platform) *model.ResourceTable {
+	if p.Bmin <= 0 {
+		panic("parsec: Raw with non-positive bandwidth allocation")
+	}
 	ref := bm.Raw(p.C, p.B)
 	t := model.NewResourceTableFor(p)
-	t.Fill(func(c, b int) float64 { return bm.Raw(c, b) / ref })
+	for c := p.Cmin; c <= p.C; c++ {
+		mu := bm.missFactor(c)
+		for b := p.Bmin; b <= p.B; b++ {
+			t.Set(c, b, (bm.CPUFrac+(1-bm.CPUFrac)*mu*bm.bwFactor(b))/ref)
+		}
+	}
 	return t
 }
 

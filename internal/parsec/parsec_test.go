@@ -193,3 +193,23 @@ func TestBWFactorSaturates(t *testing.T) {
 		}
 	}
 }
+
+// TestProfileMatchesRaw is the oracle for Profile's one-Pow-per-column
+// fill: every cell must equal Raw(c,b)/Raw(C,B) bit for bit, for all
+// thirteen benchmarks on every evaluation platform.
+func TestProfileMatchesRaw(t *testing.T) {
+	for _, p := range []model.Platform{model.PlatformA, model.PlatformB, model.PlatformC} {
+		for _, bm := range All {
+			prof := bm.Profile(p)
+			ref := bm.Raw(p.C, p.B)
+			for c := p.Cmin; c <= p.C; c++ {
+				for b := p.Bmin; b <= p.B; b++ {
+					got, want := prof.At(c, b), bm.Raw(c, b)/ref
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s on %s: Profile(%d,%d) = %v, Raw/ref = %v", bm.Name, p.Name, c, b, got, want)
+					}
+				}
+			}
+		}
+	}
+}
