@@ -127,6 +127,7 @@ func BenchmarkSec33Isolation(b *testing.B) {
 // the best vC2M solution and of the baseline — the two numbers behind the
 // paper's "2.6x workload increase" headline.
 func benchSched(b *testing.B, plat model.Platform, dist workload.Distribution) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res, err := experiment.RunSchedulability(experiment.SchedConfig{
 			Platform:         plat,

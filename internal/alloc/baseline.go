@@ -3,6 +3,7 @@ package alloc
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"vc2m/internal/binpack"
@@ -38,32 +39,42 @@ func baselineWCET(t *model.Task, plat model.Platform) float64 {
 // infeasible even on a dedicated VCPU, naming the offender so rejections
 // can be attributed.
 func packExistingVCPUs(vm *model.VM, plat model.Platform, firstIndex int, rec *metrics.Recorder) ([]*model.VCPU, *model.Task) {
+	// item pairs a task with its baseline WCET, computed once per task.
+	type item struct {
+		t    *model.Task
+		wcet float64
+	}
 	type bin struct {
-		tasks  []*model.Task
+		items  []item
 		theta  float64 // current minimum budget
 		period float64 // min task period
 	}
 
-	order := append([]*model.Task(nil), vm.Tasks...)
+	order := make([]item, len(vm.Tasks))
+	for i, t := range vm.Tasks {
+		order[i] = item{t: t, wcet: baselineWCET(t, plat)}
+	}
 	sort.SliceStable(order, func(a, b int) bool {
-		ua := baselineWCET(order[a], plat) / order[a].Period
-		ub := baselineWCET(order[b], plat) / order[b].Period
+		ua := order[a].wcet / order[a].t.Period
+		ub := order[b].wcet / order[b].t.Period
 		if ua != ub { //vc2m:floateq exact tie-break keeps the sort a strict weak order
 			return ua > ub
 		}
-		return order[a].ID < order[b].ID
+		return order[a].t.ID < order[b].t.ID
 	})
 
-	// tryPack computes the minimum budget for a candidate task group.
-	tryPack := func(tasks []*model.Task) (theta, period float64, ok bool) {
-		periods := make([]float64, len(tasks))
-		wcets := make([]float64, len(tasks))
+	// tryPack computes the minimum budget for a candidate task group. Every
+	// trial shares one set of period, WCET and demand buffers; none of them
+	// outlives the trial.
+	var periods, wcets, dbf []float64
+	tryPack := func(group []item) (theta, period float64, ok bool) {
+		periods, wcets = periods[:0], wcets[:0]
 		period = math.Inf(1)
-		for i, t := range tasks {
-			periods[i] = t.Period
-			wcets[i] = baselineWCET(t, plat)
-			if t.Period < period {
-				period = t.Period
+		for _, it := range group {
+			periods = append(periods, it.t.Period)
+			wcets = append(wcets, it.wcet)
+			if it.t.Period < period {
+				period = it.t.Period
 			}
 		}
 		demand, err := csa.NewDemand(periods)
@@ -72,17 +83,20 @@ func packExistingVCPUs(vm *model.VM, plat model.Platform, firstIndex int, rec *m
 		}
 		cps := demand.Checkpoints()
 		rec.Add(csa.MetricDBFEvals, int64(len(cps)))
-		theta, ok = csa.MinBudgetForDemand(period, cps, demand.DBF(wcets), rec)
+		dbf = slices.Grow(dbf[:0], len(cps))[:len(cps)]
+		theta, ok = csa.MinBudgetForDemand(period, cps, demand.DBFInto(dbf, wcets), rec)
 		return theta, period, ok
 	}
 
 	var bins []*bin
-	for _, t := range order {
+	var cand []item
+	for _, it := range order {
 		bestBin := -1
 		bestBW := -1.0
 		var bestTheta, bestPeriod float64
 		for i, bn := range bins {
-			theta, period, ok := tryPack(append(append([]*model.Task(nil), bn.tasks...), t))
+			cand = append(append(cand[:0], bn.items...), it)
+			theta, period, ok := tryPack(cand)
 			if !ok {
 				continue
 			}
@@ -91,26 +105,31 @@ func packExistingVCPUs(vm *model.VM, plat model.Platform, firstIndex int, rec *m
 			}
 		}
 		if bestBin >= 0 {
-			bins[bestBin].tasks = append(bins[bestBin].tasks, t)
+			bins[bestBin].items = append(bins[bestBin].items, it)
 			bins[bestBin].theta, bins[bestBin].period = bestTheta, bestPeriod
 			continue
 		}
-		theta, period, ok := tryPack([]*model.Task{t})
+		cand = append(cand[:0], it)
+		theta, period, ok := tryPack(cand)
 		if !ok {
-			return nil, t // task infeasible even alone
+			return nil, it.t // task infeasible even alone
 		}
-		bins = append(bins, &bin{tasks: []*model.Task{t}, theta: theta, period: period})
+		bins = append(bins, &bin{items: []item{it}, theta: theta, period: period})
 	}
 
 	out := make([]*model.VCPU, len(bins))
 	for i, bn := range bins {
+		tasks := make([]*model.Task, len(bn.items))
+		for j, it := range bn.items {
+			tasks[j] = it.t
+		}
 		out[i] = &model.VCPU{
 			ID:     fmt.Sprintf("%s/base-%d", vm.ID, firstIndex+i),
 			VM:     vm.ID,
 			Index:  firstIndex + i,
 			Period: bn.period,
 			Budget: model.ConstTable(plat, bn.theta),
-			Tasks:  append([]*model.Task(nil), bn.tasks...),
+			Tasks:  tasks,
 		}
 	}
 	return out, nil

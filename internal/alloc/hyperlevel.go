@@ -215,7 +215,8 @@ func HyperLevel(vcpus []*model.VCPU, plat model.Platform, cfg HyperConfig, rng *
 		groups = [][]*model.VCPU{append([]*model.VCPU(nil), inflated...)}
 	} else {
 		points, dim := slowdownPoints(len(inflated), func(i int) *model.ResourceTable { return inflated[i].Budget })
-		clustering := kmeans.Cluster(points, dim, cfg.Clusters, rng)
+		clustering := kmeans.Cluster(*points, dim, cfg.Clusters, rng)
+		pointsPool.Put(points)
 		rec.Inc(MetricKMeansRuns)
 		rec.Add(MetricKMeansIters, int64(clustering.Iterations))
 		groups = make([][]*model.VCPU, clustering.K)

@@ -16,7 +16,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"vc2m/internal/csa"
 	"vc2m/internal/kmeans"
@@ -164,7 +166,8 @@ func clusterPackVM(vm *model.VM, plat model.Platform, cfg VMLevelConfig, firstIn
 	}
 
 	points, dim := slowdownPoints(len(tasks), func(i int) *model.ResourceTable { return tasks[i].WCET })
-	clustering := kmeans.Cluster(points, dim, k, rng)
+	clustering := kmeans.Cluster(*points, dim, k, rng)
+	pointsPool.Put(points)
 	rec := cfg.Metrics
 	rec.Inc(MetricKMeansRuns)
 	rec.Add(MetricKMeansIters, int64(clustering.Iterations))
@@ -339,15 +342,23 @@ func apportion(utils []float64, groups [][]int, total int) []int {
 	return counts
 }
 
+// pointsPool recycles slowdownPoints' flat buffers. A buffer is taken for
+// one kmeans.Cluster call and put back as soon as it returns; Cluster
+// keeps no reference to it.
+var pointsPool = sync.Pool{New: func() any { return new([]float64) }}
+
 // slowdownPoints lays out the slowdown vectors of n tables row after row
 // in one flat buffer, the layout kmeans.Cluster takes, and returns it with
 // the vectors' length. Each vector is written and clamped in place. n must
 // be positive; tables of different shapes are a caller bug and panic, as
-// ragged points do in kmeans.Cluster.
-func slowdownPoints(n int, table func(i int) *model.ResourceTable) ([]float64, int) {
+// ragged points do in kmeans.Cluster. The buffer comes from pointsPool and
+// is filled from length 0; the caller puts it back once it is done
+// clustering and must not keep *buf.
+func slowdownPoints(n int, table func(i int) *model.ResourceTable) (buf *[]float64, dim int) {
 	cmin, cmax, bmin, bmax := table(0).Bounds()
-	dim := (cmax - cmin + 1) * (bmax - bmin + 1)
-	points := make([]float64, 0, n*dim)
+	dim = (cmax - cmin + 1) * (bmax - bmin + 1)
+	buf = pointsPool.Get().(*[]float64)
+	points := slices.Grow((*buf)[:0], n*dim)
 	for i := 0; i < n; i++ {
 		start := len(points)
 		points = table(i).AppendSlowdown(points)
@@ -356,7 +367,8 @@ func slowdownPoints(n int, table func(i int) *model.ResourceTable) ([]float64, i
 		}
 		clampVector(points[start:])
 	}
-	return points, dim
+	*buf = points
+	return buf, dim
 }
 
 // clampVector caps entries in place (existing-CSA budget tables may

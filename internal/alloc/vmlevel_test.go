@@ -3,8 +3,10 @@ package alloc
 import (
 	"errors"
 	"math"
+	"runtime/debug"
 	"testing"
 
+	"vc2m/internal/kmeans"
 	"vc2m/internal/model"
 	"vc2m/internal/parsec"
 	"vc2m/internal/rngutil"
@@ -272,5 +274,104 @@ func TestClampVector(t *testing.T) {
 	}
 	if v[0] != 1 {
 		t.Error("finite small entries must pass through")
+	}
+}
+
+// slowdownTables returns n Platform A tables shaped like existing-CSA
+// budgets: decreasing in c and b, with +Inf where the allocation is too
+// small, so clampVector has work to do.
+func slowdownTables(rng *rngutil.RNG, n int) []*model.ResourceTable {
+	p := model.PlatformA
+	tables := make([]*model.ResourceTable, n)
+	for i := range tables {
+		scale := 1 + 4*rng.Float64()
+		cut := rng.Intn(p.C)
+		tables[i] = model.FuncTable(p, func(c, b int) float64 {
+			if c < cut && b < p.Bmin+2 {
+				return math.Inf(1)
+			}
+			return 1 + scale*float64(p.C-c)/float64(p.C) + float64(p.B-b)/float64(p.B)
+		})
+	}
+	return tables
+}
+
+// freshSlowdownPoints is slowdownPoints on a buffer of its own.
+func freshSlowdownPoints(tables []*model.ResourceTable) []float64 {
+	var points []float64
+	for _, tab := range tables {
+		start := len(points)
+		points = tab.AppendSlowdown(points)
+		clampVector(points[start:])
+	}
+	return points
+}
+
+// raceEnabled reports whether the test binary was built with -race, under
+// which sync.Pool drops items on purpose, so pooled-buffer tests cannot
+// count on reuse. (A build-tagged constant would do, but vc2m-lint
+// type-checks every file regardless of build constraints.)
+func raceEnabled() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
+}
+
+// TestSlowdownPointsReuse: a pooled buffer left by a larger call, and
+// poisoned with NaN over its whole capacity, must yield exactly the
+// points a fresh buffer does for a smaller call — no stale row leaks.
+func TestSlowdownPointsReuse(t *testing.T) {
+	rng := rngutil.New(4)
+	large, small := slowdownTables(rng, 12), slowdownTables(rng, 3)
+	get := func(tables []*model.ResourceTable) (*[]float64, int) {
+		return slowdownPoints(len(tables), func(i int) *model.ResourceTable { return tables[i] })
+	}
+
+	big, _ := get(large)
+	bigData := &(*big)[:1][0]
+	poison := (*big)[:cap(*big)]
+	for i := range poison {
+		poison[i] = math.NaN()
+	}
+	pointsPool.Put(big)
+
+	got, _ := get(small)
+	defer pointsPool.Put(got)
+	if !raceEnabled() && &(*got)[:1][0] != bigData {
+		t.Fatal("the smaller call did not reuse the pooled buffer")
+	}
+	want := freshSlowdownPoints(small)
+	if len(*got) != len(want) {
+		t.Fatalf("%d entries, fresh buffer gives %d", len(*got), len(want))
+	}
+	for i, w := range want {
+		if math.Float64bits((*got)[i]) != math.Float64bits(w) {
+			t.Fatalf("entry %d = %v, fresh buffer gives %v", i, (*got)[i], w)
+		}
+	}
+}
+
+// TestSlowdownPointsClusterAllocs pins the steady state of both
+// clustering call sites: with the points buffer and kmeans' working
+// memory recycled, the only allocation left is the assignment the caller
+// keeps.
+func TestSlowdownPointsClusterAllocs(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector makes sync.Pool drop items on purpose")
+	}
+	tables := slowdownTables(rngutil.New(5), 20)
+	rng := rngutil.New(6)
+	allocs := int(testing.AllocsPerRun(50, func() {
+		points, dim := slowdownPoints(len(tables), func(i int) *model.ResourceTable { return tables[i] })
+		kmeans.Cluster(*points, dim, 3, rng)
+		pointsPool.Put(points)
+	}))
+	if allocs != 1 {
+		t.Errorf("%d allocations per slowdownPoints + Cluster, want 1 (the assignment)", allocs)
 	}
 }

@@ -7,6 +7,7 @@ import (
 )
 
 func BenchmarkSBF(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		SBF(10, 5.5, float64(i%40))
 	}
@@ -15,6 +16,7 @@ func BenchmarkSBF(b *testing.B) {
 func BenchmarkMinBudgetForDemand(b *testing.B) {
 	cps := []float64{100, 200, 300, 400, 800}
 	dem := []float64{10, 30, 45, 70, 150}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, ok := MinBudgetForDemand(100, cps, dem, nil); !ok {
@@ -39,6 +41,7 @@ func benchTasks(n int) []*model.Task {
 // existing-CSA curve is an order of magnitude above the others.
 func BenchmarkExistingVCPU(b *testing.B) {
 	tasks := benchTasks(8)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := ExistingVCPU(tasks, 0, model.PlatformA); err != nil {
@@ -51,6 +54,7 @@ func BenchmarkExistingVCPU(b *testing.B) {
 // scaled table sum.
 func BenchmarkWellRegulatedVCPU(b *testing.B) {
 	tasks := benchTasks(8)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := WellRegulatedVCPU(tasks, 0); err != nil {
@@ -61,6 +65,7 @@ func BenchmarkWellRegulatedVCPU(b *testing.B) {
 
 func BenchmarkNewDemandHarmonic(b *testing.B) {
 	periods := []float64{100, 200, 400, 800, 100, 200}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := NewDemand(periods); err != nil {

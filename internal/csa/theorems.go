@@ -57,7 +57,7 @@ func WellRegulatedVCPU(tasks []*model.Task, index int) (*model.VCPU, error) {
 	}
 	budget := tasks[0].WCET.Clone().Scale(pi / tasks[0].Period)
 	for _, t := range tasks[1:] {
-		budget.AddTable(t.WCET.Clone().Scale(pi / t.Period))
+		budget.AddScaled(t.WCET, pi/t.Period)
 	}
 	return &model.VCPU{
 		ID:            fmt.Sprintf("%s/wr-%d", tasks[0].VM, index),

@@ -2,11 +2,13 @@ package csa
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 
 	"vc2m/internal/model"
+	"vc2m/internal/rngutil"
 )
 
 func TestFlattenVCPU(t *testing.T) {
@@ -18,7 +20,7 @@ func TestFlattenVCPU(t *testing.T) {
 		}),
 	}
 	v := FlattenVCPU(task, 3)
-	if v.Period != 10 {
+	if math.Float64bits(v.Period) != math.Float64bits(10) {
 		t.Errorf("period = %v, want 10", v.Period)
 	}
 	if !v.SyncedRelease {
@@ -33,7 +35,7 @@ func TestFlattenVCPU(t *testing.T) {
 	// Theta(c,b) = e(c,b) everywhere.
 	for c := p.Cmin; c <= p.C; c += 6 {
 		for b := p.Bmin; b <= p.B; b += 7 {
-			if v.Budget.At(c, b) != task.WCET.At(c, b) {
+			if math.Float64bits(v.Budget.At(c, b)) != math.Float64bits(task.WCET.At(c, b)) {
 				t.Errorf("budget(%d,%d) = %v, want %v", c, b, v.Budget.At(c, b), task.WCET.At(c, b))
 			}
 		}
@@ -68,7 +70,7 @@ func TestWellRegulatedVCPUBandwidthEqualsUtilization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Period != 10 {
+	if math.Float64bits(v.Period) != math.Float64bits(10) {
 		t.Errorf("period = %v, want min task period 10", v.Period)
 	}
 	if !v.WellRegulated {
@@ -150,5 +152,82 @@ func TestWellRegulatedBandwidthPropertyHarmonic(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// wellRegulatedRef is WellRegulatedVCPU's budget as it was computed before
+// AddScaled: every task's table cloned, scaled, then added. It is the
+// differential oracle for the fused path.
+func wellRegulatedRef(tasks []*model.Task, pi float64) *model.ResourceTable {
+	budget := tasks[0].WCET.Clone().Scale(pi / tasks[0].Period)
+	for _, t := range tasks[1:] {
+		budget.AddTable(t.WCET.Clone().Scale(pi / t.Period))
+	}
+	return budget
+}
+
+// randomHarmonicTasks draws 1..12 tasks on p with WCET tables of
+// independent random entries spanning several decades. Periods are base
+// times a chain of multipliers with ratios 2, 3 and 5, so the scale factors
+// Pi/p_i are not all powers of two, whose products would be exact and
+// could not tell one rounding from two.
+func randomHarmonicTasks(rng *rngutil.RNG, p model.Platform) []*model.Task {
+	base := 1 + rng.Float64()*200
+	ladder := []float64{1}
+	for len(ladder) < 5 {
+		ladder = append(ladder, ladder[len(ladder)-1]*[]float64{2, 3, 5}[rng.Intn(3)])
+	}
+	tasks := make([]*model.Task, 1+rng.Intn(12))
+	for i := range tasks {
+		period := base * ladder[rng.Intn(len(ladder))]
+		tasks[i] = &model.Task{ID: fmt.Sprintf("t%d", i), VM: "vm", Period: period,
+			WCET: model.FuncTable(p, func(int, int) float64 {
+				return period * rng.Float64() * math.Pow(10, float64(rng.Intn(7)-3))
+			})}
+	}
+	return tasks
+}
+
+// TestWellRegulatedVCPUMatchesClonePath pins WellRegulatedVCPU's budget,
+// entry by entry and bit for bit, to wellRegulatedRef over random harmonic
+// task sets on every platform.
+func TestWellRegulatedVCPUMatchesClonePath(t *testing.T) {
+	rng := rngutil.New(23)
+	for _, p := range []model.Platform{model.PlatformA, model.PlatformB, model.PlatformC} {
+		for trial := 0; trial < 100; trial++ {
+			tasks := randomHarmonicTasks(rng, p)
+			v, err := WellRegulatedVCPU(tasks, trial)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := wellRegulatedRef(tasks, v.Period)
+			for c := p.Cmin; c <= p.C; c++ {
+				for b := p.Bmin; b <= p.B; b++ {
+					if got, w := v.Budget.At(c, b), want.At(c, b); math.Float64bits(got) != math.Float64bits(w) {
+						t.Fatalf("platform %s, trial %d, %d tasks: budget(%d,%d) = %v, clone path %v",
+							p.Name, trial, len(tasks), c, b, got, w)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestWellRegulatedVCPUAllocs pins WellRegulatedVCPU's allocations per
+// call: the periods slice, the budget table (header and values), the ID
+// (its boxed format argument and the string), the VCPU and its task list —
+// the same seven for one task or twelve, because further tasks are added
+// into the budget in place.
+func TestWellRegulatedVCPUAllocs(t *testing.T) {
+	for _, n := range []int{1, 2, 12} {
+		tasks := benchTasks(n)
+		allocs := int(testing.AllocsPerRun(100, func() {
+			if _, err := WellRegulatedVCPU(tasks, 7); err != nil {
+				t.Fatal(err)
+			}
+		}))
+		if allocs != 7 {
+			t.Errorf("%d tasks: %d allocations per call, want 7", n, allocs)
+		}
 	}
 }

@@ -22,6 +22,8 @@ package kmeans
 
 import (
 	"math"
+	"slices"
+	"sync"
 
 	"vc2m/internal/rngutil"
 )
@@ -30,9 +32,6 @@ import (
 type Result struct {
 	// Assign maps each input point index to a cluster index in [0, K).
 	Assign []int
-	// Centers holds the final cluster centroids, K rows of the input
-	// dimension in one flat row-major slice.
-	Centers []float64
 	// K is the number of non-empty clusters actually produced (empty
 	// clusters are dropped and indices compacted).
 	K int
@@ -44,17 +43,42 @@ type Result struct {
 // repository (tens to hundreds of points, k <= 8) converge in far fewer.
 const maxIterations = 100
 
+// scratch is Cluster's working memory: the centers, the kmeans++ nearest
+// distances, the previous assignment, the cluster sizes and the compaction
+// remap. Cluster takes one from scratchPool and returns it before it
+// returns, so nothing in a scratch outlives the call.
+type scratch struct {
+	centers, d2         []float64
+	prev, counts, remap []int
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
 // Cluster partitions the points — len(points)/dim rows of dim entries in
 // one flat slice — into at most k clusters and returns the assignment. It
 // panics if k <= 0. If there are fewer distinct points than k, fewer
 // clusters are returned. An empty point set yields an empty result.
 // Cluster panics unless dim is positive and divides len(points).
+//
+// Cluster keeps no reference to points once it returns, so callers may
+// recycle the buffer; the returned Assign is freshly allocated and theirs
+// to keep.
 func Cluster(points []float64, dim, k int, rng *rngutil.RNG) Result {
+	s := scratchPool.Get().(*scratch)
+	r, _ := s.cluster(points, dim, k, rng)
+	scratchPool.Put(s)
+	return r
+}
+
+// cluster is Cluster on the working memory s. It also returns the final
+// centers, K rows of dim entries that alias s and are valid until s is
+// next used.
+func (s *scratch) cluster(points []float64, dim, k int, rng *rngutil.RNG) (Result, []float64) {
 	if k <= 0 {
 		panic("kmeans: k must be positive")
 	}
 	if len(points) == 0 {
-		return Result{Assign: []int{}, Centers: []float64{}}
+		return Result{Assign: []int{}}, nil
 	}
 	if dim <= 0 || len(points)%dim != 0 {
 		panic("kmeans: points with inconsistent dimensions")
@@ -64,13 +88,15 @@ func Cluster(points []float64, dim, k int, rng *rngutil.RNG) Result {
 		k = n
 	}
 
-	centers := seedPlusPlus(points, dim, k, rng)
+	centers := s.seedPlusPlus(points, dim, k, rng)
 	assign := make([]int, n)
-	prev := make([]int, n)
+	s.prev = slices.Grow(s.prev[:0], n)[:n]
+	prev := s.prev
 	for i := range prev {
 		prev[i] = -1
 	}
-	counts := make([]int, k)
+	s.counts = slices.Grow(s.counts[:0], k)[:k]
+	counts := s.counts
 
 	iter := 0
 	for ; iter < maxIterations; iter++ {
@@ -119,7 +145,8 @@ func Cluster(points []float64, dim, k int, rng *rngutil.RNG) Result {
 		}
 	}
 
-	return compact(assign, centers, dim, k, iter)
+	kept := s.compact(assign, centers, dim, k)
+	return Result{Assign: assign, K: kept, Iterations: iter}, centers[:kept*dim]
 }
 
 // seedPlusPlus picks k initial centers with the kmeans++ strategy: the first
@@ -128,12 +155,14 @@ func Cluster(points []float64, dim, k int, rng *rngutil.RNG) Result {
 // are kept across rounds, and each round only lowers them against the
 // center it just added — the same strict-less fold, in the same center
 // order, as recomputing the minimum over every chosen center.
-func seedPlusPlus(points []float64, dim, k int, rng *rngutil.RNG) []float64 {
+func (s *scratch) seedPlusPlus(points []float64, dim, k int, rng *rngutil.RNG) []float64 {
 	n := len(points) / dim
-	centers := make([]float64, k*dim)
+	s.centers = slices.Grow(s.centers[:0], k*dim)[:k*dim]
+	centers := s.centers
 	f := rng.Intn(n)
 	copy(centers, points[f*dim:(f+1)*dim])
-	d2 := make([]float64, n)
+	s.d2 = slices.Grow(s.d2[:0], n)[:n]
+	d2 := s.d2
 	for i := range d2 {
 		d2[i] = math.Inf(1)
 	}
@@ -163,18 +192,21 @@ func farthestPoint(points, centers []float64, dim int, assign []int) int {
 	return best
 }
 
-// compact removes empty clusters and renumbers assignments densely. Kept
-// centers only move to lower rows, so they are packed in place.
-func compact(assign []int, centers []float64, dim, k, iters int) Result {
-	used := make([]bool, k)
-	for _, a := range assign {
-		used[a] = true
+// compact removes empty clusters, renumbers assignments densely and
+// returns the number of clusters kept. Kept centers only move to lower
+// rows, so they are packed in place.
+func (s *scratch) compact(assign []int, centers []float64, dim, k int) int {
+	s.remap = slices.Grow(s.remap[:0], k)[:k]
+	remap := s.remap
+	for c := range remap {
+		remap[c] = -1
 	}
-	remap := make([]int, k)
+	for _, a := range assign {
+		remap[a] = 0 // used
+	}
 	kept := 0
 	for c := 0; c < k; c++ {
-		if !used[c] {
-			remap[c] = -1
+		if remap[c] < 0 {
 			continue
 		}
 		remap[c] = kept
@@ -184,7 +216,7 @@ func compact(assign []int, centers []float64, dim, k, iters int) Result {
 	for i, a := range assign {
 		assign[i] = remap[a]
 	}
-	return Result{Assign: assign, Centers: centers[:kept*dim], K: kept, Iterations: iters}
+	return kept
 }
 
 // sqDist returns the squared Euclidean distance between a and b.
@@ -233,15 +265,4 @@ func sqDistBelow(a, b []float64, bound float64) float64 {
 		s += d * d
 	}
 	return s
-}
-
-// Inertia returns the total within-cluster sum of squared distances for a
-// result over the points it was computed from, a standard
-// clustering-quality metric used in tests.
-func Inertia(points []float64, dim int, r Result) float64 {
-	var total float64
-	for i, c := range r.Assign {
-		total += sqDist(points[i*dim:(i+1)*dim], r.Centers[c*dim:(c+1)*dim])
-	}
-	return total
 }

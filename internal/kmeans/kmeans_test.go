@@ -127,14 +127,14 @@ func TestKLargerThanN(t *testing.T) {
 
 func TestIdenticalPoints(t *testing.T) {
 	pts := [][]float64{{2, 2}, {2, 2}, {2, 2}, {2, 2}}
-	r := clusterRows(pts, 3, rngutil.New(9))
+	r, centers := centersRows(pts, 3, rngutil.New(9))
 	for _, a := range r.Assign {
 		if a < 0 || a >= r.K {
 			t.Errorf("invalid assignment for identical points: %+v", r)
 		}
 	}
-	if inertiaRows(pts, r) != 0 {
-		t.Errorf("identical points should have zero inertia, got %v", inertiaRows(pts, r))
+	if got := inertiaRows(pts, r, centers); math.Float64bits(got) != 0 {
+		t.Errorf("identical points should have zero inertia, got %v", got)
 	}
 }
 
@@ -148,11 +148,11 @@ func TestAssignmentsAlwaysValid(t *testing.T) {
 			pts[i] = []float64{float64(v), float64(v % 7)}
 		}
 		k := int(kRaw%8) + 1
-		r := clusterRows(pts, k, rngutil.New(77))
+		r, centers := centersRows(pts, k, rngutil.New(77))
 		if len(r.Assign) != len(pts) {
 			return false
 		}
-		if r.K*2 != len(r.Centers) { // two-dimensional points
+		if r.K*2 != len(centers) { // two-dimensional points
 			return false
 		}
 		used := make([]bool, r.K)
@@ -176,11 +176,10 @@ func TestAssignmentsAlwaysValid(t *testing.T) {
 
 func TestInertiaDecreasesWithMoreClusters(t *testing.T) {
 	pts := [][]float64{{0}, {1}, {2}, {10}, {11}, {12}, {20}, {21}, {22}}
-	r1 := clusterRows(pts, 1, rngutil.New(3))
-	r3 := clusterRows(pts, 3, rngutil.New(3))
-	if inertiaRows(pts, r3) >= inertiaRows(pts, r1) {
-		t.Errorf("inertia with k=3 (%v) not below k=1 (%v)",
-			inertiaRows(pts, r3), inertiaRows(pts, r1))
+	r1, c1 := centersRows(pts, 1, rngutil.New(3))
+	r3, c3 := centersRows(pts, 3, rngutil.New(3))
+	if i1, i3 := inertiaRows(pts, r1, c1), inertiaRows(pts, r3, c3); i3 >= i1 {
+		t.Errorf("inertia with k=3 (%v) not below k=1 (%v)", i3, i1)
 	}
 }
 
@@ -203,10 +202,23 @@ func clusterRows(pts [][]float64, k int, rng *rngutil.RNG) Result {
 	return Cluster(flat, dim, k, rng)
 }
 
-// inertiaRows runs Inertia on rows.
-func inertiaRows(pts [][]float64, r Result) float64 {
+// centersRows runs Cluster's kernel on rows with fresh working memory and
+// returns the result with its final centers, which Result does not carry.
+func centersRows(pts [][]float64, k int, rng *rngutil.RNG) (Result, []float64) {
 	flat, dim := flatRows(pts)
-	return Inertia(flat, dim, r)
+	return new(scratch).cluster(flat, dim, k, rng)
+}
+
+// inertiaRows returns the total within-cluster sum of squared distances of
+// a result over the rows it was computed from, a standard
+// clustering-quality metric.
+func inertiaRows(pts [][]float64, r Result, centers []float64) float64 {
+	flat, dim := flatRows(pts)
+	var total float64
+	for i, c := range r.Assign {
+		total += sqDist(flat[i*dim:(i+1)*dim], centers[c*dim:(c+1)*dim])
+	}
+	return total
 }
 
 // refResult is Result in the row layout the reference returns.
@@ -342,26 +354,31 @@ func farthestRef(points [][]float64, centers [][]float64, assign []int) int {
 // before clustering (existing-CSA tables hold +Inf); many points sit on it.
 const slowdownCap = 50.0
 
-// checkMatchesRef runs Cluster and clusterRef on the same points and seed
-// and fails unless Assign, K, Iterations and every center bit agree. It
-// returns how often the reference re-seeded an empty cluster.
+// checkMatchesRef runs Cluster's kernel and clusterRef on the same points
+// and seed and fails unless Assign, K, Iterations and every center bit
+// agree. Cluster itself, on pooled working memory that earlier calls of
+// other shapes left dirty, must return the same Result. It returns how
+// often the reference re-seeded an empty cluster.
 func checkMatchesRef(t *testing.T, pts [][]float64, k int, seed int64) int {
 	t.Helper()
 	want, reseeds := clusterRef(pts, k, rngutil.New(seed))
-	got := clusterRows(pts, k, rngutil.New(seed))
-	if got.K != want.K || got.Iterations != want.Iterations {
-		t.Fatalf("n=%d k=%d seed=%d: K, Iterations = %d, %d; reference %d, %d",
-			len(pts), k, seed, got.K, got.Iterations, want.K, want.Iterations)
-	}
-	if !slices.Equal(got.Assign, want.Assign) {
-		t.Fatalf("n=%d k=%d seed=%d: Assign = %v, reference %v", len(pts), k, seed, got.Assign, want.Assign)
+	got, gotCenters := centersRows(pts, k, rngutil.New(seed))
+	pooled := clusterRows(pts, k, rngutil.New(seed))
+	for _, r := range []Result{got, pooled} {
+		if r.K != want.K || r.Iterations != want.Iterations {
+			t.Fatalf("n=%d k=%d seed=%d: K, Iterations = %d, %d; reference %d, %d",
+				len(pts), k, seed, r.K, r.Iterations, want.K, want.Iterations)
+		}
+		if !slices.Equal(r.Assign, want.Assign) {
+			t.Fatalf("n=%d k=%d seed=%d: Assign = %v, reference %v", len(pts), k, seed, r.Assign, want.Assign)
+		}
 	}
 	wantCenters, _ := flatRows(want.Centers)
-	if len(got.Centers) != len(wantCenters) {
+	if len(gotCenters) != len(wantCenters) {
 		t.Fatalf("n=%d k=%d seed=%d: %d center entries, reference %d",
-			len(pts), k, seed, len(got.Centers), len(wantCenters))
+			len(pts), k, seed, len(gotCenters), len(wantCenters))
 	}
-	for i, x := range got.Centers {
+	for i, x := range gotCenters {
 		if math.Float64bits(x) != math.Float64bits(wantCenters[i]) {
 			t.Fatalf("n=%d k=%d seed=%d: center entry %d = %v, reference %v",
 				len(pts), k, seed, i, x, wantCenters[i])

@@ -167,14 +167,28 @@ func (t *ResourceTable) Scale(f float64) *ResourceTable {
 }
 
 // AddTable adds other into t entry-wise. Both tables must have identical
-// bounds; AddTable panics otherwise. Allocation code uses it to aggregate
-// task WCETs into VCPU budgets and VCPU budgets into core demand.
+// bounds; AddTable panics otherwise. Allocation code sums scaled tables
+// with AddScaled; AddTable after Clone().Scale(f) is its reference.
 func (t *ResourceTable) AddTable(other *ResourceTable) {
 	if t.cmin != other.cmin || t.bmin != other.bmin || t.nc != other.nc || t.nb != other.nb {
 		panic("model: AddTable with mismatched bounds")
 	}
 	for i := range t.vals {
 		t.vals[i] += other.vals[i]
+	}
+}
+
+// AddScaled adds other scaled by f into t entry-wise, with the same two
+// roundings as t.AddTable(other.Clone().Scale(f)) but no temporary table.
+// Both tables must have identical bounds; AddScaled panics otherwise.
+func (t *ResourceTable) AddScaled(other *ResourceTable, f float64) {
+	if t.cmin != other.cmin || t.bmin != other.bmin || t.nc != other.nc || t.nb != other.nb {
+		panic("model: AddScaled with mismatched bounds")
+	}
+	for i := range t.vals {
+		// The explicit conversion rounds the product before the add: the
+		// Go spec lets a compiler fuse x*y + z into one FMA otherwise.
+		t.vals[i] += float64(other.vals[i] * f)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"vc2m/internal/rngutil"
 )
 
 func TestPlatformValidate(t *testing.T) {
@@ -121,14 +123,63 @@ func TestResourceTableAddTable(t *testing.T) {
 }
 
 func TestResourceTableAddTableMismatchPanics(t *testing.T) {
-	a := NewResourceTable(1, 2, 1, 2)
-	b := NewResourceTable(1, 3, 1, 2)
-	defer func() {
-		if recover() == nil {
-			t.Error("AddTable with mismatched bounds did not panic")
+	for _, tc := range []struct {
+		name string
+		add  func(a, b *ResourceTable)
+	}{
+		{"AddTable", func(a, b *ResourceTable) { a.AddTable(b) }},
+		{"AddScaled", func(a, b *ResourceTable) { a.AddScaled(b, 2) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s with mismatched bounds did not panic", tc.name)
+				}
+			}()
+			tc.add(NewResourceTable(1, 2, 1, 2), NewResourceTable(1, 3, 1, 2))
+		}()
+	}
+}
+
+// TestAddScaledMatchesCloneScaleAdd is the differential oracle for
+// AddScaled: every entry must carry the bits of the clone path it
+// replaced, t.AddTable(other.Clone().Scale(f)), which rounds the product
+// before the sum. Entries and factors span subnormals, values near
+// MaxFloat64 (whose products overflow) and +Inf.
+func TestAddScaledMatchesCloneScaleAdd(t *testing.T) {
+	rng := rngutil.New(2)
+	special := []float64{0, math.SmallestNonzeroFloat64, 3e-310, 2.2250738585072014e-308,
+		1e-300, 1, 1e300, math.MaxFloat64 / 3, math.MaxFloat64, math.Inf(1)}
+	draw := func() float64 {
+		if rng.Intn(3) == 0 {
+			return special[rng.Intn(len(special))]
 		}
-	}()
-	a.AddTable(b)
+		return math.Ldexp(rng.Float64(), rng.Intn(2100)-1075)
+	}
+	factors := []float64{1, 0.5, 0.25, 1.0 / 3, 3, 1e-300, 1e300, math.SmallestNonzeroFloat64}
+	for trial := 0; trial < 200; trial++ {
+		cmin, bmin := rng.Intn(3), rng.Intn(3)
+		cmax, bmax := cmin+rng.Intn(20), bmin+rng.Intn(20)
+		dst := NewResourceTable(cmin, cmax, bmin, bmax)
+		src := NewResourceTable(cmin, cmax, bmin, bmax)
+		dst.Fill(func(int, int) float64 { return draw() })
+		src.Fill(func(int, int) float64 { return draw() })
+		f := factors[trial%len(factors)]
+		if trial >= 2*len(factors) {
+			f = draw()
+		}
+
+		want := dst.Clone()
+		want.AddTable(src.Clone().Scale(f))
+		got := dst.Clone()
+		got.AddScaled(src, f)
+		for i, w := range want.vals {
+			if math.Float64bits(got.vals[i]) != math.Float64bits(w) {
+				t.Fatalf("trial %d, entry %d: %v + %v*%v: AddScaled = %v, clone path %v",
+					trial, i, dst.vals[i], src.vals[i], f, got.vals[i], w)
+			}
+		}
+	}
 }
 
 func TestSlowdownNormalization(t *testing.T) {
