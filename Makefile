@@ -145,14 +145,16 @@ report-smoke:
 # Server smoke: boot vc2m-server on an ephemeral port, drive the seeded
 # reference run through the client path (vc2m-sim -server), require the
 # served report to be byte-identical to the same-seed in-process run and
-# schema-valid; scrape /metrics through the strict parser (including the
-# trace exemplars on the stage-latency buckets), replay churn live, watch
-# a run's SSE lifecycle stream and fetch the self-contained /dashboard
+# schema-valid; submit the six figure sweeps through the other client
+# (vc2m-paper -server) and require six schema-valid report files; scrape
+# /metrics through the strict parser (including the trace exemplars on the
+# stage-latency buckets), replay churn live, watch a run's lifecycle on the
+# SSE event stream and fetch the self-contained /dashboard
 # (TestEventLifecycleLive), snapshot the fleet with vc2m-top -once, then
 # SIGTERM the daemon and require a clean (exit 0) graceful drain.
 server-smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) build -o $$tmp/bin/ ./cmd/vc2m-server ./cmd/vc2m-sim ./cmd/vc2m-report ./cmd/vc2m-top || exit 1; \
+	$(GO) build -o $$tmp/bin/ ./cmd/vc2m-server ./cmd/vc2m-sim ./cmd/vc2m-paper ./cmd/vc2m-report ./cmd/vc2m-top || exit 1; \
 	$$tmp/bin/vc2m-server -addr 127.0.0.1:0 -ready-file $$tmp/addr >$$tmp/server.log 2>&1 & pid=$$!; \
 	up=; i=0; while [ $$i -lt 100 ]; do \
 		if [ -s $$tmp/addr ]; then up=1; break; fi; i=$$((i+1)); sleep 0.1; done; \
@@ -167,6 +169,14 @@ server-smoke:
 	  $$tmp/bin/vc2m-report generate -in $$tmp/served.json >/dev/null; } || \
 		{ echo "server-smoke: served run failed or diverged"; \
 		  cat $$tmp/server.log; kill $$pid 2>/dev/null; exit 1; }; \
+	$$tmp/bin/vc2m-paper -server "http://$$addr" -tasksets 1 -step 0.5 -out $$tmp/paper 2>$$tmp/paper.log || \
+		{ echo "server-smoke: vc2m-paper -server failed"; cat $$tmp/paper.log; \
+		  cat $$tmp/server.log; kill $$pid 2>/dev/null; exit 1; }; \
+	for f in fig2a fig2b fig2c fig3a fig3b fig3c; do \
+		$$tmp/bin/vc2m-report generate -in $$tmp/paper/$$f.report.json >/dev/null || \
+			{ echo "server-smoke: served $$f.report.json missing or invalid"; \
+			  kill $$pid 2>/dev/null; exit 1; }; \
+	done; \
 	VC2M_PROM_URL="http://$$addr/metrics" \
 		$(GO) test -count=1 -run '^TestPromScrapeLive$$' ./internal/obs || \
 		{ echo "server-smoke: live /metrics scrape failed"; \
@@ -188,7 +198,7 @@ server-smoke:
 	kill -TERM $$pid; \
 	if wait $$pid; then :; else echo "server-smoke: daemon did not drain cleanly"; \
 		cat $$tmp/server.log; exit 1; fi; \
-	echo "server-smoke: served report byte-identical to in-process run; live /metrics parser-clean with stage exemplars; churn round trip matches in-process replay; SSE lifecycle ordered and dashboard self-contained; vc2m-top snapshot ok; daemon drained cleanly"
+	echo "server-smoke: served report byte-identical to in-process run; six served paper sweep reports valid; live /metrics parser-clean with stage exemplars; churn round trip matches in-process replay; SSE lifecycle ordered and dashboard self-contained; vc2m-top snapshot ok; daemon drained cleanly"
 
 # Observability smoke: a seeded vc2m-sim run exporting wall-clock spans
 # must produce exactly the committed stage set (durations vary run to

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -30,8 +31,10 @@ type Client struct {
 }
 
 // New builds a client for the server at base (e.g. "http://127.0.0.1:8700").
-// A nil http.Client uses a default with a 5-minute overall timeout;
-// streaming requests override it per call via context.
+// A nil http.Client uses a default with a 5-minute overall timeout, which
+// bounds every request, streams included; pass your own http.Client for
+// streams that may outlast it. Wait is not such a stream: each of its long
+// polls ends well within the default.
 func New(base string, hc *http.Client) *Client {
 	if hc == nil {
 		hc = &http.Client{Timeout: 5 * time.Minute}
@@ -135,49 +138,36 @@ func (c *Client) Run(ctx context.Context, id string) (server.RunStatus, error) {
 }
 
 // Wait blocks until the run reaches a terminal state (or ctx expires). It
-// follows the run's SSE lifecycle stream (/v1/runs/{id}/events) — the
-// server closes it at the terminal event, so waiting costs no polling —
-// and reconnects with Last-Event-ID across connection drops and server
-// restarts. When the server does not speak SSE (an older release, an
-// intermediary stripping streams), Wait falls back to the blocking status
-// endpoint. Either way the returned status is re-read from /v1/runs/{id},
-// the authoritative source.
+// long-polls GET /v1/runs/{id}?wait=1, which the server answers once the
+// run is terminal or its wait cap expires; a non-terminal answer polls
+// again. A transport error (a dropped connection, a restarting server) is
+// retried after waitRetryDelay, up to waitMaxFailures in a row, so Wait
+// rides a server restart. An HTTP error answer, such as a 404 for an
+// unknown run, returns at once.
 func (c *Client) Wait(ctx context.Context, id string) (server.RunStatus, error) {
-	var lastSeq uint64
 	failures := 0
 	for {
-		if err := ctx.Err(); err != nil {
-			return server.RunStatus{}, err
-		}
-		terminal := false
-		seq, err := c.streamSSE(ctx, "/v1/runs/"+id+"/events", lastSeq, func(ev server.RunEvent) error {
-			if ev.Terminal() {
-				terminal = true
-			}
-			return nil
-		})
-		if seq > lastSeq {
-			lastSeq = seq
-			failures = 0 // progress: the stream is real, keep trusting it
-		}
-		if terminal {
-			return c.waitPoll(ctx, id)
-		}
+		var st server.RunStatus
+		err := c.do(ctx, http.MethodGet, "/v1/runs/"+id+"?wait=1", nil, &st)
+		var transport *url.Error
 		switch {
+		case err == nil:
+			switch st.State {
+			case server.StateDone, server.StateFailed, server.StateCanceled:
+				return st, nil
+			}
+			failures = 0 // the wait cap expired: poll again
+			continue
 		case ctx.Err() != nil:
 			return server.RunStatus{}, ctx.Err()
-		case errors.Is(err, errSSEUnsupported):
-			return c.waitPoll(ctx, id)
+		case !errors.As(err, &transport):
+			return server.RunStatus{}, err
 		}
-		// Transport drop or clean close without a terminal event (e.g. the
-		// server drained or restarted mid-stream): reconnect with
-		// Last-Event-ID after a short pause. Persistent failure falls back
-		// to the blocking poll, which reports connection errors properly.
 		failures++
-		if failures >= waitStreamMaxFailures {
-			return c.waitPoll(ctx, id)
+		if failures >= waitMaxFailures {
+			return server.RunStatus{}, err
 		}
-		t := time.NewTimer(waitReconnectDelay)
+		t := time.NewTimer(waitRetryDelay)
 		select {
 		case <-ctx.Done():
 			t.Stop()
@@ -188,31 +178,14 @@ func (c *Client) Wait(ctx context.Context, id string) (server.RunStatus, error) 
 }
 
 const (
-	// waitReconnectDelay paces SSE reconnects in Wait — long enough not to
-	// hammer a restarting server, short enough to resume promptly.
-	waitReconnectDelay = 200 * time.Millisecond
-	// waitStreamMaxFailures is how many consecutive no-progress stream
-	// attempts Wait tolerates before falling back to the blocking poll.
-	waitStreamMaxFailures = 10
+	// waitRetryDelay paces Wait's retries after a transport error — long
+	// enough not to hammer a restarting server, short enough to resume
+	// promptly.
+	waitRetryDelay = 200 * time.Millisecond
+	// waitMaxFailures is how many consecutive transport errors Wait
+	// tolerates before it returns the last one.
+	waitMaxFailures = 10
 )
-
-// waitPoll is the pre-SSE wait path: the server's blocking status
-// endpoint, looped until the run is terminal.
-func (c *Client) waitPoll(ctx context.Context, id string) (server.RunStatus, error) {
-	for {
-		var st server.RunStatus
-		if err := c.do(ctx, http.MethodGet, "/v1/runs/"+id+"?wait=1", nil, &st); err != nil {
-			return st, err
-		}
-		switch st.State {
-		case server.StateDone, server.StateFailed, server.StateCanceled:
-			return st, nil
-		}
-		if err := ctx.Err(); err != nil {
-			return st, err
-		}
-	}
-}
 
 // StreamEvents follows the server's fleet-wide run-lifecycle stream
 // (GET /v1/events), invoking fn for every event until the stream ends, fn
@@ -220,29 +193,10 @@ func (c *Client) waitPoll(ctx context.Context, id string) (server.RunStatus, err
 // sequence number (0 for the live tail); the highest sequence number seen
 // is returned so callers can reconnect where they left off. The transport
 // client must not impose an overall timeout shorter than the watch (pass
-// a dedicated http.Client to New for long streams).
+// a dedicated http.Client to New for long streams). The sequence number is
+// returned on error too, and the error is nil on a clean stream end.
 func (c *Client) StreamEvents(ctx context.Context, lastEventID uint64, fn func(server.RunEvent) error) (uint64, error) {
-	return c.streamSSE(ctx, "/v1/events", lastEventID, fn)
-}
-
-// StreamRunEvents follows one run's lifecycle stream
-// (GET /v1/runs/{id}/events); the server ends it after the run's terminal
-// event. Semantics otherwise match StreamEvents.
-func (c *Client) StreamRunEvents(ctx context.Context, id string, lastEventID uint64, fn func(server.RunEvent) error) (uint64, error) {
-	return c.streamSSE(ctx, "/v1/runs/"+id+"/events", lastEventID, fn)
-}
-
-// errSSEUnsupported marks a server (or intermediary) that answered the
-// events endpoint with something other than an event stream; callers fall
-// back to polling.
-var errSSEUnsupported = errors.New("client: server does not serve SSE events")
-
-// streamSSE runs one SSE connection: it parses id/event/data frames,
-// unmarshals run events and dispatches them to fn. It returns the highest
-// event sequence number observed (also on error) and nil on clean stream
-// end.
-func (c *Client) streamSSE(ctx context.Context, path string, lastEventID uint64, fn func(server.RunEvent) error) (uint64, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/events", nil)
 	if err != nil {
 		return lastEventID, err
 	}
@@ -259,10 +213,6 @@ func (c *Client) streamSSE(ctx context.Context, path string, lastEventID uint64,
 	if resp.StatusCode != http.StatusOK ||
 		!strings.HasPrefix(resp.Header.Get("Content-Type"), "text/event-stream") {
 		data, _ := io.ReadAll(io.LimitReader(resp.Body, 8*1024))
-		if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusNotFound ||
-			resp.StatusCode == http.StatusNotImplemented || resp.StatusCode == http.StatusMethodNotAllowed {
-			return lastEventID, fmt.Errorf("%w: %s", errSSEUnsupported, resp.Status)
-		}
 		return lastEventID, apiError(resp.StatusCode, data)
 	}
 

@@ -107,7 +107,6 @@ type snapshot struct {
 	// stageLat maps pipeline stage -> (count, sum, exemplar trace) from
 	// vc2m_stage_latency_seconds.
 	stageLat map[string]stageStat
-	runsBy   map[string]float64 // vc2m_runs_total by state
 }
 
 type stageStat struct {
@@ -129,7 +128,7 @@ func scrape(ctx context.Context, c *client.Client, hc *http.Client, base string)
 	if err != nil {
 		return nil, err
 	}
-	snap := &snapshot{metrics: m, runs: runs, stageLat: map[string]stageStat{}, runsBy: map[string]float64{}}
+	snap := &snapshot{metrics: m, runs: runs, stageLat: map[string]stageStat{}}
 
 	req, err := http.NewRequestWithContext(sctx, http.MethodGet, strings.TrimRight(base, "/")+"/metrics", nil)
 	if err != nil {
@@ -148,25 +147,21 @@ func scrape(ctx context.Context, c *client.Client, hc *http.Client, base string)
 		return nil, fmt.Errorf("parsing /metrics: %w", err)
 	}
 	for _, fam := range fams {
-		switch fam.Name {
-		case "vc2m_stage_latency_seconds":
-			for _, s := range fam.Samples {
-				stage := s.Labels["stage"]
-				st := snap.stageLat[stage]
-				switch {
-				case strings.HasSuffix(s.Name, "_count"):
-					st.count = s.Value
-				case strings.HasSuffix(s.Name, "_sum"):
-					st.sum = s.Value
-				case s.Exemplar != nil:
-					st.trace = s.Exemplar.Labels["trace_id"]
-				}
-				snap.stageLat[stage] = st
+		if fam.Name != "vc2m_stage_latency_seconds" {
+			continue
+		}
+		for _, s := range fam.Samples {
+			stage := s.Labels["stage"]
+			st := snap.stageLat[stage]
+			switch {
+			case strings.HasSuffix(s.Name, "_count"):
+				st.count = s.Value
+			case strings.HasSuffix(s.Name, "_sum"):
+				st.sum = s.Value
+			case s.Exemplar != nil:
+				st.trace = s.Exemplar.Labels["trace_id"]
 			}
-		case "vc2m_runs_total":
-			for _, s := range fam.Samples {
-				snap.runsBy[s.Labels["state"]] = s.Value
-			}
+			snap.stageLat[stage] = st
 		}
 	}
 	return snap, nil

@@ -74,9 +74,10 @@ func TestBudgetConservation(t *testing.T) {
 			start = end
 		}
 	}
-	for vcpu, periods := range execPerPeriod {
-		for k, exec := range periods {
-			if exec > specs[vcpu].budget {
+	for _, vcpu := range sortedKeys(execPerPeriod) {
+		periods := execPerPeriod[vcpu]
+		for _, k := range sortedKeys(periods) {
+			if exec := periods[k]; exec > specs[vcpu].budget {
 				t.Errorf("VCPU %s period %d executed %v, budget is %v",
 					vcpu, k, exec, specs[vcpu].budget)
 			}
@@ -89,7 +90,8 @@ func TestBudgetConservation(t *testing.T) {
 	for _, e := range res.Trace {
 		perCore[e.Core] = append(perCore[e.Core], slice{e.Start, e.End})
 	}
-	for core, slices := range perCore {
+	for _, core := range sortedKeys(perCore) {
+		slices := perCore[core]
 		for i := 1; i < len(slices); i++ {
 			if slices[i].start < slices[i-1].end {
 				t.Errorf("core %d has overlapping slices: %v and %v",

@@ -2,6 +2,7 @@ package hypersim
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"vc2m/internal/alloc"
@@ -71,8 +72,8 @@ func TestSimulationDeterminism(t *testing.T) {
 			t.Fatalf("event stream diverges at %d: %+v vs %+v", i, r1.Events[i], r2.Events[i])
 		}
 	}
-	for id, m1 := range r1.Tasks {
-		if m2 := r2.Tasks[id]; m1 != m2 {
+	for _, id := range sortedKeys(r1.Tasks) {
+		if m1, m2 := r1.Tasks[id], r2.Tasks[id]; m1 != m2 {
 			t.Fatalf("task %s metrics differ: %+v vs %+v", id, m1, m2)
 		}
 	}
@@ -86,7 +87,8 @@ func TestResponsePercentiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := s.Run(timeunit.FromMillis(2000))
-	for id, tm := range res.Tasks {
+	for _, id := range sortedKeys(res.Tasks) {
+		tm := res.Tasks[id]
 		if tm.Completed == 0 {
 			continue
 		}
@@ -107,8 +109,9 @@ func TestResponsePercentiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	res2 := s2.Run(timeunit.FromMillis(100))
-	for id, tm := range res2.Tasks {
-		if tm.ResponseP50Ms != 0 {
+	for _, id := range sortedKeys(res2.Tasks) {
+		// Never computed without CollectResponses: exactly +0, bit for bit.
+		if math.Float64bits(res2.Tasks[id].ResponseP50Ms) != 0 {
 			t.Errorf("%s: percentiles populated without CollectResponses", id)
 		}
 	}

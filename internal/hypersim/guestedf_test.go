@@ -48,7 +48,8 @@ func TestGuestEDFOrdersTasksWithinVCPU(t *testing.T) {
 			firstInPeriod[k] = e.Task
 		}
 	}
-	for k, task := range firstInPeriod {
+	for _, k := range sortedKeys(firstInPeriod) {
+		task := firstInPeriod[k]
 		// In periods where "short" has a fresh job (every period), it
 		// must run before "long".
 		if task != "short" {

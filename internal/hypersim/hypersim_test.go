@@ -1,6 +1,8 @@
 package hypersim
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 
 	"vc2m/internal/csa"
@@ -26,6 +28,17 @@ func flatAlloc(t *testing.T, p model.Platform, cache, bw int, tasks ...[2]float6
 }
 
 func taskName(i int) string { return string(rune('a'+i)) + "-task" }
+
+// sortedKeys returns m's keys in ascending order, so map-driven assertions
+// check and report in the same order on every run.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m { //vc2m:ordered keys are sorted below
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
 
 func run(t *testing.T, a *model.Allocation, cfg Config, ms float64) *Result {
 	t.Helper()

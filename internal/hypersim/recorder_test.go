@@ -15,19 +15,22 @@ func TestRunRecordsMetrics(t *testing.T) {
 	rec := metrics.New()
 	res := run(t, a, Config{Metrics: rec}, 100)
 
-	want := map[string]int64{
-		MetricContextSwitches:  int64(res.ContextSwitches),
-		MetricSchedInvocations: int64(res.SchedInvocations),
-		MetricBudgetReplenish:  int64(res.BudgetReplenishments),
-		MetricThrottleEvents:   int64(res.ThrottleEvents),
-		MetricBWReplenish:      int64(res.BWReplenishments),
-		MetricJobsReleased:     int64(res.Released),
-		MetricJobsCompleted:    int64(res.Completed),
-		MetricDeadlineMisses:   int64(res.Missed),
+	want := []struct {
+		name string
+		w    int64
+	}{
+		{MetricContextSwitches, int64(res.ContextSwitches)},
+		{MetricSchedInvocations, int64(res.SchedInvocations)},
+		{MetricBudgetReplenish, int64(res.BudgetReplenishments)},
+		{MetricThrottleEvents, int64(res.ThrottleEvents)},
+		{MetricBWReplenish, int64(res.BWReplenishments)},
+		{MetricJobsReleased, int64(res.Released)},
+		{MetricJobsCompleted, int64(res.Completed)},
+		{MetricDeadlineMisses, int64(res.Missed)},
 	}
-	for name, w := range want {
-		if got := rec.Counter(name); got != w {
-			t.Errorf("%s = %d, want %d", name, got, w)
+	for _, c := range want {
+		if got := rec.Counter(c.name); got != c.w {
+			t.Errorf("%s = %d, want %d", c.name, got, c.w)
 		}
 	}
 	if rec.Counter(MetricBudgetReplenish) != 11 {

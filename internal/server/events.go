@@ -12,9 +12,9 @@ import (
 )
 
 // Run-lifecycle event types published on the server's event bus and served
-// over the SSE endpoints (GET /v1/events, GET /v1/runs/{id}/events). The
-// event stream is pure telemetry: like spans, logs and metrics it lives
-// strictly OUTSIDE every vc2m.report/v1 document.
+// over the SSE endpoint GET /v1/events. The event stream is pure telemetry:
+// like spans, logs and metrics it lives strictly OUTSIDE every
+// vc2m.report/v1 document.
 const (
 	// EventQueued: the submission was accepted into the bounded queue.
 	EventQueued = "queued"
@@ -60,7 +60,7 @@ type RunEvent struct {
 	Migrated   int `json:"migrated,omitempty"`
 }
 
-// Terminal reports whether the event ends its run's stream.
+// Terminal reports whether the event is its run's last.
 func (e RunEvent) Terminal() bool {
 	return e.Type == EventFinished || e.Type == EventRejected
 }
@@ -108,9 +108,6 @@ type eventBus struct {
 }
 
 func newEventBus(history, subBuf int) *eventBus {
-	if history <= 0 {
-		history = 512
-	}
 	if subBuf <= 0 {
 		subBuf = 64
 	}
@@ -123,10 +120,10 @@ func newEventBus(history, subBuf int) *eventBus {
 
 // publish assigns the next sequence number, retains the event in the
 // replay ring and delivers it to every matching subscriber without
-// blocking. It returns the event with Seq filled in.
-func (b *eventBus) publish(ev RunEvent) RunEvent {
+// blocking.
+func (b *eventBus) publish(ev RunEvent) {
 	if b == nil {
-		return ev
+		return
 	}
 	b.mu.Lock()
 	b.seq++
@@ -156,7 +153,6 @@ func (b *eventBus) publish(ev RunEvent) RunEvent {
 	if dropped > 0 && onDrop != nil {
 		onDrop(dropped)
 	}
-	return ev
 }
 
 // subscribe registers a subscriber (run="" for all runs) and returns it
@@ -206,31 +202,11 @@ func (b *eventBus) stats() (published, dropped uint64, subscribers int) {
 const sseKeepalive = 15 * time.Second
 
 // handleEvents serves GET /v1/events: the bus-wide run-lifecycle stream as
-// Server-Sent Events. ?run={id} filters to one run without ending at its
-// terminal event (use /v1/runs/{id}/events for that); Last-Event-ID (header
-// or ?last_event_id=) resumes after a reconnect from the replay ring.
+// Server-Sent Events. ?run={id} filters to one run; Last-Event-ID (header
+// or ?last_event_id=) resumes after a reconnect from the replay ring. The
+// stream runs until the client leaves or the server's drain completes.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	s.serveEvents(w, r, r.URL.Query().Get("run"), nil)
-}
-
-// handleRunEvents serves GET /v1/runs/{id}/events: one run's lifecycle
-// stream. The stream ends after the run's terminal event — a client waiting
-// on a run reads events until EOF instead of polling. Subscribing to an
-// already-finished run replays what the ring retains and the stored
-// terminal event, then ends immediately.
-func (s *Server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
-	run, ok := s.lookup(w, r)
-	if !ok {
-		return
-	}
-	s.serveEvents(w, r, run.ID(), run)
-}
-
-// serveEvents is the shared SSE loop. run is non-nil only for the per-run
-// endpoint, where the stream terminates with the run.
-func (s *Server) serveEvents(w http.ResponseWriter, r *http.Request, filter string, run *Run) {
-	after := parseLastEventID(r)
-	sub, backlog := s.events.subscribe(filter, after)
+	sub, backlog := s.events.subscribe(r.URL.Query().Get("run"), parseLastEventID(r))
 	defer s.events.unsubscribe(sub)
 
 	h := w.Header()
@@ -248,66 +224,23 @@ func (s *Server) serveEvents(w http.ResponseWriter, r *http.Request, filter stri
 		return
 	}
 
-	lastSeq := after
-	write := func(ev RunEvent) bool {
-		if !writeSSE(w, ev) {
-			return false
-		}
-		if ev.Seq > lastSeq {
-			lastSeq = ev.Seq
-		}
-		return true
-	}
 	for _, ev := range backlog {
-		if !write(ev) {
-			return
-		}
-		if run != nil && ev.Terminal() {
-			flush()
+		if !writeSSE(w, ev) {
 			return
 		}
 	}
 	flush()
 
-	var runDone <-chan struct{} // nil (blocks forever) on the bus-wide stream
-	if run != nil {
-		runDone = run.Done()
-	}
 	var notifiedDrops uint64
 	keepalive := time.NewTicker(sseKeepalive)
 	defer keepalive.Stop()
 	for {
 		select {
 		case ev := <-sub.ch:
-			if !write(ev) {
+			if !writeSSE(w, ev) {
 				return
 			}
 			flush()
-			if run != nil && ev.Terminal() {
-				return
-			}
-		case <-runDone:
-			// The run is over. Its terminal event was published before
-			// Done() closed, so it is either still queued on our channel or
-			// it was dropped; drain, then fall back to the copy the run
-			// retains.
-			terminal := false
-			for !terminal {
-				select {
-				case ev := <-sub.ch:
-					if !write(ev) {
-						return
-					}
-					terminal = ev.Terminal()
-				default:
-					if tev := run.TerminalEvent(); tev != nil && tev.Seq > lastSeq {
-						write(*tev)
-					}
-					terminal = true
-				}
-			}
-			flush()
-			return
 		case <-keepalive.C:
 			// Keep the connection alive and surface our drop count, so a
 			// slow consumer can see it is being shed.

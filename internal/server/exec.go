@@ -91,8 +91,8 @@ func (s *Server) execute(ctx context.Context, run *Run) {
 
 // finishRun publishes the run's terminal lifecycle event and then records
 // the terminal state. Publish-before-finish is deliberate: the event is in
-// the bus ring, on every subscriber channel and retained on the run before
-// Done() closes, so an observer woken by Done() can always replay it.
+// the bus ring and on every subscriber channel before Done() closes, so an
+// observer woken by Done() finds it already published.
 func (s *Server) finishRun(run *Run, state State, doc *report.Document, docJSON []byte, errMsg string) {
 	ev := RunEvent{
 		Type: EventFinished, Run: run.ID(), Kind: run.kind, State: state,
@@ -103,7 +103,7 @@ func (s *Server) finishRun(run *Run, state State, doc *report.Document, docJSON 
 		// event type so dashboards can track admit/reject rates directly.
 		ev.Type = EventRejected
 	}
-	run.setTerminalEvent(s.events.publish(ev))
+	s.events.publish(ev)
 	run.finish(state, doc, docJSON, errMsg)
 }
 

@@ -263,7 +263,7 @@ func routeLabel(r *http.Request) string {
 			return "/v1/runs/{id}"
 		}
 		switch rest[i:] {
-		case "/report", "/provenance", "/cancel", "/churn", "/events":
+		case "/report", "/provenance", "/cancel", "/churn":
 			return "/v1/runs/{id}" + rest[i:]
 		}
 		return "/v1/runs/{id}/other"

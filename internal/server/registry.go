@@ -79,12 +79,6 @@ type Run struct {
 	// their base run's allocation through it.
 	//vc2m:guardedby mu
 	alloc *model.Allocation
-	// terminalEv is the run's published terminal lifecycle event, retained
-	// so a late SSE subscriber can replay it after the bus ring evicted it.
-	// It is stored before finish closes done, so Done() observers always
-	// find it.
-	//vc2m:guardedby mu
-	terminalEv *RunEvent
 }
 
 // ID returns the registry key.
@@ -93,22 +87,6 @@ func (r *Run) ID() string { return r.id }
 // TraceContext returns the run's W3C trace context — always valid on a
 // registered run (minted at Add when the submitter carried none).
 func (r *Run) TraceContext() obs.TraceContext { return r.traceCtx }
-
-// setTerminalEvent retains the run's published terminal lifecycle event;
-// call it before finish so Done() observers see it.
-func (r *Run) setTerminalEvent(ev RunEvent) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.terminalEv = &ev
-}
-
-// TerminalEvent returns the retained terminal lifecycle event, or nil
-// while the run has not finished.
-func (r *Run) TerminalEvent() *RunEvent {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.terminalEv
-}
 
 // Done returns a channel closed when the run reaches a terminal state.
 func (r *Run) Done() <-chan struct{} { return r.done }

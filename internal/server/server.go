@@ -29,8 +29,6 @@ type Config struct {
 	RunTimeout time.Duration
 	// RequestTimeout bounds non-streaming HTTP requests (default 30s).
 	RequestTimeout time.Duration
-	// WaitTimeout caps a blocking GET /v1/runs/{id}?wait=1 (default 5m).
-	WaitTimeout time.Duration
 	// Logger receives the server's structured log stream (run lifecycle,
 	// access lines, panics). Nil disables logging at no cost.
 	Logger *obs.Logger
@@ -46,10 +44,18 @@ type Config struct {
 	// (counted in vc2m_events_dropped_total) — publishing never blocks a
 	// worker. Tests shrink it to force drops.
 	EventBuffer int
-	// EventHistory bounds the replay ring serving Last-Event-ID reconnects
-	// (default 512 events).
-	EventHistory int
 }
+
+const (
+	// waitCap bounds one blocking GET /v1/runs/{id}?wait=1. A run still
+	// going at the cap is answered with its current status and the client
+	// polls again, so the cap only has to stay under client.New's default
+	// 5-minute request timeout for a long sweep to be waited out.
+	waitCap = time.Minute
+	// eventHistory is how many events the replay ring keeps for
+	// Last-Event-ID reconnects.
+	eventHistory = 512
+)
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
@@ -60,9 +66,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 30 * time.Second
-	}
-	if c.WaitTimeout <= 0 {
-		c.WaitTimeout = 5 * time.Minute
 	}
 	return c
 }
@@ -119,7 +122,7 @@ func New(cfg Config) *Server {
 		stop:  make(chan struct{}),
 		start: time.Now(), //vc2m:wallclock uptime reference
 	}
-	s.events = newEventBus(s.cfg.EventHistory, s.cfg.EventBuffer)
+	s.events = newEventBus(eventHistory, s.cfg.EventBuffer)
 	s.om = newServerObs(s)
 	s.reg.SetEventBus(s.events)
 	s.handler = s.buildHandler()
@@ -256,10 +259,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 //	GET  /api/metrics              registry/pool gauges (JSON)
 //	POST /v1/runs                  submit a run, sweep or churn
 //	GET  /v1/runs                  list runs
-//	GET  /v1/runs/{id}[?wait=1]    run status (wait=1 blocks until done)
+//	GET  /v1/runs/{id}[?wait=1]    run status (wait=1 blocks until done, up to waitCap)
 //	GET  /v1/runs/{id}/report      the vc2m.report/v1 document
 //	GET  /v1/runs/{id}/provenance  live decision stream (JSONL, chunked)
-//	GET  /v1/runs/{id}/events      the run's lifecycle events (SSE; ends at terminal)
 //	POST /v1/runs/{id}/cancel      cancel a pending/running run
 //	POST /v1/runs/{id}/churn       queue an incremental churn run on {id}
 //	GET  /v1/events                fleet-wide run-lifecycle stream (SSE)
@@ -299,7 +301,6 @@ func (s *Server) buildHandler() http.Handler {
 	root.HandleFunc("GET /v1/runs/{id}", s.handleGet)
 	root.HandleFunc("GET /v1/runs/{id}/report", s.handleReport)
 	root.HandleFunc("GET /v1/runs/{id}/provenance", s.handleProvenance)
-	root.HandleFunc("GET /v1/runs/{id}/events", s.handleRunEvents)
 	root.HandleFunc("GET /v1/events", s.handleEvents)
 	root.HandleFunc("GET /debug/pprof/", pprof.Index)
 	root.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
@@ -429,7 +430,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if r.URL.Query().Get("wait") != "" {
-		wait := time.NewTimer(s.cfg.WaitTimeout)
+		wait := time.NewTimer(waitCap)
 		defer wait.Stop()
 		select {
 		case <-run.Done():

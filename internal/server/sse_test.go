@@ -1,22 +1,24 @@
 package server_test
 
 // SSE and trace-propagation tests over the public surfaces: the run-event
-// lifecycle stream, client Wait's stream-first/poll-fallback behavior
-// (cancellation, server restart with Last-Event-ID resume, non-SSE
-// fallback), end-to-end traceparent adoption including the malformed-header
-// restart semantics, churn trace correlation, and the self-contained
-// dashboard page.
+// lifecycle stream, client Wait's long-poll loop (one request shape,
+// cancellation, riding a server restart, a server whose event stream is
+// unreachable), end-to-end traceparent adoption including the
+// malformed-header restart semantics, churn trace correlation, and the
+// self-contained dashboard page.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -26,6 +28,35 @@ import (
 	"vc2m/internal/obs"
 	"vc2m/internal/server"
 )
+
+// errRunEnded stops runEvents' stream at the run's terminal event.
+var errRunEnded = errors.New("run reached its terminal event")
+
+// runEvents follows one run's lifecycle over the fleet-wide stream: it
+// replays GET /v1/events from sequence 0 (everything the ring retains),
+// hands fn the events of run id in order, and returns nil right after
+// that run's terminal event. A stream that ends first is an error.
+func runEvents(ctx context.Context, c *client.Client, id string, fn func(server.RunEvent) error) error {
+	_, err := c.StreamEvents(ctx, 0, func(ev server.RunEvent) error {
+		if ev.Run != id {
+			return nil
+		}
+		if err := fn(ev); err != nil {
+			return err
+		}
+		if ev.Terminal() {
+			return errRunEnded
+		}
+		return nil
+	})
+	switch {
+	case errors.Is(err, errRunEnded):
+		return nil
+	case err == nil:
+		return fmt.Errorf("event stream ended before run %s's terminal event", id)
+	}
+	return err
+}
 
 func TestRunEventLifecycleSequence(t *testing.T) {
 	_, c := startHTTP(t, server.Config{Workers: 2})
@@ -39,7 +70,7 @@ func TestRunEventLifecycleSequence(t *testing.T) {
 	}
 
 	var events []server.RunEvent
-	if _, err := c.StreamRunEvents(ctx, sub.ID, 0, func(ev server.RunEvent) error {
+	if err := runEvents(ctx, c, sub.ID, func(ev server.RunEvent) error {
 		events = append(events, ev)
 		return nil
 	}); err != nil {
@@ -80,7 +111,7 @@ func TestRunEventLifecycleSequence(t *testing.T) {
 	// A late subscriber replays the retained history and terminates
 	// immediately instead of hanging on a finished run.
 	var replay []server.RunEvent
-	if _, err := c.StreamRunEvents(ctx, sub.ID, 0, func(ev server.RunEvent) error {
+	if err := runEvents(ctx, c, sub.ID, func(ev server.RunEvent) error {
 		replay = append(replay, ev)
 		return nil
 	}); err != nil {
@@ -100,8 +131,8 @@ func TestRunEventLifecycleSequence(t *testing.T) {
 
 func TestWaitCancellation(t *testing.T) {
 	// A constructed-but-never-Started server parks the run in the queue
-	// forever: Wait sits on the SSE stream and must unwind promptly when
-	// the caller cancels, not linger until a keepalive or timeout.
+	// forever: Wait sits in a long poll and must unwind promptly when the
+	// caller cancels, not linger until the server's wait cap.
 	s := server.New(server.Config{Workers: 1})
 	hs := httptest.NewServer(s.Handler())
 	t.Cleanup(hs.Close)
@@ -119,7 +150,7 @@ func TestWaitCancellation(t *testing.T) {
 		errc <- err
 	}()
 
-	time.Sleep(100 * time.Millisecond) // let Wait attach to the stream
+	time.Sleep(100 * time.Millisecond) // let Wait's long poll reach the server
 	cancel()
 	select {
 	case err := <-errc:
@@ -131,43 +162,125 @@ func TestWaitCancellation(t *testing.T) {
 	}
 }
 
-// recordingTransport notes the Last-Event-ID header on every request to an
-// events endpoint, so the restart test can prove the client resumed with a
-// cursor rather than starting over.
+// recordingTransport notes every request it carries as "METHOD
+// path?query", so a test can pin exactly which requests Wait sends.
 type recordingTransport struct {
-	rt http.RoundTripper
-	mu sync.Mutex
-	// lastEventIDs holds the header value (possibly "") per events request.
-	lastEventIDs []string
+	rt   http.RoundTripper
+	mu   sync.Mutex
+	reqs []string
 }
 
 func (rt *recordingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if strings.HasSuffix(req.URL.Path, "/events") {
-		rt.mu.Lock()
-		rt.lastEventIDs = append(rt.lastEventIDs, req.Header.Get("Last-Event-ID"))
-		rt.mu.Unlock()
-	}
+	rt.mu.Lock()
+	rt.reqs = append(rt.reqs, req.Method+" "+req.URL.RequestURI())
+	rt.mu.Unlock()
 	return rt.rt.RoundTrip(req)
 }
 
-func (rt *recordingTransport) resumed() bool {
+// take returns the requests recorded so far and starts a fresh record.
+func (rt *recordingTransport) take() []string {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	for _, id := range rt.lastEventIDs {
-		if id != "" {
-			return true
+	reqs := rt.reqs
+	rt.reqs = nil
+	return reqs
+}
+
+// count reports how many recorded requests equal req.
+func (rt *recordingTransport) count(req string) int {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	n := 0
+	for _, r := range rt.reqs {
+		if r == req {
+			n++
 		}
 	}
-	return false
+	return n
+}
+
+// longPollRequest is the one request Wait may send for run id.
+func longPollRequest(id string) string {
+	return http.MethodGet + " /v1/runs/" + id + "?wait=1"
+}
+
+func TestWaitLongPollsOnly(t *testing.T) {
+	// Wait has one path: the ?wait=1 long poll, never an event stream. The
+	// server is Started only once Wait's first poll is out, so that poll
+	// meets a run that is not done; a second Wait on the finished run, and
+	// one on an unknown run, must each cost exactly one request.
+	s := server.New(server.Config{Workers: 1})
+	hs := httptest.NewServer(s.Handler())
+	t.Cleanup(hs.Close)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		_ = s.Shutdown(ctx)
+	})
+	run, err := s.Submit(submitReq(7, 1100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := longPollRequest(run.ID())
+
+	tr := &recordingTransport{rt: &http.Transport{}}
+	t.Cleanup(tr.rt.(*http.Transport).CloseIdleConnections)
+	c := client.New(hs.URL, &http.Client{Transport: tr})
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+
+	type result struct {
+		st  server.RunStatus
+		err error
+	}
+	resc := make(chan result, 1)
+	go func() {
+		st, err := c.Wait(ctx, run.ID())
+		resc <- result{st, err}
+	}()
+	sentDeadline := time.Now().Add(30 * time.Second) //vc2m:wallclock test pacing only
+	for tr.count(want) == 0 {
+		if time.Now().After(sentDeadline) { //vc2m:wallclock test pacing only
+			t.Fatalf("Wait sent no long poll; requests %q", tr.take())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	s.Start()
+	res := <-resc
+	if res.err != nil || res.st.State != server.StateDone {
+		t.Fatalf("Wait on a pending run: %v, state %+v", res.err, res.st)
+	}
+	reqs := tr.take()
+	for _, r := range reqs {
+		if r != want {
+			t.Fatalf("Wait on a pending run sent %q; want only %q (all requests %q)", r, want, reqs)
+		}
+	}
+
+	st, err := c.Wait(ctx, run.ID())
+	if err != nil || st.State != server.StateDone {
+		t.Fatalf("Wait on a finished run: %v, state %+v", err, st)
+	}
+	if reqs := tr.take(); !slices.Equal(reqs, []string{want}) {
+		t.Fatalf("Wait on a finished run sent %q, want exactly [%q]", reqs, want)
+	}
+
+	// An HTTP error answer ends Wait at once: one request, no retry.
+	if _, err := c.Wait(ctx, "r9999"); err == nil {
+		t.Fatal("Wait on an unknown run returned no error")
+	}
+	if reqs, want := tr.take(), longPollRequest("r9999"); !slices.Equal(reqs, []string{want}) {
+		t.Fatalf("Wait on an unknown run sent %q, want exactly [%q]", reqs, want)
+	}
 }
 
 func TestWaitReconnectAcrossRestart(t *testing.T) {
 	// Server A accepts the run but is never Started, so the run stays
-	// pending while the client's Wait attaches to its event stream. A is
-	// then killed and a fresh server B — deterministic IDs give the same
-	// run the same ID r0001 — binds the same address and completes it.
-	// Wait must ride the restart: reconnect with Last-Event-ID and return
-	// the terminal status from B.
+	// pending while the client's Wait long-polls it. A is then killed and
+	// a fresh server B — deterministic IDs give the same run the same ID
+	// r0001 — binds the same address and completes it. Wait must ride the
+	// restart: poll again after the dropped connection and return the
+	// terminal status from B.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -200,16 +313,13 @@ func TestWaitReconnectAcrossRestart(t *testing.T) {
 		resc <- result{st, err}
 	}()
 
-	// Wait until the client's stream is attached before killing A, so the
-	// reconnect path is genuinely exercised.
+	// Wait until the client's long poll is out before killing A, so the
+	// retry path is genuinely exercised.
+	poll := longPollRequest(runA.ID())
 	subDeadline := time.Now().Add(30 * time.Second) //vc2m:wallclock test pacing only
-	for {
-		m, err := c.Metrics(ctx)
-		if err == nil && m.EventSubscribers > 0 {
-			break
-		}
+	for tr.count(poll) == 0 {
 		if time.Now().After(subDeadline) { //vc2m:wallclock test pacing only
-			t.Fatalf("Wait never subscribed to the event stream (last err %v)", err)
+			t.Fatal("Wait never sent a long poll")
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -240,7 +350,7 @@ func TestWaitReconnectAcrossRestart(t *testing.T) {
 		_ = sB.Shutdown(sctx)
 	})
 	// Submit before serving HTTP so r0001 exists the moment the client
-	// reconnects (a 404 would send Wait down the fallback path instead).
+	// polls again (a 404 would end Wait with an error instead).
 	runB, err := sB.Submit(submitReq(5, 0))
 	if err != nil {
 		t.Fatal(err)
@@ -257,16 +367,19 @@ func TestWaitReconnectAcrossRestart(t *testing.T) {
 		if res.err != nil || res.st.State != server.StateDone {
 			t.Fatalf("Wait across restart: %v, state %+v", res.err, res.st)
 		}
+		if res.st.TraceID != runB.TraceContext().TraceID {
+			t.Errorf("terminal status carries trace %q, want server B's %q", res.st.TraceID, runB.TraceContext().TraceID)
+		}
 	case <-time.After(90 * time.Second):
 		t.Fatal("Wait did not complete after the server restart")
 	}
-	if !tr.resumed() {
-		t.Errorf("no events reconnect carried a Last-Event-ID; requests saw %q", tr.lastEventIDs)
+	if n := tr.count(poll); n < 2 {
+		t.Errorf("Wait sent %d long polls across the restart, want at least 2", n)
 	}
 }
 
-// sseBlockingTransport answers every events request with a plain 404 so
-// the client behaves as if the server predates SSE.
+// sseBlockingTransport answers every events request with a plain 404, as
+// a server without SSE would; Wait never asks for one, so it is unaffected.
 type sseBlockingTransport struct{ rt http.RoundTripper }
 
 func (b sseBlockingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
@@ -396,7 +509,7 @@ func TestChurnPipelinedTraceCorrelation(t *testing.T) {
 	// The replayed stream shows one churn-applied event per churn event,
 	// numbered from 1, each carrying the churn submitter's trace.
 	var applied []server.RunEvent
-	if _, err := c.StreamRunEvents(ctx, churn.ID, 0, func(ev server.RunEvent) error {
+	if err := runEvents(ctx, c, churn.ID, func(ev server.RunEvent) error {
 		if ev.Type == server.EventChurn {
 			applied = append(applied, ev)
 		}
@@ -477,7 +590,7 @@ func TestEventLifecycleLive(t *testing.T) {
 		t.Fatal(err)
 	}
 	var types []string
-	if _, err := c.StreamRunEvents(ctx, sub.ID, 0, func(ev server.RunEvent) error {
+	if err := runEvents(ctx, c, sub.ID, func(ev server.RunEvent) error {
 		if ev.TraceID != tc.TraceID {
 			return fmt.Errorf("event %d trace %q, want %q", ev.Seq, ev.TraceID, tc.TraceID)
 		}
