@@ -6,12 +6,14 @@
 package vc2m_test
 
 import (
+	"context"
 	"testing"
 
 	"vc2m/internal/experiment"
 	"vc2m/internal/interference"
 	"vc2m/internal/membus"
 	"vc2m/internal/model"
+	"vc2m/internal/provenance"
 	"vc2m/internal/timeunit"
 	"vc2m/internal/workload"
 )
@@ -179,6 +181,36 @@ func BenchmarkFig3bBimodalMedium(b *testing.B) {
 // BenchmarkFig3cBimodalHeavy reproduces Figure 3(c): bimodal heavy.
 func BenchmarkFig3cBimodalHeavy(b *testing.B) {
 	benchSched(b, model.PlatformA, workload.BimodalHeavy)
+}
+
+// BenchmarkSweepPaper runs the sweep the allocation server serves for
+// Figure 2(a) at paper scale, in process: Platform A, uniform, util 0.2 to
+// 2.0 in steps of 0.1, 50 tasksets per point, the five paper solutions,
+// two workers and a provenance recorder for the per-case verdicts, as the
+// server's sweep executor configures it. Profiling it shows the allocators'
+// share of a served sweep without the server or the wire.
+func BenchmarkSweepPaper(b *testing.B) {
+	b.ReportAllocs()
+	tasksets := 0
+	for i := 0; i < b.N; i++ {
+		res, err := experiment.RunSchedulability(experiment.SchedConfig{
+			Platform:         model.PlatformA,
+			Dist:             workload.Uniform,
+			UtilMin:          0.2,
+			UtilMax:          2.0,
+			UtilStep:         0.1,
+			TasksetsPerPoint: 50,
+			Seed:             1,
+			Parallel:         2,
+			Provenance:       provenance.New(),
+			Context:          context.Background(),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		tasksets += res.Tasksets
+	}
+	b.ReportMetric(float64(tasksets)/b.Elapsed().Seconds(), "tasksets/s")
 }
 
 // --- Figure 4: analysis running time -------------------------------------

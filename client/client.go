@@ -190,8 +190,10 @@ const (
 // StreamEvents follows the server's fleet-wide run-lifecycle stream
 // (GET /v1/events), invoking fn for every event until the stream ends, fn
 // returns an error, or ctx is canceled. lastEventID resumes after a prior
-// sequence number (0 for the live tail); the highest sequence number seen
-// is returned so callers can reconnect where they left off. The transport
+// sequence number; 0 first replays every event the server still retains
+// (its replay ring holds the last 512), then goes live. The highest
+// sequence number seen is returned so callers can reconnect where they
+// left off. The transport
 // client must not impose an overall timeout shorter than the watch (pass
 // a dedicated http.Client to New for long streams). The sequence number is
 // returned on error too, and the error is nil on a clean stream end.

@@ -1,10 +1,11 @@
 package alloc
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
+	"strings"
 
 	"vc2m/internal/binpack"
 	"vc2m/internal/csa"
@@ -54,19 +55,14 @@ func packExistingVCPUs(vm *model.VM, plat model.Platform, firstIndex int, rec *m
 	for i, t := range vm.Tasks {
 		order[i] = item{t: t, wcet: baselineWCET(t, plat)}
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ua := order[a].wcet / order[a].t.Period
-		ub := order[b].wcet / order[b].t.Period
-		if ua != ub { //vc2m:floateq exact tie-break keeps the sort a strict weak order
-			return ua > ub
-		}
-		return order[a].t.ID < order[b].t.ID
-	})
+	sortDesc(order, func(it item) float64 { return it.wcet / it.t.Period },
+		func(a, b item) int { return strings.Compare(a.t.ID, b.t.ID) })
 
 	// tryPack computes the minimum budget for a candidate task group. Every
-	// trial shares one set of period, WCET and demand buffers; none of them
-	// outlives the trial.
+	// trial shares one set of period, WCET and demand buffers and one
+	// Demand, rebuilt in place; none of them outlives the trial.
 	var periods, wcets, dbf []float64
+	var demand csa.Demand
 	tryPack := func(group []item) (theta, period float64, ok bool) {
 		periods, wcets = periods[:0], wcets[:0]
 		period = math.Inf(1)
@@ -77,8 +73,7 @@ func packExistingVCPUs(vm *model.VM, plat model.Platform, firstIndex int, rec *m
 				period = it.t.Period
 			}
 		}
-		demand, err := csa.NewDemand(periods)
-		if err != nil {
+		if err := demand.Reset(periods); err != nil {
 			return 0, 0, false
 		}
 		cps := demand.Checkpoints()
@@ -135,49 +130,38 @@ func packExistingVCPUs(vm *model.VM, plat model.Platform, firstIndex int, rec *m
 	return out, nil
 }
 
-// packVCPUsToCores places VCPUs onto at most m cores with best-fit
-// decreasing on bandwidth under the (cache, bw) allocation every core will
-// receive, delegating the packing itself to binpack.PackDecreasing (VCPUs
-// arrive in index order, so binpack's original-index tie-break matches the
-// VCPU-index tie-break used before the delegation). It returns the
-// per-core VCPU lists, or nil if some VCPU fits on no core; per-VCPU
-// placements and misfits are recorded on prov (nil-safe).
-func packVCPUsToCores(vcpus []*model.VCPU, m, cache, bw int, prov *provenance.Recorder) [][]*model.VCPU {
-	sizes := make([]float64, len(vcpus))
-	for i, v := range vcpus {
-		sizes[i] = v.Bandwidth(cache, bw)
-	}
+// packToCores places VCPUs onto at most m cores with best-fit decreasing
+// on bandwidth under the (cache, bw) allocation every core will receive:
+// sizes[i] is the bandwidth of VCPU i, whose Index is i in both callers,
+// so binpack.PackDecreasing's original-index tie-break is the VCPU-index
+// tie-break. It returns each core's VCPU indices in decreasing bandwidth,
+// index tie-break (downstream output is ordered by it), or nil if some
+// VCPU fits on no core; per-VCPU placements and misfits are recorded on
+// prov (nil-safe) under the names id gives.
+func packToCores(sizes []float64, id func(i int) string, m, cache, bw int, prov *provenance.Recorder) [][]int {
 	res := binpack.PackDecreasing(sizes, m, 1)
 	if prov.Enabled() {
-		recordBinpack(prov, res, vcpus, sizes, m, cache, bw)
+		recordBinpack(prov, res, id, sizes, m, cache, bw)
 	}
 	if !res.OK {
 		return nil
 	}
-	cores := make([][]*model.VCPU, m)
-	for i, v := range vcpus {
-		cores[res.Assign[i]] = append(cores[res.Assign[i]], v)
+	cores := make([][]int, m)
+	for i, c := range res.Assign {
+		cores[c] = append(cores[c], i)
 	}
-	// Restore the pre-delegation within-core order (decreasing bandwidth,
-	// index tie-break): downstream output is ordered by it.
-	for _, vs := range cores {
-		sort.SliceStable(vs, func(a, b int) bool {
-			ba, bb := vs[a].Bandwidth(cache, bw), vs[b].Bandwidth(cache, bw)
-			if ba != bb { //vc2m:floateq exact tie-break keeps the sort a strict weak order
-				return ba > bb
-			}
-			return vs[a].Index < vs[b].Index
-		})
+	for _, is := range cores {
+		sortDesc(is, func(i int) float64 { return sizes[i] }, cmp.Compare[int])
 	}
 	return cores
 }
 
 // recordBinpack emits one place decision per packed VCPU.
-func recordBinpack(prov *provenance.Recorder, res binpack.Result, vcpus []*model.VCPU, sizes []float64, m, cache, bw int) {
-	for i, v := range vcpus {
+func recordBinpack(prov *provenance.Recorder, res binpack.Result, id func(i int) string, sizes []float64, m, cache, bw int) {
+	for i, size := range sizes {
 		d := provenance.Decision{
 			Stage: provenance.StageBinpack, Kind: provenance.KindPlace,
-			Subject: v.ID, Cache: cache, BW: bw, Value: sizes[i],
+			Subject: id(i), Cache: cache, BW: bw, Value: size,
 		}
 		if res.Assign[i] >= 0 {
 			d.Target = coreName(res.Assign[i])
@@ -231,6 +215,8 @@ func baselineAllocate(sys *model.System, plat model.Platform, rec *metrics.Recor
 		vcpus = append(vcpus, packed...)
 	}
 	rec.Add(MetricVCPUsBuilt, int64(len(vcpus)))
+	sizes := make([]float64, len(vcpus))
+	vcpuID := func(i int) string { return vcpus[i].ID }
 	for m := 1; m <= plat.M; m++ {
 		rec.Inc(MetricMTried)
 		cache := evenSplit(plat.C, m, plat.C)
@@ -238,7 +224,10 @@ func baselineAllocate(sys *model.System, plat model.Platform, rec *metrics.Recor
 		if cache < plat.Cmin || bw < plat.Bmin {
 			break
 		}
-		cores := packVCPUsToCores(vcpus, m, cache, bw, prov)
+		for i, v := range vcpus {
+			sizes[i] = v.Bandwidth(cache, bw)
+		}
+		cores := packToCores(sizes, vcpuID, m, cache, bw, prov)
 		if cores == nil {
 			continue
 		}
@@ -250,7 +239,7 @@ func baselineAllocate(sys *model.System, plat model.Platform, rec *metrics.Recor
 				Reason: fmt.Sprintf("%d baseline VCPUs packed onto %d cores under an even partition split", len(vcpus), m),
 			})
 		}
-		return coresToAllocation(cores, plat, cache, bw), nil
+		return coresToAllocation(cores, vcpus, plat, cache, bw), nil
 	}
 	re := &RejectionError{
 		Stage: provenance.StageBaseline,
@@ -277,9 +266,14 @@ func baselineAllocate(sys *model.System, plat model.Platform, rec *metrics.Recor
 // structural counters are recorded. Failed core counts are classified per
 // resource: a task too heavy for one VCPU under the even split may be
 // curable by partitions the split withholds (cache/BW-starved) or heavy
-// under even the full allocation (CPU-bound).
+// under even the full allocation (CPU-bound). Each core count is packed
+// with the VCPUs' bandwidths at its even split alone; the VCPUs' budget
+// tables are built only for the core count that is accepted.
 func evenlyPartitionAllocate(sys *model.System, plat model.Platform, rec *metrics.Recorder, prov *provenance.Recorder) (*model.Allocation, error) {
 	var cpuN, cacheN, bwN int
+	var groups [][]*model.Task // VCPU i's tasks at the current m
+	var sizes []float64        // VCPU i's bandwidth at the current split
+	vcpuID := func(i int) string { return csa.WellRegulatedID(groups[i][0].VM, i) }
 	for m := 1; m <= plat.M; m++ {
 		rec.Inc(MetricMTried)
 		cache := evenSplit(plat.C, m, plat.C)
@@ -287,14 +281,11 @@ func evenlyPartitionAllocate(sys *model.System, plat model.Platform, rec *metric
 		if cache < plat.Cmin || bw < plat.Bmin {
 			break
 		}
-		var vcpus []*model.VCPU
+		groups, sizes = groups[:0], sizes[:0]
 		feasible := true
 		for _, vm := range sys.VMs {
-			packed, offending, err := packOverheadFreeVCPUs(vm, plat, cache, bw, len(vcpus))
-			if err != nil {
-				return nil, err
-			}
-			if packed == nil {
+			bins, offending := packOverheadFreeTasks(vm, cache, bw)
+			if bins == nil {
 				feasible = false
 				cause := evenSplitFailCause(offending, plat, cache, bw)
 				if cause.cpu {
@@ -317,15 +308,30 @@ func evenlyPartitionAllocate(sys *model.System, plat model.Platform, rec *metric
 				}
 				break
 			}
-			vcpus = append(vcpus, packed...)
+			for _, group := range bins {
+				size, err := csa.WellRegulatedBandwidth(group, cache, bw)
+				if err != nil {
+					return nil, err
+				}
+				groups = append(groups, group)
+				sizes = append(sizes, size)
+			}
 		}
 		if !feasible {
 			continue
 		}
-		cores := packVCPUsToCores(vcpus, m, cache, bw, prov)
+		cores := packToCores(sizes, vcpuID, m, cache, bw, prov)
 		if cores == nil {
 			cpuN++
 			continue
+		}
+		vcpus := make([]*model.VCPU, len(groups))
+		for i, group := range groups {
+			v, err := csa.WellRegulatedVCPU(group, i)
+			if err != nil {
+				return nil, err
+			}
+			vcpus[i] = v
 		}
 		rec.Add(MetricVCPUsBuilt, int64(len(vcpus)))
 		if prov.Enabled() {
@@ -336,7 +342,7 @@ func evenlyPartitionAllocate(sys *model.System, plat model.Platform, rec *metric
 				Reason: fmt.Sprintf("%d well-regulated VCPUs packed onto %d cores under an even partition split", len(vcpus), m),
 			})
 		}
-		return coresToAllocation(cores, plat, cache, bw), nil
+		return coresToAllocation(cores, vcpus, plat, cache, bw), nil
 	}
 	re := &RejectionError{
 		Stage:    provenance.StageBaseline,
@@ -371,27 +377,22 @@ func evenSplitFailCause(t *model.Task, plat model.Platform, cache, bw int) failC
 	return f
 }
 
-// packOverheadFreeVCPUs packs one VM's tasks onto well-regulated VCPUs
-// with best-fit decreasing on the tasks' utilization under the (cache, bw)
-// allocation, opening a new VCPU whenever a task fits nowhere (a VCPU is
-// feasible while its taskset utilization is at most 1, by Theorem 2). It
-// returns (nil, task, nil) when some task alone exceeds a full VCPU,
-// naming the offender, and an error for non-harmonic tasksets.
-func packOverheadFreeVCPUs(vm *model.VM, plat model.Platform, cache, bw, firstIndex int) ([]*model.VCPU, *model.Task, error) {
+// packOverheadFreeTasks packs one VM's tasks into the task groups of
+// well-regulated VCPUs with best-fit decreasing on the tasks' utilization
+// under the (cache, bw) allocation, opening a new group whenever a task
+// fits nowhere (a VCPU is feasible while its taskset utilization is at
+// most 1, by Theorem 2). It returns (nil, task) when some task alone
+// exceeds a full VCPU, naming the offender.
+func packOverheadFreeTasks(vm *model.VM, cache, bw int) ([][]*model.Task, *model.Task) {
 	order := append([]*model.Task(nil), vm.Tasks...)
-	sort.SliceStable(order, func(a, b int) bool {
-		ua, ub := order[a].Util(cache, bw), order[b].Util(cache, bw)
-		if ua != ub { //vc2m:floateq exact tie-break keeps the sort a strict weak order
-			return ua > ub
-		}
-		return order[a].ID < order[b].ID
-	})
+	sortDesc(order, func(t *model.Task) float64 { return t.Util(cache, bw) },
+		func(a, b *model.Task) int { return strings.Compare(a.ID, b.ID) })
 	var bins [][]*model.Task
 	var loads []float64
 	for _, t := range order {
 		u := t.Util(cache, bw)
 		if u > 1+schedEps {
-			return nil, t, nil
+			return nil, t
 		}
 		best := -1
 		for i, load := range loads {
@@ -410,25 +411,20 @@ func packOverheadFreeVCPUs(vm *model.VM, plat model.Platform, cache, bw, firstIn
 		bins[best] = append(bins[best], t)
 		loads[best] += u
 	}
-	out := make([]*model.VCPU, len(bins))
-	for i, group := range bins {
-		v, err := csa.WellRegulatedVCPU(group, firstIndex+i)
-		if err != nil {
-			return nil, nil, err
-		}
-		out[i] = v
-	}
-	return out, nil, nil
+	return bins, nil
 }
 
-// coresToAllocation freezes per-core VCPU lists with a uniform partition
-// split into a model.Allocation.
-func coresToAllocation(cores [][]*model.VCPU, plat model.Platform, cache, bw int) *model.Allocation {
+// coresToAllocation freezes per-core lists of indices into vcpus with a
+// uniform partition split into a model.Allocation.
+func coresToAllocation(cores [][]int, vcpus []*model.VCPU, plat model.Platform, cache, bw int) *model.Allocation {
 	out := &model.Allocation{Platform: plat, Schedulable: true}
-	for i, vs := range cores {
+	for i, is := range cores {
+		var vs []*model.VCPU // nil for an empty core
+		for _, vi := range is {
+			vs = append(vs, vcpus[vi])
+		}
 		out.Cores = append(out.Cores, &model.CoreAlloc{
-			Core: i, Cache: cache, BW: bw,
-			VCPUs: append([]*model.VCPU(nil), vs...),
+			Core: i, Cache: cache, BW: bw, VCPUs: vs,
 		})
 	}
 	return out

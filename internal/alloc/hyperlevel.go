@@ -1,10 +1,11 @@
 package alloc
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 
 	"vc2m/internal/csa"
@@ -153,11 +154,24 @@ func (cs *coreState) grant(isCache bool) {
 	cs.memoUtil, cs.memoValid = u, true
 }
 
-// utilAt evaluates the core's bandwidth under a hypothetical allocation.
+// utilAt evaluates the core's bandwidth under a hypothetical allocation:
+// the in-order sum of every hosted VCPU's Bandwidth(cache, bw). The cell's
+// offset is computed once, from the first VCPU's budget table, and read
+// from every table of that shape; a table of another shape goes through
+// Bandwidth, so it adds the same value or panics the same way.
 func (cs *coreState) utilAt(cache, bw int) float64 {
+	if len(cs.vcpus) == 0 {
+		return 0
+	}
+	first := cs.vcpus[0].Budget
+	off := first.Offset(cache, bw)
 	var u float64
 	for _, v := range cs.vcpus {
-		u += v.Bandwidth(cache, bw)
+		if v.Budget.SameShape(first) {
+			u += v.Budget.AtOffset(off) / v.Period
+		} else {
+			u += v.Bandwidth(cache, bw)
+		}
 	}
 	return u
 }
@@ -226,13 +240,7 @@ func HyperLevel(vcpus []*model.VCPU, plat model.Platform, cfg HyperConfig, rng *
 	}
 	// Within each cluster, sort by decreasing reference utilization once.
 	for _, g := range groups {
-		sort.SliceStable(g, func(a, b int) bool {
-			ua, ub := g[a].RefBandwidth(), g[b].RefBandwidth()
-			if ua != ub { //vc2m:floateq exact tie-break keeps the sort a strict weak order
-				return ua > ub
-			}
-			return g[a].Index < g[b].Index
-		})
+		sortDesc(g, (*model.VCPU).RefBandwidth, func(a, b *model.VCPU) int { return cmp.Compare(a.Index, b.Index) })
 	}
 
 	var scratch packScratch
@@ -553,12 +561,12 @@ func gain(old, new_ float64) float64 {
 // migration. It reports whether at least one migration happened.
 func balancePhase3(cores []*coreState, rec *metrics.Recorder, prov *provenance.Recorder) bool {
 	var migrations int64
-	var order []int // reused by every pickMigration call in this pass
+	var dsts []*coreState // reused by every pickMigration call in this pass
 	for si, src := range cores {
 		for !schedulable(src.util()) {
 			var vi int
 			var dst *coreState
-			vi, dst, order = pickMigration(cores, src, order)
+			vi, dst, dsts = pickMigration(cores, src, dsts)
 			if vi < 0 {
 				break // nowhere to move anything
 			}
@@ -647,34 +655,67 @@ func coreIndexOf(cores []*coreState, cs *coreState) int {
 // the largest-bandwidth VCPU on src, placed onto the schedulable core
 // whose post-migration utilization is smallest. It returns (-1, nil) when
 // no schedulable destination can accept any VCPU while staying
-// schedulable. The scratch slice is reused for the candidate ordering and
-// returned so the caller can thread it through repeated calls.
-func pickMigration(cores []*coreState, src *coreState, scratch []int) (int, *coreState, []int) {
-	order := scratch[:0]
-	for i := range src.vcpus {
-		order = append(order, i)
+// schedulable. The VCPU is the first, in decreasing reference bandwidth
+// with equal bandwidths in src order (the order a stable sort gives), that
+// has a destination. Most calls move nothing — often no other core is
+// schedulable at all — so rather than sort the candidates and try them in
+// turn, one pass in src order keeps the largest-bandwidth VCPU that has a
+// destination, replacing it only on a strictly larger bandwidth; for
+// bandwidths without NaN that is the same VCPU. The destination scratch
+// slice is returned so the caller can thread it through repeated calls.
+func pickMigration(cores []*coreState, src *coreState, scratch []*coreState) (int, *coreState, []*coreState) {
+	dsts := scratch[:0]
+	for _, dst := range cores {
+		if dst != src && schedulable(dst.util()) {
+			dsts = append(dsts, dst)
+		}
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return src.vcpus[order[a]].RefBandwidth() > src.vcpus[order[b]].RefBandwidth()
-	})
-	for _, vi := range order {
-		v := src.vcpus[vi]
+	if len(dsts) == 0 {
+		return -1, nil, dsts
+	}
+	pick, pickRef := -1, 0.0
+	var pickDst *coreState
+	for vi, v := range src.vcpus {
 		var best *coreState
 		bestUtil := math.Inf(1)
-		for _, dst := range cores {
-			if dst == src || !schedulable(dst.util()) {
-				continue
-			}
+		for _, dst := range dsts {
 			after := dst.util() + v.Bandwidth(dst.cache, dst.bw)
 			if schedulable(after) && after < bestUtil {
 				best, bestUtil = dst, after
 			}
 		}
-		if best != nil {
-			return vi, best, order
+		if best == nil {
+			continue
+		}
+		if ref := v.RefBandwidth(); pick < 0 || ref > pickRef {
+			pick, pickDst, pickRef = vi, best, ref
 		}
 	}
-	return -1, nil, order
+	return pick, pickDst, dsts
+}
+
+// sortDesc stable-sorts items by decreasing key, breaking exact key ties
+// with tie (negative puts a first). Each key is computed once, where
+// sort.SliceStable with the equivalent less function recomputes both keys
+// on every compare; for keys without NaN the order is the same.
+func sortDesc[T any](items []T, key func(T) float64, tie func(a, b T) int) {
+	type keyed struct {
+		key  float64
+		item T
+	}
+	ks := make([]keyed, len(items))
+	for i, it := range items {
+		ks[i] = keyed{key(it), it}
+	}
+	slices.SortStableFunc(ks, func(a, b keyed) int {
+		if c := cmp.Compare(b.key, a.key); c != 0 {
+			return c
+		}
+		return tie(a.item, b.item)
+	})
+	for i, k := range ks {
+		items[i] = k.item
+	}
 }
 
 // totalOverload sums each core's utilization excess over 1, the progress

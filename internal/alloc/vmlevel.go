@@ -13,6 +13,7 @@
 package alloc
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -186,13 +187,7 @@ func clusterPackVM(vm *model.VM, plat model.Platform, cfg VMLevelConfig, firstIn
 	for c, idxs := range groups {
 		// Sort cluster tasks by decreasing reference utilization
 		// (deterministic tie-break by index).
-		sort.SliceStable(idxs, func(a, b int) bool {
-			ua, ub := tasks[idxs[a]].RefUtil(), tasks[idxs[b]].RefUtil()
-			if ua != ub { //vc2m:floateq exact tie-break keeps the sort a strict weak order
-				return ua > ub
-			}
-			return idxs[a] < idxs[b]
-		})
+		sortDesc(idxs, func(i int) float64 { return tasks[i].RefUtil() }, cmp.Compare[int])
 		bins := make([][]*model.Task, counts[c])
 		loads := make([]float64, counts[c])
 		for _, ti := range idxs {

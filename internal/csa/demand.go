@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"vc2m/internal/model"
@@ -66,45 +67,34 @@ func (d *Demand) foldWCETs(wcets []float64) []float64 {
 // microsecond ticks and taking the LCM; ErrHyperperiodTooLarge is returned
 // if that produces more than maxCheckpoints checkpoints.
 func NewDemand(periods []float64) (*Demand, error) {
+	d := new(Demand)
+	if err := d.Reset(periods); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// Reset rebuilds d in place for a new period vector, exactly as NewDemand
+// builds it, reusing d's buffers: a packer that prices many candidate task
+// groups (Baseline's best-fit trials) keeps one Demand instead of
+// allocating a fresh one per trial. d keeps periods (for its length only)
+// until the next Reset. After an error, d must not be evaluated until a
+// later Reset succeeds.
+func (d *Demand) Reset(periods []float64) error {
 	if len(periods) == 0 {
-		return nil, errors.New("csa: NewDemand with no tasks")
+		return errors.New("csa: NewDemand with no tasks")
 	}
 	for _, p := range periods {
 		if p <= 0 {
-			return nil, fmt.Errorf("csa: non-positive period %v", p)
+			return fmt.Errorf("csa: non-positive period %v", p)
 		}
 	}
-
-	hyper, err := hyperperiod(periods)
-	if err != nil {
-		return nil, err
-	}
-
-	// Collect distinct checkpoints: every multiple of every period up to
-	// the hyperperiod.
-	set := map[float64]bool{}
-	total := 0
-	for _, p := range periods {
-		n := int(math.Floor(hyper/p + 1e-9))
-		total += n
-		if total > maxCheckpoints {
-			return nil, ErrHyperperiodTooLarge
-		}
-		for k := 1; k <= n; k++ {
-			set[float64(k)*p] = true
-		}
-	}
-	cps := make([]float64, 0, len(set))
-	for t := range set { //vc2m:ordered checkpoints are sorted below
-		cps = append(cps, t)
-	}
-	sort.Float64s(cps)
 
 	// Group tasks by distinct period (exact equality: tasks drawn from the
 	// same ladder share bit-identical periods, and distinct values must
 	// stay distinct).
-	var uniq []float64
-	groupOf := make([]int, len(periods))
+	uniq := d.uniq[:0]
+	groupOf := slices.Grow(d.groupOf[:0], len(periods))[:len(periods)]
 	for i, p := range periods {
 		j := 0
 		for ; j < len(uniq); j++ {
@@ -117,22 +107,50 @@ func NewDemand(periods []float64) (*Demand, error) {
 		}
 		groupOf[i] = j
 	}
+	d.periods, d.uniq, d.groupOf = periods, uniq, groupOf
 
-	counts := make([]float64, len(cps)*len(uniq))
+	// Equal periods have equal LCMs and harmonic relations, so the distinct
+	// ones decide the hyperperiod.
+	hyper, err := hyperperiod(uniq)
+	if err != nil {
+		return err
+	}
+
+	// The checkpoint budget counts every task's multiples, duplicates
+	// included, as the analysis always has.
+	total := 0
+	for _, p := range periods {
+		total += int(math.Floor(hyper/p + 1e-9))
+		if total > maxCheckpoints {
+			return ErrHyperperiodTooLarge
+		}
+	}
+	// Distinct checkpoints: every multiple of every distinct period up to
+	// the hyperperiod, sorted with equal neighbours dropped. The multiples
+	// are positive, so no NaN or signed zero makes == disagree with
+	// distinctness.
+	cps := d.checkpoints[:0]
+	for _, p := range uniq {
+		n := int(math.Floor(hyper/p + 1e-9))
+		for k := 1; k <= n; k++ {
+			cps = append(cps, float64(k)*p)
+		}
+	}
+	slices.Sort(cps)
+	cps = slices.Compact(cps)
+	d.checkpoints = cps
+
+	g := len(uniq)
+	counts := slices.Grow(d.counts[:0], len(cps)*g)[:len(cps)*g]
 	for k, t := range cps {
-		row := counts[k*len(uniq) : (k+1)*len(uniq)]
+		row := counts[k*g : (k+1)*g]
 		for j, p := range uniq {
 			row[j] = math.Floor(t/p + 1e-9)
 		}
 	}
-	return &Demand{
-		periods:     periods,
-		uniq:        uniq,
-		groupOf:     groupOf,
-		checkpoints: cps,
-		counts:      counts,
-		groupSums:   make([]float64, len(uniq)),
-	}, nil
+	d.counts = counts
+	d.groupSums = slices.Grow(d.groupSums[:0], g)[:g]
+	return nil
 }
 
 // hyperperiod returns the LCM of the periods. Harmonic periods (each pair

@@ -7,16 +7,16 @@ import (
 )
 
 func TestSBFZeroCases(t *testing.T) {
-	if SBF(10, 0, 100) != 0 {
+	if math.Float64bits(SBF(10, 0, 100)) != 0 {
 		t.Error("zero budget should supply nothing")
 	}
-	if SBF(10, 5, 0) != 0 {
+	if math.Float64bits(SBF(10, 5, 0)) != 0 {
 		t.Error("zero interval should supply nothing")
 	}
-	if SBF(10, 5, -3) != 0 {
+	if math.Float64bits(SBF(10, 5, -3)) != 0 {
 		t.Error("negative interval should supply nothing")
 	}
-	if SBF(10, 5, 5) != 0 {
+	if math.Float64bits(SBF(10, 5, 5)) != 0 {
 		t.Error("interval inside blackout should supply nothing")
 	}
 }

@@ -231,3 +231,47 @@ func TestWellRegulatedVCPUAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestWellRegulatedBandwidthMatchesVCPU pins the one-cell price
+// Evenly-partition packs with to the VCPU it stands for: at every (c, b),
+// bit for bit, WellRegulatedBandwidth equals WellRegulatedVCPU's
+// Bandwidth, over random harmonic task sets whose scale factors are not
+// powers of two; and both return the same errors.
+func TestWellRegulatedBandwidthMatchesVCPU(t *testing.T) {
+	rng := rngutil.New(25)
+	for _, p := range []model.Platform{model.PlatformA, model.PlatformB, model.PlatformC} {
+		for trial := 0; trial < 100; trial++ {
+			tasks := randomHarmonicTasks(rng, p)
+			v, err := WellRegulatedVCPU(tasks, trial)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for c := p.Cmin; c <= p.C; c++ {
+				for b := p.Bmin; b <= p.B; b++ {
+					got, err := WellRegulatedBandwidth(tasks, c, b)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := v.Bandwidth(c, b); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("platform %s, trial %d, %d tasks: bandwidth(%d,%d) = %v, VCPU's %v",
+							p.Name, trial, len(tasks), c, b, got, want)
+					}
+				}
+			}
+			if id := WellRegulatedID(tasks[0].VM, trial); id != v.ID {
+				t.Fatalf("WellRegulatedID = %q, VCPU ID %q", id, v.ID)
+			}
+		}
+	}
+	p := model.PlatformA
+	for _, tasks := range [][]*model.Task{
+		nil,
+		{model.SimpleTask("a", p, 100, 1), model.SimpleTask("b", p, 150, 1)},
+	} {
+		_, errV := WellRegulatedVCPU(tasks, 0)
+		_, errB := WellRegulatedBandwidth(tasks, p.C, p.B)
+		if errV == nil || fmt.Sprint(errB) != fmt.Sprint(errV) {
+			t.Errorf("%d tasks: WellRegulatedBandwidth error %v, WellRegulatedVCPU %v", len(tasks), errB, errV)
+		}
+	}
+}

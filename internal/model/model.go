@@ -132,6 +132,22 @@ func (t *ResourceTable) index(c, b int) int {
 // At returns the value at (c, b). It panics if (c, b) is out of range.
 func (t *ResourceTable) At(c, b int) float64 { return t.vals[t.index(c, b)] }
 
+// Offset returns where (c, b) sits in the table's storage, so that a loop
+// reading one cell of many tables of the same shape (SameShape) computes
+// the position once and reads each table with AtOffset. It panics if
+// (c, b) is out of range, as At does.
+func (t *ResourceTable) Offset(c, b int) int { return t.index(c, b) }
+
+// AtOffset returns the entry at an offset that Offset returned for this
+// table or one of the same shape: At at that offset's (c, b).
+func (t *ResourceTable) AtOffset(i int) float64 { return t.vals[i] }
+
+// SameShape reports whether t and o cover the same (c, b) ranges, so that
+// an Offset of one addresses the same cell of the other.
+func (t *ResourceTable) SameShape(o *ResourceTable) bool {
+	return t.cmin == o.cmin && t.bmin == o.bmin && t.nc == o.nc && t.nb == o.nb
+}
+
 // Set stores v at (c, b). It panics if (c, b) is out of range.
 func (t *ResourceTable) Set(c, b int, v float64) { t.vals[t.index(c, b)] = v }
 
@@ -170,7 +186,7 @@ func (t *ResourceTable) Scale(f float64) *ResourceTable {
 // bounds; AddTable panics otherwise. Allocation code sums scaled tables
 // with AddScaled; AddTable after Clone().Scale(f) is its reference.
 func (t *ResourceTable) AddTable(other *ResourceTable) {
-	if t.cmin != other.cmin || t.bmin != other.bmin || t.nc != other.nc || t.nb != other.nb {
+	if !t.SameShape(other) {
 		panic("model: AddTable with mismatched bounds")
 	}
 	for i := range t.vals {
@@ -182,7 +198,7 @@ func (t *ResourceTable) AddTable(other *ResourceTable) {
 // roundings as t.AddTable(other.Clone().Scale(f)) but no temporary table.
 // Both tables must have identical bounds; AddScaled panics otherwise.
 func (t *ResourceTable) AddScaled(other *ResourceTable, f float64) {
-	if t.cmin != other.cmin || t.bmin != other.bmin || t.nc != other.nc || t.nb != other.nb {
+	if !t.SameShape(other) {
 		panic("model: AddScaled with mismatched bounds")
 	}
 	for i := range t.vals {

@@ -484,3 +484,37 @@ func TestResourceTableFillPropertyMonotone(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestOffsetAddressesSameCell: Offset computed on one table reads, through
+// AtOffset, exactly what At reads on every table of the same shape, and
+// panics out of range as At does; SameShape tells shapes apart.
+func TestOffsetAddressesSameCell(t *testing.T) {
+	a := NewResourceTable(1, 4, 2, 5)
+	b := NewResourceTable(1, 4, 2, 5)
+	a.Fill(func(c, bw int) float64 { return float64(10*c + bw) })
+	b.Fill(func(c, bw int) float64 { return 1 / float64(c+bw) })
+	for c := 1; c <= 4; c++ {
+		for bw := 2; bw <= 5; bw++ {
+			off := a.Offset(c, bw)
+			for _, tb := range []*ResourceTable{a, b} {
+				if math.Float64bits(tb.AtOffset(off)) != math.Float64bits(tb.At(c, bw)) {
+					t.Fatalf("AtOffset(Offset(%d, %d)) = %v, At %v", c, bw, tb.AtOffset(off), tb.At(c, bw))
+				}
+			}
+		}
+	}
+	if !a.SameShape(b) || !a.SameShape(a.Clone()) {
+		t.Error("tables of one range reported as different shapes")
+	}
+	for _, o := range []*ResourceTable{NewResourceTable(1, 4, 2, 6), NewResourceTable(0, 3, 2, 5), NewResourceTable(1, 4, 1, 5)} {
+		if a.SameShape(o) {
+			t.Errorf("SameShape(%v) = true", o)
+		}
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(r.(string), "out of range") {
+			t.Errorf("Offset(5, 2) panicked with %v, want At's out-of-range panic", r)
+		}
+	}()
+	a.Offset(5, 2)
+}

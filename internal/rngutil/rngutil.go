@@ -11,13 +11,27 @@ import (
 
 // RNG is a deterministic random source. The zero value is not usable; call
 // New.
+//
+// An RNG seeds its math/rand source on the first draw, so one that is never
+// drawn from (the sweep builds one per solution per taskset, and Baseline
+// and Evenly-partition never draw) costs no 607-word seeding. The stream is
+// that of rand.New(rand.NewSource(seed)), draw for draw.
 type RNG struct {
-	r *rand.Rand
+	seed int64
+	r    *rand.Rand // nil until the first draw
 }
 
 // New returns an RNG seeded with seed.
 func New(seed int64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(seed))}
+	return &RNG{seed: seed}
+}
+
+// src returns the seeded source, seeding it on first use.
+func (g *RNG) src() *rand.Rand {
+	if g.r == nil {
+		g.r = rand.New(rand.NewSource(g.seed))
+	}
+	return g.r
 }
 
 // Uniform returns a sample from the uniform distribution on [lo, hi).
@@ -29,7 +43,7 @@ func (g *RNG) Uniform(lo, hi float64) float64 {
 	if hi == lo { //vc2m:floateq exact empty-interval guard
 		return lo
 	}
-	return lo + g.r.Float64()*(hi-lo)
+	return lo + g.src().Float64()*(hi-lo)
 }
 
 // Bimodal returns a sample drawn uniformly from [lo1, hi1) with probability
@@ -37,7 +51,7 @@ func (g *RNG) Uniform(lo, hi float64) float64 {
 // experiments use it for the bimodal light/medium/heavy utilization
 // distributions.
 func (g *RNG) Bimodal(lo1, hi1, lo2, hi2, pLight float64) float64 {
-	if g.r.Float64() < pLight {
+	if g.src().Float64() < pLight {
 		return g.Uniform(lo1, hi1)
 	}
 	return g.Uniform(lo2, hi2)
@@ -45,22 +59,22 @@ func (g *RNG) Bimodal(lo1, hi1, lo2, hi2, pLight float64) float64 {
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 func (g *RNG) Intn(n int) int {
-	return g.r.Intn(n)
+	return g.src().Intn(n)
 }
 
 // Int63 returns a non-negative pseudo-random int64.
 func (g *RNG) Int63() int64 {
-	return g.r.Int63()
+	return g.src().Int63()
 }
 
 // Float64 returns a sample from [0, 1).
 func (g *RNG) Float64() float64 {
-	return g.r.Float64()
+	return g.src().Float64()
 }
 
 // Perm returns a pseudo-random permutation of [0, n).
 func (g *RNG) Perm(n int) []int {
-	return g.r.Perm(n)
+	return g.src().Perm(n)
 }
 
 // Choice returns a uniformly chosen index weighted by the given
@@ -79,7 +93,7 @@ func (g *RNG) Choice(weights []float64) int {
 	if total <= 0 {
 		return g.Intn(len(weights))
 	}
-	x := g.r.Float64() * total
+	x := g.src().Float64() * total
 	for i, w := range weights {
 		if w <= 0 {
 			continue
@@ -94,12 +108,12 @@ func (g *RNG) Choice(weights []float64) int {
 
 // Shuffle permutes the first n elements using swap, like rand.Shuffle.
 func (g *RNG) Shuffle(n int, swap func(i, j int)) {
-	g.r.Shuffle(n, swap)
+	g.src().Shuffle(n, swap)
 }
 
 // Split derives a child RNG whose stream is independent of subsequent draws
 // from g. Experiments use it to give each taskset its own stream so that
 // adding a solution does not perturb workload generation.
 func (g *RNG) Split() *RNG {
-	return New(g.r.Int63())
+	return New(g.src().Int63())
 }

@@ -1,13 +1,19 @@
 package rngutil
 
 import (
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 )
+
+// sameFloat reports whether x and y are the same float64, bit for bit.
+func sameFloat(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 
 func TestDeterminism(t *testing.T) {
 	a, b := New(42), New(42)
 	for i := 0; i < 100; i++ {
-		if a.Float64() != b.Float64() {
+		if !sameFloat(a.Float64(), b.Float64()) {
 			t.Fatalf("same seed diverged at draw %d", i)
 		}
 	}
@@ -17,7 +23,7 @@ func TestDifferentSeedsDiverge(t *testing.T) {
 	a, b := New(1), New(2)
 	same := true
 	for i := 0; i < 10; i++ {
-		if a.Float64() != b.Float64() {
+		if !sameFloat(a.Float64(), b.Float64()) {
 			same = false
 		}
 	}
@@ -38,7 +44,7 @@ func TestUniformRange(t *testing.T) {
 
 func TestUniformDegenerate(t *testing.T) {
 	g := New(7)
-	if x := g.Uniform(3, 3); x != 3 {
+	if x := g.Uniform(3, 3); !sameFloat(x, 3) {
 		t.Errorf("Uniform(3,3) = %v, want 3", x)
 	}
 }
@@ -142,7 +148,7 @@ func TestSplitIndependence(t *testing.T) {
 	seq2 := []float64{child2.Float64(), child2.Float64()}
 
 	for i := range seq1 {
-		if seq1[i] != seq2[i] {
+		if !sameFloat(seq1[i], seq2[i]) {
 			t.Fatalf("child stream perturbed by parent draws at %d", i)
 		}
 	}
@@ -167,5 +173,93 @@ func TestIntn(t *testing.T) {
 		if v := g.Intn(13); v < 0 || v >= 13 {
 			t.Fatalf("Intn(13) = %d out of range", v)
 		}
+	}
+}
+
+// TestLazySeedingMatchesMathRand pins the lazily seeded RNG to the stream
+// of rand.New(rand.NewSource(seed)) it replaces: every method, Split before
+// any draw and after some, and two RNGs drawn in interleaved turns, each
+// against its own eagerly seeded reference.
+func TestLazySeedingMatchesMathRand(t *testing.T) {
+	for _, seed := range []int64{0, 1, 42, -7, math.MaxInt64} {
+		g, ref := New(seed), rand.New(rand.NewSource(seed))
+		h, href := New(seed^0x5eed), rand.New(rand.NewSource(seed^0x5eed))
+		check := func(what string, got, want float64) {
+			t.Helper()
+			if !sameFloat(got, want) {
+				t.Fatalf("seed %d %s: got %v, want %v", seed, what, got, want)
+			}
+		}
+		// Split before any draw seeds the parent and draws one Int63.
+		child := g.Split()
+		childRef := rand.New(rand.NewSource(ref.Int63()))
+		for round := 0; round < 20; round++ {
+			check("Float64", g.Float64(), ref.Float64())
+			check("interleaved Float64", h.Float64(), href.Float64())
+			check("Uniform", g.Uniform(0.5, 2.5), 0.5+ref.Float64()*2)
+			check("Uniform empty", g.Uniform(4, 4), 4) // draws nothing
+			lo1, hi1, lo2, hi2, pLight := 0.1, 0.4, 0.5, 0.9, 0.3
+			lo, hi := lo2, hi2
+			if ref.Float64() < pLight {
+				lo, hi = lo1, hi1
+			}
+			wantB := lo + ref.Float64()*(hi-lo)
+			check("Bimodal", g.Bimodal(lo1, hi1, lo2, hi2, pLight), wantB)
+			check("Intn", float64(g.Intn(1000)), float64(ref.Intn(1000)))
+			check("interleaved Int63", float64(h.Int63()), float64(href.Int63()))
+			check("Int63", float64(g.Int63()), float64(ref.Int63()))
+			if got, want := g.Perm(7), ref.Perm(7); !slices.Equal(got, want) {
+				t.Fatalf("seed %d Perm: got %v, want %v", seed, got, want)
+			}
+			got, want := []int{0, 1, 2, 3, 4, 5}, []int{0, 1, 2, 3, 4, 5}
+			g.Shuffle(len(got), func(i, j int) { got[i], got[j] = got[j], got[i] })
+			ref.Shuffle(len(want), func(i, j int) { want[i], want[j] = want[j], want[i] })
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d Shuffle: got %v, want %v", seed, got, want)
+			}
+			check("Choice", float64(g.Choice([]float64{1, 0, 2, 3})), float64(choiceRef(ref, []float64{1, 0, 2, 3})))
+			check("Choice zero weights", float64(g.Choice([]float64{0, 0, 0})), float64(ref.Intn(3)))
+			check("child Float64", child.Float64(), childRef.Float64())
+			late := g.Split()
+			lateRef := rand.New(rand.NewSource(ref.Int63()))
+			check("late child Int63", float64(late.Int63()), float64(lateRef.Int63()))
+		}
+	}
+}
+
+// choiceRef is Choice's weighted draw written against a bare *rand.Rand.
+func choiceRef(r *rand.Rand, weights []float64) int {
+	var total float64
+	for _, w := range weights {
+		if w > 0 {
+			total += w
+		}
+	}
+	x := r.Float64() * total
+	for i, w := range weights {
+		if w <= 0 {
+			continue
+		}
+		if x < w {
+			return i
+		}
+		x -= w
+	}
+	return len(weights) - 1
+}
+
+// TestUndrawnRNGIsNotSeeded pins what lazy seeding saves: New and a Split
+// child allocate no source until their first draw.
+func TestUndrawnRNGIsNotSeeded(t *testing.T) {
+	g := New(3)
+	if g.r != nil {
+		t.Fatal("New seeded its source before any draw")
+	}
+	child := g.Split()
+	if child.r != nil {
+		t.Fatal("Split seeded the child before any draw")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = New(9) }); allocs > 1 {
+		t.Errorf("New allocates %v times per call, want at most 1 (the RNG itself)", allocs)
 	}
 }

@@ -378,47 +378,6 @@ func TestWaitReconnectAcrossRestart(t *testing.T) {
 	}
 }
 
-// sseBlockingTransport answers every events request with a plain 404, as
-// a server without SSE would; Wait never asks for one, so it is unaffected.
-type sseBlockingTransport struct{ rt http.RoundTripper }
-
-func (b sseBlockingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if strings.HasSuffix(req.URL.Path, "/events") {
-		return &http.Response{
-			StatusCode: http.StatusNotFound,
-			Status:     "404 Not Found",
-			Header:     http.Header{"Content-Type": []string{"application/json"}},
-			Body:       io.NopCloser(strings.NewReader(`{"error":"no such route"}`)),
-			Request:    req,
-		}, nil
-	}
-	return b.rt.RoundTrip(req)
-}
-
-func TestWaitFallbackPolling(t *testing.T) {
-	s := server.New(server.Config{Workers: 1})
-	s.Start()
-	hs := httptest.NewServer(s.Handler())
-	t.Cleanup(hs.Close)
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		defer cancel()
-		_ = s.Shutdown(ctx)
-	})
-
-	c := client.New(hs.URL, &http.Client{Transport: sseBlockingTransport{rt: &http.Transport{}}})
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	sub, err := c.Submit(ctx, submitReq(7, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := c.Wait(ctx, sub.ID)
-	if err != nil || st.State != server.StateDone {
-		t.Fatalf("Wait without SSE: %v, state %+v (want done via polling)", err, st)
-	}
-}
-
 func TestMalformedTraceparentIgnored(t *testing.T) {
 	// W3C restart semantics: a garbage traceparent never rejects the
 	// request — the server ignores it and mints a fresh, valid trace.
