@@ -2,6 +2,7 @@ package alloc
 
 import (
 	"fmt"
+	"strconv"
 
 	"vc2m/internal/model"
 	"vc2m/internal/provenance"
@@ -179,9 +180,8 @@ func placeOneGrowing(cores []*coreState, coreIDs []int, plat model.Platform, v *
 	host := chooseGrowableHost(cores, plat, v, *spareCache, *spareBW)
 	if host < 0 {
 		re := &RejectionError{
-			Stage: stage,
-			Reason: fmt.Sprintf("VCPU %s of VM %s fits on no core even after granting every spare partition (%d cache, %d bw left)",
-				v.ID, vmID, *spareCache, *spareBW),
+			Stage:    stage,
+			Reason:   hopelessReason(v.ID, vmID, *spareCache, *spareBW),
 			Violated: admitHopeless(cores, plat, v, *spareCache, *spareBW).violated(),
 		}
 		if prov.Enabled() {
@@ -197,9 +197,8 @@ func placeOneGrowing(cores []*coreState, coreIDs []int, plat model.Platform, v *
 		granted, isCache := grantTo(cores[host], plat, v, spareCache, spareBW)
 		if !granted {
 			re := &RejectionError{
-				Stage: stage,
-				Reason: fmt.Sprintf("no spare partition still helps VCPU %s on core %d (%d cache, %d bw left)",
-					v.ID, coreIDs[host], *spareCache, *spareBW),
+				Stage:    stage,
+				Reason:   noHelpReason(v.ID, coreIDs[host], *spareCache, *spareBW),
 				Violated: grantViolations(cores[host], plat, v, *spareCache, *spareBW).violated(),
 			}
 			if prov.Enabled() {
@@ -221,7 +220,7 @@ func placeOneGrowing(cores []*coreState, coreIDs []int, plat model.Platform, v *
 				Stage: stage, Kind: provenance.KindGrant,
 				Subject: coreName(coreIDs[host]), Target: string(kind),
 				Cache: cores[host].cache, BW: cores[host].bw, Accepted: true,
-				Reason: fmt.Sprintf("spare %s partition granted so VCPU %s can fit", kind, v.ID),
+				Reason: grantSpareReason(kind, v.ID),
 			})
 		}
 	}
@@ -363,4 +362,29 @@ func admitHopeless(cores []*coreState, plat model.Platform, v *model.VCPU, spare
 		}
 	}
 	return f
+}
+
+// The three reasons placeOneGrowing records, built without fmt: the
+// grant reason is recorded once per spare partition on churn's path.
+// TestAdmitReasonsMatchSprintf holds each to the fmt.Sprintf form it
+// replaced.
+
+// grantSpareReason is the reason for granting a spare kind partition so
+// that VCPU vcpu can fit.
+func grantSpareReason(kind provenance.Resource, vcpu string) string {
+	return "spare " + string(kind) + " partition granted so VCPU " + vcpu + " can fit"
+}
+
+// hopelessReason is the rejection reason for a VCPU that no core could
+// host even with every spare partition.
+func hopelessReason(vcpu, vm string, spareCache, spareBW int) string {
+	return "VCPU " + vcpu + " of VM " + vm + " fits on no core even after granting every spare partition (" +
+		strconv.Itoa(spareCache) + " cache, " + strconv.Itoa(spareBW) + " bw left)"
+}
+
+// noHelpReason is the rejection reason for a VCPU that no further spare
+// partition helps on its chosen host core.
+func noHelpReason(vcpu string, core, spareCache, spareBW int) string {
+	return "no spare partition still helps VCPU " + vcpu + " on core " + strconv.Itoa(core) +
+		" (" + strconv.Itoa(spareCache) + " cache, " + strconv.Itoa(spareBW) + " bw left)"
 }

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"testing"
 
+	"vc2m/internal/provenance"
 	"vc2m/internal/rngutil"
 )
 
@@ -89,5 +90,49 @@ func TestPhase1StringsMatchSprintf(t *testing.T) {
 	rng := rngutil.New(21)
 	for i := 0; i < 20000; i++ {
 		check(int(rng.Int63())-int(rng.Int63()), int(rng.Int63()))
+	}
+}
+
+// TestAdmitReasonsMatchSprintf is the differential oracle for the
+// fmt-free reasons of placeOneGrowing: the spare-grant reason and both
+// rejection reasons must print exactly what their fmt.Sprintf forms did,
+// for any VCPU and VM ID (format verbs, invalid UTF-8 and control bytes
+// included) and any partition counts.
+func TestAdmitReasonsMatchSprintf(t *testing.T) {
+	check := func(vcpu, vm string, core, cache, bw int) {
+		t.Helper()
+		for _, kind := range []provenance.Resource{provenance.Cache, provenance.BW} {
+			if got, want := grantSpareReason(kind, vcpu), fmt.Sprintf("spare %s partition granted so VCPU %s can fit", kind, vcpu); got != want {
+				t.Fatalf("grantSpareReason(%q, %q) = %q, want %q", kind, vcpu, got, want)
+			}
+		}
+		if got, want := hopelessReason(vcpu, vm, cache, bw),
+			fmt.Sprintf("VCPU %s of VM %s fits on no core even after granting every spare partition (%d cache, %d bw left)",
+				vcpu, vm, cache, bw); got != want {
+			t.Fatalf("hopelessReason(%q, %q, %d, %d) = %q, want %q", vcpu, vm, cache, bw, got, want)
+		}
+		if got, want := noHelpReason(vcpu, core, cache, bw),
+			fmt.Sprintf("no spare partition still helps VCPU %s on core %d (%d cache, %d bw left)",
+				vcpu, core, cache, bw); got != want {
+			t.Fatalf("noHelpReason(%q, %d, %d, %d) = %q, want %q", vcpu, core, cache, bw, got, want)
+		}
+	}
+	ids := []string{"", "vm0-v0", "newA-v1", "%d %s %%", "\xff\xfe", "a\x00b\n", "<&>", "日本"}
+	edges := []int{0, 1, 9, 10, -1, 20, math.MaxInt, math.MinInt}
+	for _, vcpu := range ids {
+		for _, vm := range ids {
+			for _, n := range edges {
+				check(vcpu, vm, n, n, -n)
+				check(vcpu, vm, 0, n, 1)
+			}
+		}
+	}
+	rng := rngutil.New(26)
+	for i := 0; i < 20000; i++ {
+		id := make([]byte, rng.Intn(12))
+		for j := range id {
+			id[j] = byte(rng.Intn(256))
+		}
+		check(string(id), "vm"+strconv.Itoa(i), int(rng.Int63())-int(rng.Int63()), rng.Intn(64), rng.Intn(64))
 	}
 }

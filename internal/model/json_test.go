@@ -24,7 +24,7 @@ func TestResourceTableJSONRoundTrip(t *testing.T) {
 	}
 	for c := 2; c <= 5; c++ {
 		for b := 1; b <= 3; b++ {
-			if back.At(c, b) != orig.At(c, b) {
+			if math.Float64bits(back.At(c, b)) != math.Float64bits(orig.At(c, b)) {
 				t.Fatalf("value mismatch at (%d,%d)", c, b)
 			}
 		}
@@ -88,7 +88,7 @@ func TestSystemJSONRoundTrip(t *testing.T) {
 	if math.Abs(back.VMs[0].Tasks[1].RefWCET()-11) > 1e-12 {
 		t.Errorf("task WCET lost: %v", back.VMs[0].Tasks[1].RefWCET())
 	}
-	if back.RefUtil() != sys.RefUtil() {
+	if math.Float64bits(back.RefUtil()) != math.Float64bits(sys.RefUtil()) {
 		t.Errorf("utilization changed: %v vs %v", back.RefUtil(), sys.RefUtil())
 	}
 }
@@ -141,7 +141,7 @@ func TestAllocationJSONRoundTrip(t *testing.T) {
 	if len(back.Cores) != 1 || back.Cores[0].Cache != 8 {
 		t.Errorf("allocation structure lost: %+v", back.Cores[0])
 	}
-	if back.Cores[0].VCPUs[0].Budget.Reference() != 10 {
+	if math.Float64bits(back.Cores[0].VCPUs[0].Budget.Reference()) != math.Float64bits(10) {
 		t.Error("budget table lost")
 	}
 }

@@ -64,10 +64,10 @@ func TestResourceTableBasics(t *testing.T) {
 	}
 	tab.Set(2, 1, 10)
 	tab.Set(4, 3, 1)
-	if tab.At(2, 1) != 10 {
+	if math.Float64bits(tab.At(2, 1)) != math.Float64bits(10) {
 		t.Errorf("At(2,1) = %v, want 10", tab.At(2, 1))
 	}
-	if tab.Reference() != 1 {
+	if math.Float64bits(tab.Reference()) != math.Float64bits(1) {
 		t.Errorf("Reference = %v, want 1 (value at cmax,bmax)", tab.Reference())
 	}
 }
@@ -98,15 +98,15 @@ func TestNewResourceTablePanicsOnEmptyRange(t *testing.T) {
 func TestResourceTableFillCloneScale(t *testing.T) {
 	tab := NewResourceTable(1, 3, 1, 2)
 	tab.Fill(func(c, b int) float64 { return float64(10*c + b) })
-	if tab.At(2, 1) != 21 {
+	if math.Float64bits(tab.At(2, 1)) != math.Float64bits(21) {
 		t.Errorf("Fill: At(2,1) = %v, want 21", tab.At(2, 1))
 	}
 	cl := tab.Clone()
 	cl.Scale(2)
-	if cl.At(2, 1) != 42 {
+	if math.Float64bits(cl.At(2, 1)) != math.Float64bits(42) {
 		t.Errorf("Scale: At(2,1) = %v, want 42", cl.At(2, 1))
 	}
-	if tab.At(2, 1) != 21 {
+	if math.Float64bits(tab.At(2, 1)) != math.Float64bits(21) {
 		t.Error("Clone is not independent of the original")
 	}
 }
@@ -117,7 +117,7 @@ func TestResourceTableAddTable(t *testing.T) {
 	b := NewResourceTable(1, 2, 1, 2)
 	b.Fill(func(c, bb int) float64 { return float64(c) })
 	a.AddTable(b)
-	if a.At(2, 1) != 3 {
+	if math.Float64bits(a.At(2, 1)) != math.Float64bits(3) {
 		t.Errorf("AddTable: At(2,1) = %v, want 3", a.At(2, 1))
 	}
 }
@@ -191,7 +191,7 @@ func TestSlowdownNormalization(t *testing.T) {
 		t.Fatalf("AppendSlowdown onto one entry = %v, want 3 entries", out)
 	}
 	s := out[1:]
-	if s[0] != 3 || s[1] != 1 {
+	if math.Float64bits(s[0]) != math.Float64bits(3) || math.Float64bits(s[1]) != math.Float64bits(1) {
 		t.Errorf("appended slowdown = %v, want [3 1]", s)
 	}
 }
@@ -236,7 +236,7 @@ func TestCheckMonotone(t *testing.T) {
 
 func TestTaskHelpers(t *testing.T) {
 	task := SimpleTask("t1", PlatformA, 10, 1)
-	if task.RefWCET() != 1 {
+	if math.Float64bits(task.RefWCET()) != math.Float64bits(1) {
 		t.Errorf("RefWCET = %v, want 1", task.RefWCET())
 	}
 	if math.Abs(task.RefUtil()-0.1) > 1e-12 {
@@ -312,10 +312,10 @@ func TestSystemValidateTableBounds(t *testing.T) {
 
 func TestVCPUBandwidth(t *testing.T) {
 	v := &VCPU{ID: "v1", Period: 10, Budget: ConstTable(PlatformA, 5)}
-	if v.RefBandwidth() != 0.5 {
+	if math.Float64bits(v.RefBandwidth()) != math.Float64bits(0.5) {
 		t.Errorf("RefBandwidth = %v, want 0.5", v.RefBandwidth())
 	}
-	if v.Bandwidth(2, 1) != 0.5 {
+	if math.Float64bits(v.Bandwidth(2, 1)) != math.Float64bits(0.5) {
 		t.Errorf("Bandwidth(2,1) = %v, want 0.5", v.Bandwidth(2, 1))
 	}
 }

@@ -2,7 +2,9 @@ package report_test
 
 // The differential oracle for report.Marshal: whatever document it is
 // given, it must write exactly json.MarshalIndent(doc, "", "  ") plus a
-// trailing newline, and fail exactly when encoding/json fails.
+// trailing newline, and fail exactly when encoding/json fails. Its reader,
+// report.EachDecisionLine, must give back exactly json.Encoder's line for
+// every decision of the written document.
 
 import (
 	"bytes"
@@ -38,6 +40,40 @@ func assertMarshalMatchesEncodingJSON(t *testing.T, doc *report.Document) {
 		}
 		t.Fatalf("Marshal differs from encoding/json at byte %d of %d/%d:\ngot:  %q\nwant: %q",
 			i, len(got), len(spec), got[i:min(i+80, len(got))], spec[i:min(i+80, len(spec))])
+	}
+	assertDecisionLines(t, got, doc.Decisions)
+}
+
+// assertDecisionLines fails the test unless EachDecisionLine over data
+// yields json.Encoder's line for each of decisions, in order, and no
+// other line; and, started at each of a few offsets, the tail of them.
+func assertDecisionLines(t *testing.T, data []byte, decisions []provenance.Decision) {
+	t.Helper()
+	var want []string
+	for i := range decisions {
+		var b bytes.Buffer
+		if err := json.NewEncoder(&b).Encode(&decisions[i]); err != nil {
+			t.Fatalf("json.Encoder: %v", err)
+		}
+		want = append(want, b.String())
+	}
+	for _, from := range []int{0, 1, len(want) / 2, len(want), len(want) + 1} {
+		var got []string
+		if err := report.EachDecisionLine(data, from, func(line []byte) error {
+			got = append(got, string(line))
+			return nil
+		}); err != nil {
+			t.Fatalf("EachDecisionLine from %d: %v", from, err)
+		}
+		tail := want[min(from, len(want)):]
+		if len(got) != len(tail) {
+			t.Fatalf("EachDecisionLine from %d: %d lines, want %d", from, len(got), len(tail))
+		}
+		for i := range got {
+			if got[i] != tail[i] {
+				t.Fatalf("EachDecisionLine from %d: line %d\ngot:  %q\nwant: %q", from, from+i, got[i], tail[i])
+			}
+		}
 	}
 }
 
@@ -155,10 +191,23 @@ func sweepDoc(t *testing.T) *report.Document {
 // (HTML-sensitive bytes, control bytes, invalid UTF-8, U+2028/2029),
 // integers and floats (the 1e-6 and 1e21 format boundaries, -0,
 // subnormals, NaN, ±Inf): Marshal must equal encoding/json, and fail where
-// it fails.
+// it fails; EachDecisionLine over what it writes must equal json.Encoder
+// over the decisions. The corpus starts from every decision of the
+// admitted and rejected golden documents.
 func FuzzReportMarshal(f *testing.F) {
 	f.Add("t1", "core 0", "dbf <= sbf at t=10", 0.5, 3, 2, true, "cache")
 	f.Add("<b>&amp;</b>", "\x00\x1f\t\n\r\b\f\"\\\x7f", "\xff\xfe\u2028\u2029\xe2\x80", 1e-6, -1, 0, false, "")
+	f.Add(`say "hi"`, "a\n    }\n  ]", `"reason": "x", <a href="&">`, 2.5, 1, 1, false, "bw")
+	f.Add("\n    {", `{"seq": 0}`, ",\n    {\n      \"seq\": 1", -0.25, 0, 7, true, "cpu")
+	for _, doc := range []*report.Document{buildRunDoc(f, 1.0, 7), buildRunDoc(f, 4.5, 3)} {
+		for _, d := range doc.Decisions {
+			violated := ""
+			if len(d.Violated) > 0 {
+				violated = string(d.Violated[0])
+			}
+			f.Add(d.Subject, d.Target, d.Reason, d.Value, d.Cache, d.BW, d.Accepted, violated)
+		}
+	}
 	for _, v := range []float64{
 		9.999999999999999e-07, 1e21, 999999999999999900000, -1.2345678901234567e-7,
 		math.Copysign(0, -1), 5e-324, math.MaxFloat64, math.NaN(), math.Inf(1), math.Inf(-1),
@@ -185,6 +234,9 @@ func FuzzReportMarshal(f *testing.F) {
 		}
 		if gotErr == nil && !bytes.Equal(got, append(spec, '\n')) {
 			t.Fatalf("Marshal differs from encoding/json:\ngot:  %q\nwant: %q", got, spec)
+		}
+		if gotErr == nil {
+			assertDecisionLines(t, got, doc.Decisions)
 		}
 	})
 }

@@ -19,6 +19,7 @@
 package report
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -365,7 +366,8 @@ func Marshal(doc *Document) ([]byte, error) {
 const (
 	decisionsOpen  = ",\n  \"decisions\": ["
 	decisionsClose = "\n  ]\n}\n"
-	decisionOpen   = "\n    {\n      \"seq\": "
+	elementOpen    = "\n    {"
+	decisionOpen   = elementOpen + "\n      \"seq\": "
 	decisionClose  = "\n    }"
 	memberOpen     = ",\n      \""
 	memberColon    = "\": "
@@ -459,6 +461,52 @@ func decisionSize(d *provenance.Decision) int {
 		}
 	}
 	return n
+}
+
+// EachDecisionLine calls fn with the decisions of data, a document as
+// Marshal writes it, from the from-th on: each element of its decisions
+// array compacted to one line and ended by a newline. That is byte for
+// byte what json.Encoder.Encode writes for the decision, because
+// json.MarshalIndent and the Encoder escape HTML and format floats alike.
+// Nothing is decoded. The array is the document's last member, at the
+// indentation the constants above fix, and a raw newline in the bytes only
+// ever separates tokens, so each element runs from "\n    {" to the first
+// "\n    }" after it. A document without decisions yields no line. line
+// is reused once fn returns; an error from fn ends the walk and is
+// returned.
+func EachDecisionLine(data []byte, from int, fn func(line []byte) error) error {
+	i := bytes.Index(data, []byte(decisionsOpen))
+	if i < 0 {
+		return nil
+	}
+	rest := data[i+len(decisionsOpen):]
+	var line bytes.Buffer
+	for n := 0; !bytes.HasPrefix(rest, []byte(decisionsClose)); n++ {
+		if n > 0 {
+			if len(rest) == 0 || rest[0] != ',' {
+				return fmt.Errorf("report: decision %d: no separator", n)
+			}
+			rest = rest[1:]
+		}
+		end := bytes.Index(rest, []byte(decisionClose))
+		if end < 0 || !bytes.HasPrefix(rest, []byte(elementOpen)) {
+			return fmt.Errorf("report: decision %d: not in Marshal's layout", n)
+		}
+		elem := rest[:end+len(decisionClose)]
+		rest = rest[len(elem):]
+		if n < from {
+			continue
+		}
+		line.Reset()
+		if err := json.Compact(&line, elem); err != nil {
+			return fmt.Errorf("report: decision %d: %w", n, err)
+		}
+		line.WriteByte('\n')
+		if err := fn(line.Bytes()); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // intLen is the length of n in decimal.

@@ -15,7 +15,7 @@ import (
 // buildRunDoc performs a complete seeded allocation (and, on success, a
 // short simulation) and joins it into a run document — the in-process
 // equivalent of `vc2m-sim -report-out`.
-func buildRunDoc(t *testing.T, util float64, seed int64) *report.Document {
+func buildRunDoc(t testing.TB, util float64, seed int64) *report.Document {
 	t.Helper()
 	sys, err := vc2m.GenerateWorkload(vc2m.WorkloadConfig{
 		Platform: vc2m.PlatformA, TargetRefUtil: util, Seed: seed,

@@ -78,11 +78,11 @@ func (s *Server) execute(ctx context.Context, run *Run) {
 		run.setAllocation(finalAlloc)
 	}
 	if state != StateDone {
+		// The stream is final and this run keeps it, so keep it at its
+		// exact length. A done run's report holds the stream instead.
 		doc, data = nil, nil
+		run.prov.Trim()
 	}
-	// The stream is final: keep it at its exact length. A done run's
-	// report build has already trimmed it, sharing the array with doc.
-	run.prov.Trim()
 	// Record the run's metrics before finish, so a client woken by Done()
 	// scrapes a /metrics that already counts this run.
 	s.om.runFinished(s.log, run, state, tr, elapsed, s.cfg.SlowRun)

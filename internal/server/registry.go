@@ -74,6 +74,11 @@ type Run struct {
 	docKind string
 	//vc2m:guardedby mu
 	rejected bool
+	// decisions is the length of a done run's decision stream. Its report
+	// holds the stream, so finish drops the recorder's copy and keeps the
+	// count; runs without a report keep their recorder.
+	//vc2m:guardedby mu
+	decisions int
 	// alloc is the accepted final allocation of a done run (KindRun and
 	// KindChurn); nil on sweeps, rejections and failures. Churn runs read
 	// their base run's allocation through it.
@@ -110,7 +115,7 @@ func (r *Run) Status() RunStatus {
 		TraceID:   r.traceCtx.TraceID,
 	}
 	if r.docJSON != nil {
-		st.Title = r.docTitle
+		st.Title, st.Decisions = r.docTitle, r.decisions
 		if r.docKind == report.KindRun {
 			sched := !r.rejected
 			st.Schedulable = &sched
@@ -145,6 +150,19 @@ func (r *Run) ReportJSON() ([]byte, bool) {
 	return r.docJSON, r.docJSON != nil
 }
 
+// decisionsFrom returns the decisions recorded from sequence n on, or,
+// once the run is done, its report bytes, which then hold the only copy
+// of its stream. finish drops the recorder's copy under the run's mutex,
+// so a reader that holds it sees the whole stream in exactly one place.
+func (r *Run) decisionsFrom(n int) ([]provenance.Decision, []byte) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.docJSON != nil {
+		return nil, r.docJSON
+	}
+	return r.prov.DecisionsFrom(n), nil
+}
+
 // setRunning transitions pending → running; it reports false when the
 // run was already terminal (canceled before pickup).
 func (r *Run) setRunning() bool {
@@ -160,13 +178,16 @@ func (r *Run) setRunning() bool {
 // finish records the terminal state and wakes every waiter, including
 // provenance streamers blocked on the next decision. doc and docJSON are
 // both set on a done run and both nil otherwise; of doc, only the fields
-// Status reports are kept.
+// Status reports are kept. A done run's report carries its whole decision
+// stream, so the recorder's copy is dropped and only its length kept.
 func (r *Run) finish(state State, doc *report.Document, docJSON []byte, errMsg string) {
 	r.mu.Lock()
 	r.state = state
 	r.docJSON = docJSON
 	if doc != nil {
 		r.docTitle, r.docKind, r.rejected = doc.Title, doc.Kind, doc.Rejection != nil
+		r.decisions = r.prov.Len()
+		r.prov.Reset()
 	}
 	r.errMsg = errMsg
 	r.mu.Unlock()

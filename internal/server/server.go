@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"vc2m/internal/obs"
+	"vc2m/internal/report"
 )
 
 // Config parameterizes the service. Zero values take sensible defaults.
@@ -507,6 +508,8 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 // handleProvenance streams the run's decision log as JSON lines over a
 // chunked response, following the live stream until the run finishes or
 // the client disconnects — `curl .../provenance` tails an allocation.
+// Decisions come from the run's recorder until the run is done; from then
+// on they come from its report bytes, at the same index.
 func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
 	run, ok := s.lookup(w, r)
 	if !ok {
@@ -519,28 +522,39 @@ func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
 	next := 0
 	for {
 		// Grab the wakeup channel before draining, so a decision landing
-		// in between still wakes us.
+		// in between still wakes us, and see whether the run has finished
+		// before draining, so the drain after the finish is the last.
 		wake := run.pub.wait()
-		for _, d := range run.prov.DecisionsFrom(next) {
+		finished := false
+		select {
+		case <-run.Done():
+			finished = true
+		default:
+		}
+		ds, docJSON := run.decisionsFrom(next)
+		if docJSON != nil {
+			// The walk fails only when a write does, once the client has
+			// gone: the bytes are report.Marshal's.
+			_ = report.EachDecisionLine(docJSON, next, func(line []byte) error {
+				_, err := w.Write(line)
+				return err
+			})
+			return
+		}
+		for _, d := range ds {
 			if err := enc.Encode(d); err != nil {
 				return
 			}
 			next++
+		}
+		if finished {
+			return
 		}
 		if canFlush {
 			flusher.Flush()
 		}
 		select {
 		case <-run.Done():
-			// Final drain: decisions recorded between the loop above and
-			// the run finishing.
-			for _, d := range run.prov.DecisionsFrom(next) {
-				if err := enc.Encode(d); err != nil {
-					return
-				}
-				next++
-			}
-			return
 		case <-wake:
 		case <-r.Context().Done():
 			return
