@@ -99,7 +99,8 @@ fuzz-smoke:
 	           internal/alloc:FuzzIncrementalChurn internal/obs:FuzzPromParse \
 	           internal/csa:FuzzMinBudget internal/server:FuzzSubmitRequestJSON \
 	           internal/wirejson:FuzzScannerScalars internal/wirejson:FuzzFloat64s \
-	           internal/wirejson:FuzzAppendString internal/kmeans:FuzzCluster; do \
+	           internal/wirejson:FuzzAppendString internal/kmeans:FuzzCluster \
+	           internal/rngutil:FuzzRNGMatchesMathRand; do \
 		pkg=$${tgt%%:*}; fn=$${tgt##*:}; \
 		$(GO) test -run=^$$ -fuzz="^$$fn$$" -fuzztime=300x ./$$pkg || exit 1; \
 	done

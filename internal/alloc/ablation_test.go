@@ -30,11 +30,14 @@ func countSchedulable(t *testing.T, h *Heuristic, target float64, n int) int {
 }
 
 func TestAblationSwitchesStillProduceValidAllocations(t *testing.T) {
-	cfgs := map[string]HyperConfig{
-		"no-clustering":     {NoClustering: true},
-		"no-load-balance":   {NoLoadBalance: true},
-		"no-resource-grow":  {NoResourceGrowth: true},
-		"all-ablations-off": {},
+	cfgs := []struct {
+		name string
+		cfg  HyperConfig
+	}{
+		{"all-ablations-off", HyperConfig{}},
+		{"no-clustering", HyperConfig{NoClustering: true}},
+		{"no-load-balance", HyperConfig{NoLoadBalance: true}},
+		{"no-resource-grow", HyperConfig{NoResourceGrowth: true}},
 	}
 	sys, err := workload.Generate(workload.Config{
 		Platform:      model.PlatformA,
@@ -44,14 +47,14 @@ func TestAblationSwitchesStillProduceValidAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, cfg := range cfgs {
-		h := &Heuristic{Mode: OverheadFree, Hyper: cfg}
+	for _, c := range cfgs {
+		h := &Heuristic{Mode: OverheadFree, Hyper: c.cfg}
 		a, err := h.Allocate(sys, rngutil.New(1))
 		if err != nil {
 			continue // an ablated variant may legitimately fail
 		}
 		if err := a.Validate(sys.Tasks()); err != nil {
-			t.Errorf("%s: invalid allocation: %v", name, err)
+			t.Errorf("%s: invalid allocation: %v", c.name, err)
 		}
 	}
 }
@@ -62,15 +65,18 @@ func TestAblationFullHeuristicDominates(t *testing.T) {
 	// claim that combining the ingredients is what matters).
 	const target, n = 1.7, 10
 	full := countSchedulable(t, &Heuristic{Mode: OverheadFree}, target, n)
-	for name, cfg := range map[string]HyperConfig{
-		"no-clustering":    {NoClustering: true},
-		"no-load-balance":  {NoLoadBalance: true},
-		"no-resource-grow": {NoResourceGrowth: true},
+	for _, c := range []struct {
+		name string
+		cfg  HyperConfig
+	}{
+		{"no-clustering", HyperConfig{NoClustering: true}},
+		{"no-load-balance", HyperConfig{NoLoadBalance: true}},
+		{"no-resource-grow", HyperConfig{NoResourceGrowth: true}},
 	} {
-		ablated := countSchedulable(t, &Heuristic{Mode: OverheadFree, Hyper: cfg}, target, n)
+		ablated := countSchedulable(t, &Heuristic{Mode: OverheadFree, Hyper: c.cfg}, target, n)
 		if ablated > full {
 			t.Errorf("%s schedules %d/%d tasksets, full heuristic only %d/%d",
-				name, ablated, n, full, n)
+				c.name, ablated, n, full, n)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"slices"
 	"testing"
 
 	"vc2m/internal/model"
@@ -36,14 +37,9 @@ func exhaustiveFeasible(tasks []*model.Task, plat model.Platform) bool {
 // feasibleSplit checks whether some partition split schedules the given
 // task-to-core assignment.
 func feasibleSplit(tasks []*model.Task, assign []int, plat model.Platform) bool {
-	used := map[int]bool{}
-	for _, c := range assign {
-		used[c] = true
-	}
-	var cores []int
-	for c := range used {
-		cores = append(cores, c)
-	}
+	cores := slices.Clone(assign)
+	slices.Sort(cores)
+	cores = slices.Compact(cores)
 	cache := make(map[int]int, len(cores))
 	bw := make(map[int]int, len(cores))
 

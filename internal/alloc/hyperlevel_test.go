@@ -178,7 +178,7 @@ func TestHyperLevelAppliesOverheadInflation(t *testing.T) {
 }
 
 func TestGainHandlesInfinities(t *testing.T) {
-	if g := gain(math.Inf(1), math.Inf(1)); g != 0 {
+	if g := gain(math.Inf(1), math.Inf(1)); math.Float64bits(g) != 0 {
 		t.Errorf("gain(Inf, Inf) = %v, want 0", g)
 	}
 	if g := gain(math.Inf(1), 0.5); g < 1e17 {

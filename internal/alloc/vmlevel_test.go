@@ -20,15 +20,18 @@ func mkVM(id string, tasks ...*model.Task) *model.VM {
 }
 
 func TestCSAModeString(t *testing.T) {
-	cases := map[CSAMode]string{
-		Flattening:   "flattening",
-		OverheadFree: "overhead-free CSA",
-		ExistingCSA:  "existing CSA",
-		CSAMode(99):  "unknown",
+	cases := []struct {
+		m    CSAMode
+		want string
+	}{
+		{Flattening, "flattening"},
+		{OverheadFree, "overhead-free CSA"},
+		{ExistingCSA, "existing CSA"},
+		{CSAMode(99), "unknown"},
 	}
-	for m, want := range cases {
-		if got := m.String(); got != want {
-			t.Errorf("%d.String() = %q, want %q", m, got, want)
+	for _, c := range cases {
+		if got := c.m.String(); got != c.want {
+			t.Errorf("%d.String() = %q, want %q", c.m, got, c.want)
 		}
 	}
 }
@@ -53,7 +56,7 @@ func TestVMLevelFlattening(t *testing.T) {
 		if v.Index != 5+i {
 			t.Errorf("VCPU %d index = %d, want %d", i, v.Index, 5+i)
 		}
-		if v.Period != vm.Tasks[i].Period {
+		if math.Float64bits(v.Period) != math.Float64bits(vm.Tasks[i].Period) {
 			t.Errorf("VCPU %d period = %v, want task period %v", i, v.Period, vm.Tasks[i].Period)
 		}
 	}
@@ -272,7 +275,7 @@ func TestClampVector(t *testing.T) {
 			t.Errorf("entry %d = %v not clamped", i, x)
 		}
 	}
-	if v[0] != 1 {
+	if math.Float64bits(v[0]) != math.Float64bits(1) {
 		t.Error("finite small entries must pass through")
 	}
 }

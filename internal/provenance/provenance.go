@@ -148,8 +148,8 @@ type Sink interface {
 // A recorded decision is never written again: Record only appends past
 // the stream's length and Reset drops the backing array instead of
 // reusing it. A slice header read under the mutex therefore stays valid
-// without it, which is what lets Each walk the stream unlocked and Trim
-// share the stream with the reports built from it.
+// without it, which is what lets Each walk the stream unlocked and View
+// and Trim share the stream with the reports built from it.
 type Recorder struct {
 	mu sync.Mutex
 	//vc2m:guardedby mu
@@ -240,6 +240,23 @@ func (r *Recorder) Trim() []Decision {
 	return r.decisions
 }
 
+// View returns the stream without copying it, nil when it is empty. The
+// view shares the recorder's array but its capacity is capped at its
+// length, so appending to it reallocates, and a later Record writes past
+// its end, where the view cannot see. Callers must not modify it.
+func (r *Recorder) View() []Decision {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.decisions) == 0 {
+		return nil
+	}
+	n := len(r.decisions)
+	return r.decisions[:n:n]
+}
+
 // DecisionsFrom returns a copy of the stream from sequence n on (nil when
 // nothing new). Incremental readers — the allocation server's live
 // provenance stream — use it to drain only what they have not yet seen
@@ -260,8 +277,8 @@ func (r *Recorder) DecisionsFrom(n int) []Decision {
 }
 
 // Reset discards everything recorded so far; sequence numbers restart at
-// 0. The old stream's backing array is dropped, not reused: Trim and Each
-// may have handed it out.
+// 0. The old stream's backing array is dropped, not reused: View, Trim
+// and Each may have handed it out.
 func (r *Recorder) Reset() {
 	if r == nil {
 		return

@@ -189,6 +189,49 @@ func TestTrimSharesExactStream(t *testing.T) {
 	}
 }
 
+// TestViewSharesStream: View copies nothing, caps the view's capacity at
+// its length, and a later Record, Reset or append to the view leaves it as
+// it was.
+func TestViewSharesStream(t *testing.T) {
+	r := New()
+	if r.View() != nil || (*Recorder)(nil).View() != nil {
+		t.Fatal("View of an empty or nil recorder is not nil")
+	}
+	for i := 0; i < 650; i++ {
+		r.Record(grantShaped(i))
+	}
+	v := r.View()
+	if len(v) != 650 || cap(v) != 650 {
+		t.Fatalf("View: len %d cap %d, want both 650", len(v), cap(v))
+	}
+	r.mu.Lock()
+	stream := r.decisions
+	r.mu.Unlock()
+	if cap(stream) == 650 {
+		t.Fatal("test premise: the recorder's stream should have growth slack")
+	}
+	if &v[0] != &stream[0] {
+		t.Fatal("View copied the stream")
+	}
+	want := append([]Decision(nil), v...)
+
+	r.Record(grantShaped(650))
+	grown := append(v, grantShaped(999))
+	if &grown[0] == &v[0] {
+		t.Fatal("appending to a view wrote into the recorder's array")
+	}
+	if r.Len() != 651 || r.Decisions()[650].Seq != 650 {
+		t.Fatalf("recording after View: len %d", r.Len())
+	}
+	r.Reset()
+	for i := 0; i < 700; i++ {
+		r.Record(Decision{Stage: StageAdmit, Kind: KindReject, Reason: "overwritten?"})
+	}
+	if len(v) != 650 || !reflect.DeepEqual(v, want) {
+		t.Fatal("a view changed after the recorder went on recording")
+	}
+}
+
 // BenchmarkRecorderRecord records one run's worth of grant-shaped
 // decisions, about what a cold existing-CSA run records, into a fresh
 // recorder and trims it as a finished run does.

@@ -152,8 +152,9 @@ type Document struct {
 	Counters map[string]int64 `json:"counters,omitempty"`
 
 	// Decisions is the full provenance stream, in Seq order. BuildRun and
-	// BuildSweep share it with the recorder (provenance.Recorder.Trim):
-	// writing a built document's decisions writes the recorder's stream.
+	// BuildSweep share it with the recorder (provenance.Recorder.View)
+	// instead of copying it: writing a built document's decisions writes
+	// the recorder's stream.
 	Decisions []provenance.Decision `json:"decisions,omitempty"`
 }
 
@@ -187,7 +188,7 @@ func BuildRun(in RunInput) *Document {
 		Sim:        summarizeSim(in.Sim),
 		Misses:     summarizeMisses(in.Diagnosis),
 		Counters:   counterSnapshot(in.Metrics),
-		Decisions:  in.Provenance.Trim(),
+		Decisions:  in.Provenance.View(),
 	}
 	return doc
 }
@@ -215,7 +216,7 @@ func BuildSweep(in SweepInput) *Document {
 
 		Sweep:     in.Sweep,
 		Counters:  counterSnapshot(in.Metrics),
-		Decisions: in.Provenance.Trim(),
+		Decisions: in.Provenance.View(),
 	}
 }
 

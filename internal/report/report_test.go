@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
 	"vc2m"
 	"vc2m/internal/alloc"
+	"vc2m/internal/provenance"
 	"vc2m/internal/report"
 )
 
@@ -242,6 +244,68 @@ func TestRejectionPareto(t *testing.T) {
 	for i := 1; i < len(pareto); i++ {
 		if pareto[i].Count > pareto[i-1].Count {
 			t.Errorf("pareto not sorted: %v", pareto)
+		}
+	}
+}
+
+// TestBuildSharesDecisionStream: BuildRun and BuildSweep take the
+// recorder's stream without copying it. The document's decisions share
+// the recorder's array, marshal to the bytes a copied stream gives, and
+// stay as they were when the recorder records after the build.
+func TestBuildSharesDecisionStream(t *testing.T) {
+	sys, err := vc2m.GenerateWorkload(vc2m.WorkloadConfig{
+		Platform: vc2m.PlatformA, TargetRefUtil: 1.0, Seed: 7,
+	})
+	if err != nil {
+		t.Fatalf("GenerateWorkload: %v", err)
+	}
+	prov := vc2m.NewProvenance()
+	a, err := vc2m.Allocate(sys, vc2m.Options{Provenance: prov})
+	if err != nil {
+		t.Fatalf("Allocate: %v", err)
+	}
+	docs := map[string]*report.Document{
+		"run": report.BuildRun(report.RunInput{
+			Title: "shared stream", Seed: 7, Mode: "flattening",
+			Platform: sys.Platform, Allocation: a, Provenance: prov,
+		}),
+		"sweep": report.BuildSweep(report.SweepInput{
+			Title: "shared stream", Seed: 7, Mode: "flattening",
+			Platform: sys.Platform, Sweep: &report.SweepSummary{}, Provenance: prov,
+		}),
+	}
+	copied := prov.Decisions()
+	if len(copied) == 0 {
+		t.Fatal("the allocation recorded no decisions")
+	}
+	for _, kind := range []string{"run", "sweep"} {
+		doc := docs[kind]
+		if view := prov.View(); &doc.Decisions[0] != &view[0] {
+			t.Errorf("%s: the document's decisions are a copy of the recorder's stream", kind)
+		}
+		if len(doc.Decisions) != len(copied) || cap(doc.Decisions) != len(doc.Decisions) {
+			t.Errorf("%s: decisions len %d cap %d, want both %d", kind, len(doc.Decisions), cap(doc.Decisions), len(copied))
+		}
+		got, err := report.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		withCopy := *doc
+		withCopy.Decisions = copied
+		want, err := report.Marshal(&withCopy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: report bytes differ from those of a copied stream", kind)
+		}
+	}
+	for i := 0; i < 3*len(copied); i++ {
+		prov.Record(provenance.Decision{Stage: provenance.StageAdmit, Kind: provenance.KindReject, Reason: "after the build"})
+	}
+	for _, kind := range []string{"run", "sweep"} {
+		if !reflect.DeepEqual(docs[kind].Decisions, copied) {
+			t.Errorf("%s: a Record after the build changed the document's decisions", kind)
 		}
 	}
 }

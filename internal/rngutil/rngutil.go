@@ -12,24 +12,28 @@ import (
 // RNG is a deterministic random source. The zero value is not usable; call
 // New.
 //
-// An RNG seeds its math/rand source on the first draw, so one that is never
-// drawn from (the sweep builds one per solution per taskset, and Baseline
-// and Evenly-partition never draw) costs no 607-word seeding. The stream is
-// that of rand.New(rand.NewSource(seed)), draw for draw.
+// The stream is that of rand.New(rand.NewSource(seed)), draw for draw, but
+// an RNG seeds on demand (see source): it computes each register word it
+// reads from the seed, and builds the 607-word register only at its 274th
+// draw. One that is never drawn from (the sweep builds one per solution
+// per taskset, and Baseline and Evenly-partition never draw) costs no
+// seeding at all, and one drawn a few times costs a few multiplications.
 type RNG struct {
-	seed int64
-	r    *rand.Rand // nil until the first draw
+	s source
+	r *rand.Rand // nil until the first draw
 }
 
 // New returns an RNG seeded with seed.
 func New(seed int64) *RNG {
-	return &RNG{seed: seed}
+	g := &RNG{}
+	g.s.Seed(seed)
+	return g
 }
 
-// src returns the seeded source, seeding it on first use.
+// src returns the rand.Rand over g's source, making it on first use.
 func (g *RNG) src() *rand.Rand {
 	if g.r == nil {
-		g.r = rand.New(rand.NewSource(g.seed))
+		g.r = rand.New(&g.s)
 	}
 	return g.r
 }
@@ -43,7 +47,9 @@ func (g *RNG) Uniform(lo, hi float64) float64 {
 	if hi == lo { //vc2m:floateq exact empty-interval guard
 		return lo
 	}
-	return lo + g.src().Float64()*(hi-lo)
+	// The conversion rounds the product, so no architecture fuses it
+	// into the sum.
+	return lo + float64(g.src().Float64()*(hi-lo))
 }
 
 // Bimodal returns a sample drawn uniformly from [lo1, hi1) with probability

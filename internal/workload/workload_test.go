@@ -136,7 +136,8 @@ func TestGenerateDeterministic(t *testing.T) {
 		t.Fatalf("same seed produced %d vs %d tasks", len(ta), len(tb))
 	}
 	for i := range ta {
-		if ta[i].Period != tb[i].Period || ta[i].RefWCET() != tb[i].RefWCET() ||
+		if math.Float64bits(ta[i].Period) != math.Float64bits(tb[i].Period) ||
+			math.Float64bits(ta[i].RefWCET()) != math.Float64bits(tb[i].RefWCET()) ||
 			ta[i].Benchmark != tb[i].Benchmark {
 			t.Fatalf("same seed diverged at task %d", i)
 		}
