@@ -97,7 +97,8 @@ fuzz-smoke:
 	           internal/timeunit:FuzzMillisConversions internal/timeunit:FuzzTickRoundTrips \
 	           internal/timeunit:FuzzGCDLCM internal/workload:FuzzGenerate \
 	           internal/alloc:FuzzIncrementalChurn internal/obs:FuzzPromParse \
-	           internal/csa:FuzzMinBudget internal/server:FuzzSubmitRequestJSON \
+	           internal/csa:FuzzMinBudget internal/csa:FuzzExistingVCPUMatchesReference \
+	           internal/server:FuzzSubmitRequestJSON \
 	           internal/wirejson:FuzzScannerScalars internal/wirejson:FuzzFloat64s \
 	           internal/wirejson:FuzzAppendString internal/kmeans:FuzzCluster \
 	           internal/rngutil:FuzzRNGMatchesMathRand; do \

@@ -54,7 +54,7 @@ func TestConstrainedDemandCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	cps := d.Checkpoints()
-	if cps[0] != 4 {
+	if math.Float64bits(cps[0]) != math.Float64bits(4) {
 		t.Errorf("first checkpoint %v, want 4 (the first deadline)", cps[0])
 	}
 	for i := 1; i < len(cps); i++ {

@@ -208,7 +208,7 @@ func (d *Demand) DBFInto(dst, wcets []float64) []float64 {
 		row := d.counts[k*n : (k+1)*n]
 		var s float64
 		for j, c := range row {
-			s += c * g[j]
+			s += float64(c * g[j]) // rounded product: no FMA
 		}
 		dst[k] = s
 	}

@@ -11,20 +11,6 @@ import (
 	"vc2m/internal/rngutil"
 )
 
-// sameBits reports whether two float slices hold the same values, bit for
-// bit.
-func sameBits(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // demandRef is the map-based construction NewDemand used before it
 // collected checkpoints into one sorted slice: every multiple of every
 // task's period (duplicates included) into a set, the budget checked
@@ -191,6 +177,24 @@ func TestNewDemandErrors(t *testing.T) {
 	// Co-prime large periods explode the hyperperiod.
 	if _, err := NewDemand([]float64{1000.001, 999.9990001, 997.77, 1001.3}); !errors.Is(err, ErrHyperperiodTooLarge) {
 		t.Errorf("expected ErrHyperperiodTooLarge, got %v", err)
+	}
+}
+
+// TestDBFIntoRoundsProducts pins two demand sums to the values of rounded
+// count*WCET products, on an input (found by search) where a fused
+// multiply-add gives other bits, so fusing DBFInto's product fails here
+// even on amd64.
+func TestDBFIntoRoundsProducts(t *testing.T) {
+	d, err := NewDemand([]float64{100, 150, 250})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dem := d.DBF([]float64{21.599480065119106, 29.36838612599605, 70.64704189372539})
+	for _, c := range []struct{ t, want float64 }{{450, 245.15012053218993}, {500, 337.3966424910344}} {
+		k := sort.SearchFloat64s(d.Checkpoints(), c.t)
+		if got := dem[k]; math.Float64bits(got) != math.Float64bits(c.want) {
+			t.Errorf("dbf(%v) = %v, want %v (rounded products)", c.t, got, c.want)
+		}
 	}
 }
 

@@ -48,7 +48,8 @@ func ExistingVCPU(tasks []*model.Task, index int, plat model.Platform) (*model.V
 //     counters make the existing CSA's running-time premium over the
 //     overhead-free analyses (Figure 4) attributable: every (c,b)
 //     allocation triggers a full demand evaluation plus a minimum-budget
-//     search, while Theorems 1 and 2 need neither.
+//     search, while Theorems 1 and 2 need neither. A cell that reuses the
+//     previous solve counts the effort of the search it reuses.
 //   - prov receives the derived interface: the chosen period rule, the
 //     budget at the full and minimum allocations, how many (c,b)
 //     candidates were feasible, and the decisive demand checkpoint (the
@@ -57,7 +58,8 @@ func ExistingVCPU(tasks []*model.Task, index int, plat model.Platform) (*model.V
 //     CSA priced the taskset the way it did.
 //   - sp, an open csa.derive span owned by the caller, receives the same
 //     cost drivers as attributes, so a span export explains why this stage
-//     dominates the existing CSA's running time.
+//     dominates the existing CSA's running time, plus the number of cells
+//     that reused the previous solve ("reused").
 func ExistingVCPUObs(tasks []*model.Task, index int, plat model.Platform, rec *metrics.Recorder, prov *provenance.Recorder, sp *obs.Span) (*model.VCPU, bool, error) {
 	if len(tasks) == 0 {
 		return nil, false, errors.New("csa: ExistingVCPU with no tasks")
@@ -77,32 +79,68 @@ func ExistingVCPUObs(tasks []*model.Task, index int, plat model.Platform, rec *m
 
 	budget := model.NewResourceTableFor(plat)
 	cps := demand.Checkpoints()
-	var dbfEvals, sbfEvals, searches, iters int64
+	var dbfEvals, sbfEvals, searches, iters, reused int64
 	// One WCET vector and one demand vector are reused across every
 	// candidate (c,b) — this loop dominates the existing CSA's running time
 	// (Figure 4), and per-candidate allocations used to dominate the loop.
 	wcets := make([]float64, len(tasks))
 	dem := make([]float64, len(cps))
+	// When every WCET table has the budget's shape, one offset per cell
+	// addresses all of them.
+	sameShape := true
+	for _, t := range tasks {
+		sameShape = sameShape && t.WCET.SameShape(budget)
+	}
 	feasibleAllocs, totalAllocs := 0, 0
 	// Demand changes little from one candidate to the next, so the
 	// checkpoint that decided one budget usually decides the next: each
 	// search starts there and most other checkpoints become skips.
 	decisive := 0
+	// Past a benchmark's saturation point its WCETs stop changing with c
+	// or b, so most cells repeat the previous cell's inputs. The search is
+	// a pure function of (pi, cps, demand, start), and the demand of the
+	// WCET vector, so a cell whose WCETs equal the last solved cell's bit
+	// for bit, searched from the same start, takes that solve's result and
+	// effort as they are. solved holds that cell's WCET vector; lastStart
+	// is -1 until the first solve.
+	solved := make([]float64, len(tasks))
+	lastStart := -1
+	var (
+		theta  float64 // the last solve's budget, or pseudo-budget when !ok
+		ok     bool
+		next   int   // the last solve's decisive index
+		se, it int64 // the last solve's sbf evaluations and solves
+	)
 	for c := plat.Cmin; c <= plat.C; c++ {
 		for b := plat.Bmin; b <= plat.B; b++ {
-			demand.DBFInto(dem, TaskWCETsInto(wcets, tasks, c, b))
-			dbfEvals += int64(len(cps))
-			theta, ok, next, se, it := minBudgetForDemand(pi, cps, dem, decisive)
+			off := budget.Offset(c, b)
+			if sameShape {
+				for i, t := range tasks {
+					wcets[i] = t.WCET.AtOffset(off)
+				}
+			} else {
+				TaskWCETsInto(wcets, tasks, c, b)
+			}
+			if decisive == lastStart && sameBits(wcets, solved) {
+				reused++
+			} else {
+				demand.DBFInto(dem, wcets)
+				theta, ok, next, se, it = minBudgetForDemand(pi, cps, dem, decisive)
+				if !ok {
+					theta = pseudoBudget(pi, cps, dem)
+				}
+				lastStart = decisive
+				wcets, solved = solved, wcets
+			}
 			decisive = next
+			dbfEvals += int64(len(cps))
 			searches++
 			sbfEvals += se
 			iters += it
 			totalAllocs++
-			if !ok {
-				budget.Set(c, b, pseudoBudget(pi, cps, dem))
-				continue
+			if ok {
+				feasibleAllocs++
 			}
-			feasibleAllocs++
 			budget.Set(c, b, theta)
 		}
 	}
@@ -119,6 +157,7 @@ func ExistingVCPUObs(tasks []*model.Task, index int, plat model.Platform, rec *m
 		sp.SetInt("dbf_evals", dbfEvals)
 		sp.SetInt("sbf_evals", sbfEvals)
 		sp.SetInt("budget_solves", iters)
+		sp.SetInt("reused", reused)
 	}
 
 	v := &model.VCPU{
@@ -132,7 +171,8 @@ func ExistingVCPUObs(tasks []*model.Task, index int, plat model.Platform, rec *m
 	feasible := budget.Reference() <= pi
 	if prov.Enabled() {
 		// dem still holds the demand at the full (C,B) allocation — the
-		// loop's last iteration — which is the interface's reference point.
+		// loop's last iteration, or the solve it reused, whose WCETs are
+		// the same bits — which is the interface's reference point.
 		theta := budget.Reference()
 		t, slack := decisiveCheckpoint(pi, theta, cps, dem, feasible)
 		why := fmt.Sprintf("least supply slack %.4g at checkpoint t=%.4g", slack, t)
@@ -155,6 +195,20 @@ func ExistingVCPUObs(tasks []*model.Task, index int, plat model.Platform, rec *m
 		})
 	}
 	return v, feasible, nil
+}
+
+// sameBits reports whether two float slices hold the same values, bit for
+// bit.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // decisiveCheckpoint returns the demand checkpoint that decided the

@@ -32,7 +32,7 @@ func TestInflateTasksAddsPreemptionCost(t *testing.T) {
 		t.Errorf("long inflated WCET = %v, want 2.2", got)
 	}
 	// Originals untouched.
-	if tasks[0].WCET.Reference() != 1 {
+	if math.Float64bits(tasks[0].WCET.Reference()) != math.Float64bits(1) {
 		t.Error("inflation mutated the original task")
 	}
 }
@@ -45,7 +45,7 @@ func TestInflateVCPU(t *testing.T) {
 		t.Errorf("inflated budget = %v, want 2.25", got)
 	}
 	v2 := &model.VCPU{ID: "v2", Period: 10, Budget: model.ConstTable(p, 2)}
-	if got := (Overheads{}).InflateVCPU(v2); got.Budget.Reference() != 2 {
+	if got := (Overheads{}).InflateVCPU(v2); math.Float64bits(got.Budget.Reference()) != math.Float64bits(2) {
 		t.Error("zero overhead must not change the budget")
 	}
 }

@@ -26,7 +26,11 @@ import (
 // dbf/sbf checkpoint-evaluation counters are the paper's Figure-4
 // running-time gap made countable: the existing CSA evaluates demand and
 // supply at every checkpoint of every (c,b) allocation, while the
-// overhead-free analyses (Theorems 1 and 2) evaluate none.
+// overhead-free analyses (Theorems 1 and 2) evaluate none. They count the
+// analysis, not the machine work: a (c,b) cell that ExistingVCPUObs
+// answers by reusing the previous solve (same WCETs, same start) counts
+// the demand evaluation and search it reuses, so the counters do not
+// depend on that reuse.
 const (
 	// MetricDBFEvals counts demand-bound evaluations, one per (checkpoint,
 	// WCET-vector) pair.
@@ -65,11 +69,16 @@ func SBF(pi, theta, t float64) float64 {
 	k := math.Floor((t - blackout) / pi)
 	// A plain compare rather than math.Max: identical for finite inputs,
 	// without math.Max's NaN and signed-zero handling on the hot path.
-	partial := t - 2*blackout - k*pi
+	// The explicit conversions round each product before the add or
+	// subtract: the Go spec lets a compiler fuse x*y + z into one FMA
+	// otherwise, and the budget would then differ by architecture.
+	// blackout+blackout is 2*blackout exactly, with no product to fuse
+	// and no conversion to push SBF past the inlining budget.
+	partial := t - (blackout + blackout) - float64(k*pi)
 	if partial < 0 {
 		partial = 0
 	}
-	supply := k*theta + partial
+	supply := float64(k*theta) + partial
 	if supply < 0 {
 		return 0
 	}
@@ -167,7 +176,7 @@ func minBudgetForDemand(pi float64, checkpoints, demands []float64, start int) (
 // zero occurs.
 func minBudgetAt(pi, t, d float64) float64 {
 	n := math.Floor(t / pi)
-	g := pi - (t - n*pi)
+	g := pi - (t - float64(n*pi)) // rounded product: no FMA, as in SBF
 	var theta float64
 	switch {
 	case d <= (n-1)*g/2:

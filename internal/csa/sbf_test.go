@@ -86,6 +86,38 @@ func TestSBFMonotoneInTheta(t *testing.T) {
 	}
 }
 
+// TestSBFRoundsProducts pins SBF's products k*pi and k*theta to their
+// rounded values, on inputs (found by search) where a fused multiply-add
+// gives other bits. A compiler or an edit that fuses either one therefore
+// fails here even on amd64, where Go never fuses.
+func TestSBFRoundsProducts(t *testing.T) {
+	cases := []struct{ pi, theta, t, want float64 }{
+		{61.33738039961787, 57.688363702714625, 981.3980863938859, 919.3648025465308},  // k*pi
+		{53.248741965925724, 28.812886557159967, 1171.472323250366, 609.4476488487536}, // k*pi
+		{51.743190415623594, 33.417479274758875, 1655.782093299955, 1051.033625651419}, // k*theta
+		{63.579294846109406, 55.9399149021005, 1017.2687175377505, 887.399258489599},   // k*theta
+	}
+	for _, c := range cases {
+		if got := SBF(c.pi, c.theta, c.t); math.Float64bits(got) != math.Float64bits(c.want) {
+			t.Errorf("SBF(%v, %v, %v) = %v, want %v (rounded products)", c.pi, c.theta, c.t, got, c.want)
+		}
+	}
+}
+
+// TestMinBudgetAtRoundsProduct pins minBudgetAt's n*pi the same way.
+func TestMinBudgetAtRoundsProduct(t *testing.T) {
+	cases := []struct{ pi, t, d, want float64 }{
+		{53.97410049991538, 1152.17441912213, 993.435611678419, 47.07241321975403},
+		{56.03566078451942, 2130.8192088781148, 1598.5918410453962, 42.388805199065104},
+		{53.773474115951615, 1712.7335202514387, 156.6030924092751, 5.1443982458840045},
+	}
+	for _, c := range cases {
+		if got := minBudgetAt(c.pi, c.t, c.d); math.Float64bits(got) != math.Float64bits(c.want) {
+			t.Errorf("minBudgetAt(%v, %v, %v) = %v, want %v (rounded product)", c.pi, c.t, c.d, got, c.want)
+		}
+	}
+}
+
 func TestMinBudgetPaperExample(t *testing.T) {
 	// The paper's motivating example: taskset {(p=10, e=1)} on a periodic
 	// resource with period 10 needs a minimum budget of 5.5 — 55x the

@@ -154,6 +154,28 @@ const (
 	periodLevels = 4
 )
 
+// profileKey names one analytic profile: a benchmark on a platform.
+type profileKey struct {
+	bm   parsec.Benchmark
+	plat model.Platform
+}
+
+// analyticProfiles holds the analytic profile of every benchmark in
+// parsec.All on each of the three evaluation platforms (39 tables), built
+// once so that Generate does not recompute them for every taskset. The
+// tables are read-only: Generate gives each task a scaled clone. Other
+// platforms and trace-driven profiles are computed per taskset.
+var analyticProfiles = func() map[profileKey]*model.ResourceTable {
+	plats := []model.Platform{model.PlatformA, model.PlatformB, model.PlatformC}
+	m := make(map[profileKey]*model.ResourceTable, len(plats)*len(parsec.All))
+	for _, p := range plats {
+		for _, bm := range parsec.All {
+			m[profileKey{bm, p}] = bm.Profile(p)
+		}
+	}
+	return m
+}()
+
 // Generate produces a random taskset per the configuration. The returned
 // system always validates; generation fails only for invalid configuration.
 func Generate(cfg Config, rng *rngutil.RNG) (*model.System, error) {
@@ -190,11 +212,15 @@ func Generate(cfg Config, rng *rngutil.RNG) (*model.System, error) {
 		vms[i] = &model.VM{ID: fmt.Sprintf("vm%d", i)}
 	}
 
-	// Per-benchmark slowdown profiles, computed once. The analytic model
-	// is the default; trace-driven profiles replay a synthetic access
-	// stream through the cache simulator instead.
-	profiles := make(map[string]*model.ResourceTable, len(suite))
+	// Per-benchmark slowdown profiles, computed once per taskset unless
+	// analyticProfiles already holds them. The analytic model is the
+	// default; trace-driven profiles replay a synthetic access stream
+	// through the cache simulator instead.
+	var profiles map[string]*model.ResourceTable
 	profileFor := func(bm parsec.Benchmark) (*model.ResourceTable, error) {
+		if p, ok := analyticProfiles[profileKey{bm, cfg.Platform}]; ok && !cfg.UseTraceProfiles {
+			return p, nil
+		}
 		if p, ok := profiles[bm.Name]; ok {
 			return p, nil
 		}
@@ -210,6 +236,9 @@ func Generate(cfg Config, rng *rngutil.RNG) (*model.System, error) {
 			}
 		} else {
 			p = bm.Profile(cfg.Platform)
+		}
+		if profiles == nil {
+			profiles = make(map[string]*model.ResourceTable, len(suite))
 		}
 		profiles[bm.Name] = p
 		return p, nil

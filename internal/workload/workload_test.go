@@ -278,3 +278,58 @@ func TestConfigWireByteIdentity(t *testing.T) {
 		t.Error("numeric distribution encoding accepted")
 	}
 }
+
+// TestAnalyticProfilesMatchProfile is the oracle for the cross-taskset
+// profile memo: it holds the 13 benchmarks on each evaluation platform,
+// each table equal bit for bit to a fresh parsec Profile; a taskset
+// generated through it equals, bit for bit, one generated on a copy of the
+// platform under another name, which the memo does not serve; and writing
+// to a generated task's table leaves the memo untouched.
+func TestAnalyticProfilesMatchProfile(t *testing.T) {
+	plats := []model.Platform{model.PlatformA, model.PlatformB, model.PlatformC}
+	if got, want := len(analyticProfiles), len(plats)*len(parsec.All); got != want {
+		t.Fatalf("memo holds %d profiles, want %d", got, want)
+	}
+	sameTable := func(a, b *model.ResourceTable, p model.Platform) bool {
+		for c := p.Cmin; c <= p.C; c++ {
+			for b2 := p.Bmin; b2 <= p.B; b2++ {
+				if math.Float64bits(a.At(c, b2)) != math.Float64bits(b.At(c, b2)) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	for _, p := range plats {
+		for _, bm := range parsec.All {
+			if !sameTable(analyticProfiles[profileKey{bm, p}], bm.Profile(p), p) {
+				t.Fatalf("memoized %s profile on platform %s differs from Profile", bm.Name, p.Name)
+			}
+		}
+		renamed := p
+		renamed.Name += "-custom"
+		for seed := int64(1); seed <= 5; seed++ {
+			cfg := Config{Platform: p, TargetRefUtil: 1.5, Dist: BimodalMedium}
+			memo := gen(t, cfg, seed)
+			cfg.Platform = renamed
+			fresh := gen(t, cfg, seed)
+			mt, ft := memo.Tasks(), fresh.Tasks()
+			if len(mt) != len(ft) {
+				t.Fatalf("platform %s seed %d: %d tasks through the memo, %d without", p.Name, seed, len(mt), len(ft))
+			}
+			for i := range mt {
+				if math.Float64bits(mt[i].Period) != math.Float64bits(ft[i].Period) || !sameTable(mt[i].WCET, ft[i].WCET, p) {
+					t.Fatalf("platform %s seed %d: task %s differs through the memo", p.Name, seed, mt[i].ID)
+				}
+			}
+			for _, task := range mt {
+				task.WCET.Scale(2)
+			}
+		}
+		for _, bm := range parsec.All {
+			if !sameTable(analyticProfiles[profileKey{bm, p}], bm.Profile(p), p) {
+				t.Fatalf("writing a generated task's table changed the memoized %s profile", bm.Name)
+			}
+		}
+	}
+}
