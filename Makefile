@@ -100,7 +100,8 @@ fuzz-smoke:
 	           internal/csa:FuzzMinBudget internal/csa:FuzzExistingVCPUMatchesReference \
 	           internal/server:FuzzSubmitRequestJSON \
 	           internal/wirejson:FuzzScannerScalars internal/wirejson:FuzzFloat64s \
-	           internal/wirejson:FuzzAppendString internal/kmeans:FuzzCluster \
+	           internal/wirejson:FuzzAppendString internal/wirejson:FuzzAppendFloats \
+	           internal/kmeans:FuzzCluster \
 	           internal/rngutil:FuzzRNGMatchesMathRand; do \
 		pkg=$${tgt%%:*}; fn=$${tgt##*:}; \
 		$(GO) test -run=^$$ -fuzz="^$$fn$$" -fuzztime=300x ./$$pkg || exit 1; \

@@ -651,7 +651,7 @@ func fractionsText(res *experiment.SchedResult) string {
 
 // runtimesText renders Figure 4 from a sweep's running times.
 func runtimesText(res *experiment.SchedResult) string {
-	return "# Figure 4: average running time per taskset (seconds)\n" + res.RuntimeTable()
+	return "# Figure 4: average running time per taskset (milliseconds)\n" + res.RuntimeTable()
 }
 
 // overheadTables measures the handler overheads at each VCPU count and

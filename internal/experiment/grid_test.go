@@ -42,6 +42,25 @@ func TestUtilGridExact(t *testing.T) {
 	}
 }
 
+// TestUtilGridRoundsProduct pins the default grid's bits at points, found
+// by search, where a fused multiply-add of min + i*step changes the last
+// bit: the explicit conversion rounds the product, so the sweep's
+// utilizations do not depend on whether the compiler fuses the two.
+func TestUtilGridRoundsProduct(t *testing.T) {
+	got := utilGrid(0.1, 2.0, 0.05)
+	for _, c := range []struct {
+		i    int
+		bits uint64
+	}{
+		{5, 0x3fd6666666666666},  // 0.35; fused 0.35000000000000003
+		{23, 0x3ff4000000000001}, // 1.2500000000000002; fused 1.25
+	} {
+		if b := math.Float64bits(got[c.i]); b != c.bits {
+			t.Errorf("utilGrid(0.1,2.0,0.05)[%d] bits %#x (%v), want %#x", c.i, b, got[c.i], c.bits)
+		}
+	}
+}
+
 // TestUtilGridNoDuplicates is the regression for the accumulated-and-
 // rounded grid: with step 0.025, rounding to two decimals used to collapse
 // neighbouring points into duplicates.

@@ -24,21 +24,11 @@ func (t *ResourceTable) MarshalJSON() ([]byte, error) {
 	b = strconv.AppendInt(append(b, `,"cmax":`...), int64(t.cmin+t.nc-1), 10)
 	b = strconv.AppendInt(append(b, `,"bmin":`...), int64(t.bmin), 10)
 	b = strconv.AppendInt(append(b, `,"bmax":`...), int64(t.bmin+t.nb-1), 10)
-	b = append(b, `,"values":`...)
-	if t.vals == nil {
-		return append(b, "null}"...), nil
+	b, err := wirejson.AppendFloats(append(b, `,"values":`...), t.vals)
+	if err != nil {
+		return nil, err
 	}
-	b = append(b, '[')
-	for i, v := range t.vals {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		var err error
-		if b, err = wirejson.AppendFloat(b, v); err != nil {
-			return nil, err
-		}
-	}
-	return append(b, "]}"...), nil
+	return append(b, '}'), nil
 }
 
 // UnmarshalJSON decodes the wire form in one pass over data. It accepts

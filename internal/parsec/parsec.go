@@ -113,7 +113,10 @@ func (bm Benchmark) missFactor(c int) float64 {
 		return 1
 	}
 	frac := (bm.WorkingSet - float64(c)) / bm.WorkingSet
-	return 1 + (bm.MissInflation-1)*math.Pow(frac, bm.Gamma)
+	// Here, in Raw and in Profile the explicit conversion rounds the
+	// product before the add: the Go spec lets a compiler fuse x*y + z
+	// into one FMA otherwise, which arm64's compiler does.
+	return 1 + float64((bm.MissInflation-1)*math.Pow(frac, bm.Gamma))
 }
 
 // bwFactor returns lambda(b), the stall inflation with b BW partitions:
@@ -131,7 +134,7 @@ func (bm Benchmark) Raw(c, b int) float64 {
 	if b <= 0 {
 		panic("parsec: Raw with non-positive bandwidth allocation")
 	}
-	return bm.CPUFrac + (1-bm.CPUFrac)*bm.missFactor(c)*bm.bwFactor(b)
+	return bm.CPUFrac + float64((1-bm.CPUFrac)*bm.missFactor(c)*bm.bwFactor(b))
 }
 
 // Profile returns the benchmark's slowdown table on the platform:
@@ -148,7 +151,7 @@ func (bm Benchmark) Profile(p model.Platform) *model.ResourceTable {
 	for c := p.Cmin; c <= p.C; c++ {
 		mu := bm.missFactor(c)
 		for b := p.Bmin; b <= p.B; b++ {
-			t.Set(c, b, (bm.CPUFrac+(1-bm.CPUFrac)*mu*bm.bwFactor(b))/ref)
+			t.Set(c, b, (bm.CPUFrac+float64((1-bm.CPUFrac)*mu*bm.bwFactor(b)))/ref)
 		}
 	}
 	return t

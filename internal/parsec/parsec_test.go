@@ -185,7 +185,7 @@ func TestMissFactorBounds(t *testing.T) {
 
 func TestBWFactorSaturates(t *testing.T) {
 	for _, bm := range All {
-		if got := bm.bwFactor(20); got != 1 {
+		if got := bm.bwFactor(20); math.Float64bits(got) != math.Float64bits(1) {
 			t.Errorf("%s: bwFactor(20) = %v, want 1", bm.Name, got)
 		}
 		if got := bm.bwFactor(1); math.Abs(got-bm.BWSat) > 1e-12 && bm.BWSat > 1 {
@@ -211,5 +211,30 @@ func TestProfileMatchesRaw(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestWCETModelRoundsProducts pins the WCET model's bits at inputs, found
+// by search, where a fused multiply-add changes the last bit: missFactor's
+// product, and TraceProfile's sum of cost products (with the default
+// latencies every product is an exact integer, so none differs there).
+// The explicit conversions round each product, so the model's own
+// arithmetic does not depend on whether a compiler fuses x*y + z, as
+// arm64's does. Raw and Profile are held by TestProfileMatchesRaw, which
+// a fused Raw or a fused Profile fails.
+func TestWCETModelRoundsProducts(t *testing.T) {
+	bodytrack, _ := ByName("bodytrack")
+	if got := math.Float64bits(bodytrack.missFactor(5)); got != 0x40013b4364ec248e { // fused: ...248d
+		t.Errorf("bodytrack missFactor(5) bits %#x, want 0x40013b4364ec248e", got)
+	}
+	vips, _ := ByName("vips")
+	tab, err := vips.TraceProfile(model.PlatformC, TraceConfig{
+		Ops: 5000, HitLatency: 0.3, MissLatency: 13.1, ComputeLatency: 0.7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := math.Float64bits(tab.At(7, 3)); got != 0x3ff047a11859346b { // fused: ...346a
+		t.Errorf("vips trace profile (7,3) bits %#x, want 0x3ff047a11859346b", got)
 	}
 }

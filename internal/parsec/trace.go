@@ -123,10 +123,12 @@ func (bm Benchmark) TraceProfile(p model.Platform, cfg TraceConfig) (*model.Reso
 	}
 	_ = memOps
 
+	// The conversions round each product before the sum, which a
+	// compiler may otherwise fuse into an FMA.
 	time := func(c, b int) float64 {
-		cpu := computeOps * cfg.ComputeLatency
-		hits := (memOps - misses[c]) * cfg.HitLatency
-		mem := misses[c] * cfg.MissLatency
+		cpu := float64(computeOps * cfg.ComputeLatency)
+		hits := float64((memOps - misses[c]) * cfg.HitLatency)
+		mem := float64(misses[c] * cfg.MissLatency)
 		if bw := misses[c] / (float64(b) * cfg.BWPerPartition) * cfg.MissLatency; bw > mem {
 			mem = bw
 		}

@@ -84,7 +84,7 @@ func TestTraceProfileAgreesWithAnalyticDirectionally(t *testing.T) {
 func TestTraceProfileDeterministic(t *testing.T) {
 	a := traceProfile(t, "vips")
 	b := traceProfile(t, "vips")
-	if a.At(5, 5) != b.At(5, 5) {
+	if math.Float64bits(a.At(5, 5)) != math.Float64bits(b.At(5, 5)) {
 		t.Error("same seed produced different trace profiles")
 	}
 }

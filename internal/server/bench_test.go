@@ -85,13 +85,67 @@ func BenchmarkSubmitDecode(b *testing.B) {
 
 var decodeSink *model.System
 
-// submitBodies encodes n cold-existing-shaped run submissions. With
-// distinct set, every WCET table is strictly decreasing in row-major
-// order, so no value equals its predecessor.
+// BenchmarkTableMarshal encodes the WCET tables of the systems
+// BenchmarkSubmitDecode decodes, one table per op, with
+// ResourceTable.MarshalJSON, the table encoder of every json.Marshal of a
+// system. A value with the same bits as its predecessor reuses its bytes;
+// the distinct-values set is the reuse check's worst case.
+func BenchmarkTableMarshal(b *testing.B) {
+	for _, set := range []struct {
+		name     string
+		distinct bool
+	}{{"cold-existing", false}, {"distinct-values", true}} {
+		b.Run(set.name, func(b *testing.B) {
+			var tables []*model.ResourceTable
+			size := 0
+			for _, req := range coldRequests(b, 32, set.distinct) {
+				for _, t := range req.System.Tasks() {
+					enc, err := t.WCET.MarshalJSON()
+					if err != nil {
+						b.Fatal(err)
+					}
+					tables = append(tables, t.WCET)
+					size += len(enc)
+				}
+			}
+			b.SetBytes(int64(size / len(tables)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				enc, err := tables[i%len(tables)].MarshalJSON()
+				if err != nil {
+					b.Fatal(err)
+				}
+				marshalSink = enc
+			}
+		})
+	}
+}
+
+var marshalSink []byte
+
+// submitBodies encodes n cold-existing-shaped run submissions.
 func submitBodies(b *testing.B, n int, distinct bool) [][]byte {
 	b.Helper()
+	reqs := coldRequests(b, n, distinct)
 	bodies := make([][]byte, n)
-	for i := range bodies {
+	for i, req := range reqs {
+		var err error
+		if bodies[i], err = json.Marshal(req); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return bodies
+}
+
+// coldRequests returns n cold-existing-shaped run submissions, each
+// carrying its generated system. With distinct set, every WCET table is
+// strictly decreasing in row-major order, so no value equals its
+// predecessor.
+func coldRequests(b *testing.B, n int, distinct bool) []SubmitRequest {
+	b.Helper()
+	reqs := make([]SubmitRequest, n)
+	for i := range reqs {
 		req := coldExistingReq(int64(i) + 1)
 		sys, err := workload.Generate(*req.Generate, rngutil.New(req.GenSeed))
 		if err != nil {
@@ -108,9 +162,7 @@ func submitBodies(b *testing.B, n int, distinct bool) [][]byte {
 				})
 			}
 		}
-		if bodies[i], err = json.Marshal(req); err != nil {
-			b.Fatal(err)
-		}
+		reqs[i] = req
 	}
-	return bodies
+	return reqs
 }

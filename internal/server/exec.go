@@ -150,18 +150,29 @@ func executeRun(ctx context.Context, req SubmitRequest, prov *provenance.Recorde
 	}
 	in.Allocation = a
 	if req.SimulateMs > 0 {
-		res, serr := vc2m.Simulate(a, req.SimulateMs, vc2m.SimOptions{
-			RecordTrace: true, Metrics: rec, Span: sp,
-		})
-		if serr != nil {
-			return nil, nil, serr
-		}
-		in.Sim = res
-		if res.Missed > 0 {
-			in.Diagnosis = vc2m.DiagnoseMisses(res.Events)
+		if in.Sim, in.Diagnosis, err = simulate(a, req.SimulateMs, rec, sp); err != nil {
+			return nil, nil, err
 		}
 	}
 	return report.BuildRun(in), a, nil
+}
+
+// simulate runs the allocation on hypersim for horizonMs and, when a
+// deadline is missed, diagnoses the misses. The report keeps only the
+// run's summary, so the run records no event stream; a run that misses is
+// simulated again with the stream kept, for the diagnosis alone. hypersim
+// is deterministic, so the second run replays the first. It gets no
+// recorder and no span, so the run's counters and stages count once.
+func simulate(a *model.Allocation, horizonMs float64, rec *vc2m.MetricsRecorder, sp *obs.Span) (*vc2m.SimResult, *vc2m.MissReport, error) {
+	res, err := vc2m.Simulate(a, horizonMs, vc2m.SimOptions{Metrics: rec, Span: sp})
+	if err != nil || res.Missed == 0 {
+		return res, nil, err
+	}
+	traced, err := vc2m.Simulate(a, horizonMs, vc2m.SimOptions{RecordTrace: true})
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, vc2m.DiagnoseMisses(traced.Events), nil
 }
 
 // executeChurn is the KindChurn path: wait for the base run's allocation,

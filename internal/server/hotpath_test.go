@@ -2,7 +2,8 @@ package server
 
 // Tests of the served decision path: the run's retained status summary,
 // first-entry-only stage events, the run-end decision counts, the served
-// report's framing, and where a posted system is validated.
+// report's framing, where a posted system is validated, and the
+// simulation's miss diagnosis.
 
 import (
 	"bytes"
@@ -12,6 +13,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -338,5 +340,78 @@ func TestInvalidSystemValidatedAtSubmitAndAllocate(t *testing.T) {
 	st := executeNow(New(Config{}), req, false).Status()
 	if st.State != StateFailed || st.Error != allocErr.Error() {
 		t.Errorf("registry run: %s %q, want failed %q", st.State, st.Error, allocErr)
+	}
+}
+
+// overloadedAllocation is a hand-built allocation whose one VCPU carries
+// two tasks of 8 ms every 10 ms: it misses deadlines from the first period.
+func overloadedAllocation() *model.Allocation {
+	tasks := []*model.Task{
+		model.SimpleTask("t1", model.PlatformA, 10, 8),
+		model.SimpleTask("t2", model.PlatformA, 10, 8),
+	}
+	for _, task := range tasks {
+		task.VM = "vm0"
+	}
+	return &model.Allocation{
+		Platform: model.PlatformA,
+		Cores: []*model.CoreAlloc{{
+			Core: 0, Cache: 5, BW: 4,
+			VCPUs: []*model.VCPU{{
+				ID: "v0", VM: "vm0", Period: 10,
+				Budget: model.ConstTable(model.PlatformA, 10),
+				Tasks:  tasks,
+			}},
+		}},
+	}
+}
+
+// TestSimulateDiagnosisMatchesOnePass holds simulate, which diagnoses
+// misses from a second, traced run, to the one-pass path it replaced: one
+// traced run diagnosed from its own event stream. The result, the
+// diagnosis, the counters and the stage spans must be equal.
+func TestSimulateDiagnosisMatchesOnePass(t *testing.T) {
+	const horizonMs = 200
+	a := overloadedAllocation()
+
+	onePassRec, onePassTrace := vc2m.NewMetrics(), obs.NewTrace()
+	root := onePassTrace.StartSpan(obs.StageRun)
+	want, err := vc2m.Simulate(a, horizonMs, vc2m.SimOptions{RecordTrace: true, Metrics: onePassRec, Span: root})
+	root.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Missed == 0 {
+		t.Fatal("the overloaded allocation missed no deadline")
+	}
+	wantDiag := vc2m.DiagnoseMisses(want.Events)
+
+	rec, tr := vc2m.NewMetrics(), obs.NewTrace()
+	root = tr.StartSpan(obs.StageRun)
+	got, diag, err := simulate(a, horizonMs, rec, root)
+	root.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diag == nil || !reflect.DeepEqual(diag, wantDiag) {
+		t.Errorf("diagnosis %+v, one-pass %+v", diag, wantDiag)
+	}
+	if got.Events != nil || got.Trace != nil {
+		t.Error("the reported run kept its event stream")
+	}
+	want.Events, want.Trace = nil, nil
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("result %+v, one-pass %+v", got, want)
+	}
+	if g, w := rec.Snapshot(), onePassRec.Snapshot(); !reflect.DeepEqual(g, w) {
+		t.Errorf("counters %+v, one-pass %+v", g, w)
+	}
+	if g, w := tr.Len(), onePassTrace.Len(); g != w {
+		t.Errorf("%d spans, one-pass %d", g, w)
+	}
+
+	a.Cores[0].VCPUs[0].Tasks = a.Cores[0].VCPUs[0].Tasks[:1]
+	if _, diag, err := simulate(a, horizonMs, nil, nil); err != nil || diag != nil {
+		t.Errorf("a run that meets its deadlines: diagnosis %+v, error %v", diag, err)
 	}
 }

@@ -1,8 +1,9 @@
 // Package wirejson holds the pieces shared by the hand-written wire paths:
 // Scanner, the one-pass JSON reader behind the request decoder (package
 // server) and the WCET-table codec (package model), whose Float64s reads a
-// table's values array in one loop, and the two scalar appenders of the
-// table codec and the report writer (package report).
+// table's values array in one loop, the two scalar appenders of the
+// table codec and the report writer (package report), and AppendFloats,
+// which writes a values array in one loop, the encode mirror of Float64s.
 // encoding/json is the wire specification and the test oracle: the
 // appenders produce exactly the bytes it produces for the same value, the
 // Scanner reads exactly the values it reads, and the differential tests
@@ -132,4 +133,36 @@ func AppendFloat(dst []byte, f float64) ([]byte, error) {
 		}
 	}
 	return dst, nil
+}
+
+// AppendFloats appends vals as json.Marshal encodes a []float64: null for
+// a nil slice, otherwise each value in AppendFloat's form between brackets.
+// A value with the same bits as its predecessor appends the bytes the
+// predecessor wrote instead of being formatted again: saturated WCET
+// tables repeat most of their values. Bits, not ==, decide, because 0 and
+// -0 are equal but encode differently. At the first NaN or infinity
+// AppendFloats returns nil and AppendFloat's error.
+func AppendFloats(dst []byte, vals []float64) ([]byte, error) {
+	if vals == nil {
+		return append(dst, "null"...), nil
+	}
+	dst = append(dst, '[')
+	var prev uint64
+	var start, end int // dst[start:end] holds the bytes prev was written as
+	for i, v := range vals {
+		if i > 0 {
+			dst = append(dst, ',')
+			if math.Float64bits(v) == prev {
+				dst = append(dst, dst[start:end]...)
+				continue
+			}
+		}
+		start = len(dst)
+		var err error
+		if dst, err = AppendFloat(dst, v); err != nil {
+			return nil, err
+		}
+		prev, end = math.Float64bits(v), len(dst)
+	}
+	return append(dst, ']'), nil
 }

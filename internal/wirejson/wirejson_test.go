@@ -1,6 +1,7 @@
 package wirejson
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"math"
@@ -78,4 +79,65 @@ func TestAppendFloatMatchesEncodingJSON(t *testing.T) {
 			t.Errorf("AppendFloat(%v) = %q, %v; encoding/json fails with %v", f, got, err, specErr)
 		}
 	}
+}
+
+// FuzzAppendFloats holds AppendFloats to json.Marshal of a []float64:
+// the same bytes, or the same error and a nil result. The values are
+// picked from a few fuzzed ones by a fuzzed index pattern, so runs of one
+// value, and of values with equal bits next to values equal as floats,
+// are common. With null set an empty pick is the nil slice.
+func FuzzAppendFloats(f *testing.F) {
+	negZero, nan, inf := math.Copysign(0, -1), math.NaN(), math.Inf(1)
+	for _, seed := range []struct {
+		vals    []float64
+		pattern []byte
+		null    bool
+	}{
+		{nil, nil, true},
+		{nil, nil, false},
+		{[]float64{1.5}, []byte{0}, false},
+		{[]float64{2.25, 7}, []byte{0, 0, 0, 1}, false}, // a run at the start
+		{[]float64{2.25, 7}, []byte{1, 0, 0, 0}, false}, // a run at the end
+		{[]float64{3, 121.61448714212153}, []byte{0, 1, 1, 0, 0, 1}, false},
+		{[]float64{0, negZero}, []byte{0, 1, 0, 1, 1, 0}, false}, // 0 next to -0, both orders
+		{[]float64{negZero, 0}, []byte{0, 0, 1, 1}, false},
+		{[]float64{1e-7, 1e21, 5e-324}, []byte{0, 0, 1, 1, 2, 2}, false}, // e forms repeated
+		{[]float64{4, nan}, []byte{0, 0, 0, 1}, false},                   // NaN after a run
+		{[]float64{4, inf}, []byte{0, 0, 1, 1}, false},
+		{[]float64{4, -inf}, []byte{0, 0, 0, 1, 0}, false},
+		{[]float64{nan}, []byte{0, 0}, false},
+	} {
+		data := make([]byte, 0, 8*len(seed.vals))
+		for _, v := range seed.vals {
+			data = binary.LittleEndian.AppendUint64(data, math.Float64bits(v))
+		}
+		f.Add(data, seed.pattern, seed.null)
+	}
+	f.Fuzz(func(t *testing.T, data, pattern []byte, null bool) {
+		var pool []float64
+		for ; len(data) >= 8; data = data[8:] {
+			pool = append(pool, math.Float64frombits(binary.LittleEndian.Uint64(data)))
+		}
+		var vals []float64
+		for _, p := range pattern {
+			if len(pool) > 0 {
+				vals = append(vals, pool[int(p)%len(pool)])
+			}
+		}
+		if vals == nil && !null {
+			vals = []float64{}
+		}
+		spec, specErr := json.Marshal(vals)
+		got, err := AppendFloats([]byte("x"), vals)
+		if specErr != nil {
+			var uv *json.UnsupportedValueError
+			if !errors.As(err, &uv) || got != nil || err.Error() != specErr.Error() {
+				t.Fatalf("AppendFloats(%v) = %q, %v; encoding/json fails with %v", vals, got, err, specErr)
+			}
+			return
+		}
+		if err != nil || string(got) != "x"+string(spec) {
+			t.Fatalf("AppendFloats(%v) = %s, %v; encoding/json %s", vals, got, err, spec)
+		}
+	})
 }
