@@ -96,7 +96,8 @@ fuzz-smoke:
 	           internal/model:FuzzResourceTableJSON internal/report:FuzzReportMarshal \
 	           internal/timeunit:FuzzMillisConversions internal/timeunit:FuzzTickRoundTrips \
 	           internal/timeunit:FuzzGCDLCM internal/workload:FuzzGenerate \
-	           internal/alloc:FuzzIncrementalChurn internal/obs:FuzzPromParse \
+	           internal/alloc:FuzzIncrementalChurn internal/alloc:FuzzHyperLevelMatchesReference \
+	           internal/obs:FuzzPromParse \
 	           internal/csa:FuzzMinBudget internal/csa:FuzzExistingVCPUMatchesReference \
 	           internal/server:FuzzSubmitRequestJSON \
 	           internal/wirejson:FuzzScannerScalars internal/wirejson:FuzzFloat64s \

@@ -187,6 +187,14 @@ func schedulable(u float64) bool { return u <= 1+schedEps }
 // and (Phase 3) load balancing, until the system is schedulable or the
 // iteration budget is exhausted. It returns model.ErrNotSchedulable when no
 // feasible allocation is found.
+//
+// An attempt is a pure function of m and its permutation, and with at most
+// a few clusters most permutations are drawn more than once per m. So each
+// failed attempt's outcome is kept for the rest of its m (see
+// failedAttempt), and a permutation drawn again replays it: the same fail
+// cause, effort counters and Phase 2-3 decisions, with no Phase 1-3 run.
+// The random draws, counters and decision stream are those of a search
+// that runs every attempt.
 func HyperLevel(vcpus []*model.VCPU, plat model.Platform, cfg HyperConfig, rng *rngutil.RNG) (*model.Allocation, error) {
 	if err := plat.Validate(); err != nil {
 		return nil, err
@@ -195,9 +203,102 @@ func HyperLevel(vcpus []*model.VCPU, plat model.Platform, cfg HyperConfig, rng *
 		return &model.Allocation{Platform: plat, Schedulable: true}, nil
 	}
 	cfg = cfg.withDefaults(len(vcpus))
+	groups, err := hyperGroups(vcpus, plat, cfg, rng)
+	if err != nil {
+		return nil, err
+	}
 	rec := cfg.Metrics
 	prov := cfg.Provenance
 
+	var scratch packScratch
+	memo := make([]failedAttempt, 0, cfg.MaxIters) // the failed attempts at the current m
+	var attempts int
+	var cpuN, cacheN, bwN int // how often each resource bound a failed attempt
+	mStart := 1
+	if cfg.MinCores > mStart {
+		mStart = cfg.MinCores
+	}
+	for m := mStart; m <= plat.M; m++ {
+		if plat.Cmin*m > plat.C || plat.Bmin*m > plat.B {
+			break // not enough partitions to give every core its minimum
+		}
+		rec.Inc(MetricMTried)
+		memo = memo[:0]
+		for iter := 0; iter < cfg.MaxIters; iter++ {
+			if cfg.Ctx != nil {
+				if err := cfg.Ctx.Err(); err != nil {
+					return nil, fmt.Errorf("alloc: search canceled after %d attempts: %w", attempts, err)
+				}
+			}
+			perm := rng.Perm(len(groups))
+			rec.Inc(MetricPermutations)
+			sp1 := cfg.Span.Child(obs.StagePhase1)
+			prev := findAttempt(memo, perm)
+			var cores []*coreState
+			if prev == nil {
+				cores = packPhase1(groups, perm, m, &scratch)
+			}
+			sp1.SetInt("m", int64(m))
+			sp1.SetInt("iter", int64(iter))
+			if prev != nil {
+				sp1.SetAttr("reused", "true")
+			}
+			sp1.End()
+			rec.Inc(MetricPhase1Packing)
+			attempts++
+			var out failedAttempt
+			if prev != nil {
+				out = *prev
+				out.replay(rec, prov)
+			} else {
+				ok, failed, replayable := runAttempt(cores, perm, plat, cfg)
+				if ok {
+					if prov.Enabled() {
+						recordPlacements(prov, cores)
+						prov.Record(provenance.Decision{
+							Stage: provenance.StageHyper, Kind: provenance.KindAccept,
+							Subject: "system", Target: "m=" + strconv.Itoa(m),
+							Value: float64(m), Accepted: true,
+							Reason: acceptReason(m, iter),
+						})
+					}
+					return buildAllocation(cores, plat), nil
+				}
+				out = failed
+				if replayable {
+					memo = append(memo, out)
+				}
+			}
+			if out.cause.cpu {
+				cpuN++
+			}
+			if out.cause.cache {
+				cacheN++
+			}
+			if out.cause.bw {
+				bwN++
+			}
+			if prov.Enabled() {
+				prov.Record(provenance.Decision{
+					Stage: provenance.StageHyper, Kind: provenance.KindAttempt,
+					Subject:  attemptSubject(m, iter),
+					Value:    out.overload,
+					Reason:   "packing attempt left unschedulable cores (value = total overload)",
+					Violated: out.cause.violated(),
+				})
+			}
+		}
+	}
+	return nil, searchExhausted(prov, attempts, cpuN, cacheN, bwN)
+}
+
+// hyperGroups inflates the VCPUs for overheads, screens out any VCPU that
+// no allocation can schedule, and groups the rest by slowdown similarity
+// (one group under NoClustering), each group sorted by decreasing
+// reference bandwidth: the input of every packing attempt.
+func hyperGroups(vcpus []*model.VCPU, plat model.Platform, cfg HyperConfig, rng *rngutil.RNG) ([][]*model.VCPU, error) {
+	rec := cfg.Metrics
+	prov := cfg.Provenance
 	inflated := make([]*model.VCPU, len(vcpus))
 	for i, v := range vcpus {
 		inflated[i] = cfg.Overheads.InflateVCPU(v)
@@ -242,67 +343,12 @@ func HyperLevel(vcpus []*model.VCPU, plat model.Platform, cfg HyperConfig, rng *
 	for _, g := range groups {
 		sortDesc(g, (*model.VCPU).RefBandwidth, func(a, b *model.VCPU) int { return cmp.Compare(a.Index, b.Index) })
 	}
+	return groups, nil
+}
 
-	var scratch packScratch
-	var attempts int
-	var cpuN, cacheN, bwN int // how often each resource bound a failed attempt
-	mStart := 1
-	if cfg.MinCores > mStart {
-		mStart = cfg.MinCores
-	}
-	for m := mStart; m <= plat.M; m++ {
-		if plat.Cmin*m > plat.C || plat.Bmin*m > plat.B {
-			break // not enough partitions to give every core its minimum
-		}
-		rec.Inc(MetricMTried)
-		for iter := 0; iter < cfg.MaxIters; iter++ {
-			if cfg.Ctx != nil {
-				if err := cfg.Ctx.Err(); err != nil {
-					return nil, fmt.Errorf("alloc: search canceled after %d attempts: %w", attempts, err)
-				}
-			}
-			perm := rng.Perm(len(groups))
-			rec.Inc(MetricPermutations)
-			sp1 := cfg.Span.Child(obs.StagePhase1)
-			cores := packPhase1(groups, perm, m, &scratch)
-			sp1.SetInt("m", int64(m))
-			sp1.SetInt("iter", int64(iter))
-			sp1.End()
-			rec.Inc(MetricPhase1Packing)
-			attempts++
-			ok, cause := allocateAndBalance(cores, plat, cfg)
-			if ok {
-				if prov.Enabled() {
-					recordPlacements(prov, cores)
-					prov.Record(provenance.Decision{
-						Stage: provenance.StageHyper, Kind: provenance.KindAccept,
-						Subject: "system", Target: "m=" + strconv.Itoa(m),
-						Value: float64(m), Accepted: true,
-						Reason: acceptReason(m, iter),
-					})
-				}
-				return buildAllocation(cores, plat), nil
-			}
-			if cause.cpu {
-				cpuN++
-			}
-			if cause.cache {
-				cacheN++
-			}
-			if cause.bw {
-				bwN++
-			}
-			if prov.Enabled() {
-				prov.Record(provenance.Decision{
-					Stage: provenance.StageHyper, Kind: provenance.KindAttempt,
-					Subject:  attemptSubject(m, iter),
-					Value:    totalOverload(cores),
-					Reason:   "packing attempt left unschedulable cores (value = total overload)",
-					Violated: cause.violated(),
-				})
-			}
-		}
-	}
+// searchExhausted records and returns the rejection of a search whose
+// every attempt failed.
+func searchExhausted(prov *provenance.Recorder, attempts, cpuN, cacheN, bwN int) error {
 	re := &RejectionError{
 		Stage:    provenance.StageHyper,
 		Reason:   fmt.Sprintf("no feasible packing in %d attempts (cpu-bound %d, cache-starved %d, bw-starved %d)", attempts, cpuN, cacheN, bwN),
@@ -314,7 +360,106 @@ func HyperLevel(vcpus []*model.VCPU, plat model.Platform, cfg HyperConfig, rng *
 			Subject: "system", Reason: re.Reason, Violated: re.Violated,
 		})
 	}
-	return nil, re
+	return re
+}
+
+// failedAttempt is the outcome of a failed packing attempt at one m, kept
+// so that the same permutation drawn again at that m replays it: the
+// attempt is a pure function of (m, permutation). The decisions its
+// Phases 2 and 3 recorded are [from, to) of the provenance stream.
+type failedAttempt struct {
+	perm     []int
+	cause    failCause
+	overload float64 // totalOverload of the final cores; set only with provenance
+	effort   attemptEffort
+	from, to int
+}
+
+// runAttempt runs Phases 2 and 3 on the Phase 1 packing cores made under
+// perm, and adds their effort to cfg.Metrics. It reports success; on
+// failure it returns the attempt's outcome, and whether a later draw of
+// perm may replay it. It may not when the provenance recorder, shared
+// with another writer, grew by more than the attempt's own decisions.
+func runAttempt(cores []*coreState, perm []int, plat model.Platform, cfg HyperConfig) (ok bool, out failedAttempt, replayable bool) {
+	prov := cfg.Provenance
+	from := prov.Len()
+	var effort attemptEffort
+	ok, cause := allocateAndBalance(cores, plat, cfg, &effort)
+	effort.flush(cfg.Metrics)
+	if ok {
+		return true, failedAttempt{}, false
+	}
+	out = failedAttempt{perm: perm, cause: cause, effort: effort, from: from, to: prov.Len()}
+	if prov.Enabled() {
+		out.overload = totalOverload(cores)
+	}
+	return false, out, out.to-out.from == effort.decisions
+}
+
+// replay adds the attempt's effort to rec and re-records its Phase 2-3
+// decisions in prov, as running it again would.
+func (a *failedAttempt) replay(rec *metrics.Recorder, prov *provenance.Recorder) {
+	a.effort.flush(rec)
+	prov.RecordRepeat(a.from, a.to)
+}
+
+// findAttempt returns the attempt of memo made under perm, nil if none.
+func findAttempt(memo []failedAttempt, perm []int) *failedAttempt {
+	for i := range memo {
+		if slices.Equal(memo[i].perm, perm) {
+			return &memo[i]
+		}
+	}
+	return nil
+}
+
+// effortCounter indexes attemptEffort's counters.
+type effortCounter int
+
+const (
+	effortPhase2Calls effortCounter = iota
+	effortPhase2Attempts
+	effortPhase2Grants
+	effortPhase3Rounds
+	effortPhase3Migrations
+	numEffortCounters
+)
+
+// effortMetrics names the metric each effortCounter adds to.
+var effortMetrics = [numEffortCounters]string{
+	MetricPhase2Calls, MetricPhase2Attempts, MetricPhase2Grants,
+	MetricPhase3Rounds, MetricPhase3Migrations,
+}
+
+// attemptEffort is the search effort of one attempt's Phases 2 and 3,
+// counted by the attempt and added to the metrics recorder when it ends.
+// Counting it locally keeps it the attempt's own when sweep workers share
+// one recorder, and lets a replay add the same effort again.
+type attemptEffort struct {
+	n [numEffortCounters]int64
+	// touched marks every counter the attempt added to, zero adds
+	// included: an add registers its counter (metrics.Recorder.Add), and
+	// a replay registers the same ones.
+	touched [numEffortCounters]bool
+	// decisions counts the provenance decisions the attempt recorded.
+	decisions int
+}
+
+func (e *attemptEffort) add(c effortCounter, n int64) {
+	e.n[c] += n
+	e.touched[c] = true
+}
+
+// flush adds the effort to rec.
+func (e *attemptEffort) flush(rec *metrics.Recorder) {
+	if rec == nil {
+		return
+	}
+	for c, n := range e.n {
+		if e.touched[c] {
+			rec.Add(effortMetrics[c], n)
+		}
+	}
 }
 
 // recordPlacements emits one place decision per VCPU of a successful
@@ -390,20 +535,21 @@ func packPhase1(groups [][]*model.VCPU, perm []int, m int, scratch *packScratch)
 // helping, or the round budget is exhausted. It reports success; on
 // success the cores hold their final VCPU and partition assignments, and
 // on failure the cause classifies the binding resources of the last
-// Phase 2 failure.
-func allocateAndBalance(cores []*coreState, plat model.Platform, cfg HyperConfig) (bool, failCause) {
-	rec := cfg.Metrics
+// Phase 2 failure. The attempt's effort is counted into effort.
+func allocateAndBalance(cores []*coreState, plat model.Platform, cfg HyperConfig, effort *attemptEffort) (bool, failCause) {
 	prov := cfg.Provenance
-	phase2 := allocatePhase2
-	if cfg.NoResourceGrowth {
-		phase2 = allocateEven
-	}
 	var cause failCause
 	runPhase2 := func() bool {
-		rec.Inc(MetricPhase2Calls)
+		effort.add(effortPhase2Calls, 1)
 		sp2 := cfg.Span.Child(obs.StagePhase2)
 		var ok bool
-		ok, cause = phase2(cores, plat, rec, prov)
+		// A direct call, not one through a func value, keeps effort off
+		// the heap.
+		if cfg.NoResourceGrowth {
+			ok, cause = allocateEven(cores, plat)
+		} else {
+			ok, cause = allocatePhase2(cores, plat, effort, prov)
+		}
 		sp2.End()
 		return ok
 	}
@@ -415,9 +561,9 @@ func allocateAndBalance(cores []*coreState, plat model.Platform, cfg HyperConfig
 	}
 	prevOverload := totalOverload(cores)
 	for round := 0; round < cfg.MaxBalanceRounds; round++ {
-		rec.Inc(MetricPhase3Rounds)
+		effort.add(effortPhase3Rounds, 1)
 		sp3 := cfg.Span.Child(obs.StagePhase3)
-		moved := balancePhase3(cores, rec, prov)
+		moved := balancePhase3(cores, effort, prov)
 		sp3.End()
 		if !moved {
 			return false, cause // no migration possible: no benefit in balancing
@@ -436,7 +582,7 @@ func allocateAndBalance(cores []*coreState, plat model.Platform, cfg HyperConfig
 
 // allocateEven is the NoResourceGrowth ablation: every core receives an
 // equal share of the partitions regardless of demand.
-func allocateEven(cores []*coreState, plat model.Platform, _ *metrics.Recorder, _ *provenance.Recorder) (bool, failCause) {
+func allocateEven(cores []*coreState, plat model.Platform) (bool, failCause) {
 	cache := plat.C / len(cores)
 	bw := plat.B / len(cores)
 	if cache < plat.Cmin || bw < plat.Bmin {
@@ -464,7 +610,7 @@ func allocateEven(cores []*coreState, plat model.Platform, _ *metrics.Recorder, 
 // from one extra partition (cache or BW, whichever helps it more) receives
 // that partition. It reports whether all cores became schedulable; on
 // failure the cause classifies every still-unschedulable core.
-func allocatePhase2(cores []*coreState, plat model.Platform, rec *metrics.Recorder, prov *provenance.Recorder) (bool, failCause) {
+func allocatePhase2(cores []*coreState, plat model.Platform, effort *attemptEffort, prov *provenance.Recorder) (bool, failCause) {
 	for _, cs := range cores {
 		cs.cache, cs.bw = plat.Cmin, plat.Bmin
 		cs.touch()
@@ -476,12 +622,10 @@ func allocatePhase2(cores []*coreState, plat model.Platform, rec *metrics.Record
 	}
 
 	var attempts, grants int64
-	if rec != nil {
-		defer func() {
-			rec.Add(MetricPhase2Attempts, attempts)
-			rec.Add(MetricPhase2Grants, grants)
-		}()
-	}
+	defer func() {
+		effort.add(effortPhase2Attempts, attempts)
+		effort.add(effortPhase2Grants, grants)
+	}()
 	for {
 		allOK := true
 		bestCore, bestIsCache := -1, false
@@ -526,6 +670,7 @@ func allocatePhase2(cores []*coreState, plat model.Platform, rec *metrics.Record
 				kind = provenance.BW
 			}
 			cs := cores[bestCore]
+			effort.decisions++
 			prov.Record(provenance.Decision{
 				Stage: provenance.StagePhase2, Kind: provenance.KindGrant,
 				Subject: coreName(bestCore), Target: string(kind),
@@ -559,7 +704,7 @@ func gain(old, new_ float64) float64 {
 // balancePhase3 migrates one VCPU from each unschedulable core to the
 // schedulable core that will have the smallest utilization after the
 // migration. It reports whether at least one migration happened.
-func balancePhase3(cores []*coreState, rec *metrics.Recorder, prov *provenance.Recorder) bool {
+func balancePhase3(cores []*coreState, effort *attemptEffort, prov *provenance.Recorder) bool {
 	var migrations int64
 	var dsts []*coreState // reused by every pickMigration call in this pass
 	for si, src := range cores {
@@ -578,6 +723,7 @@ func balancePhase3(cores []*coreState, rec *metrics.Recorder, prov *provenance.R
 			migrations++
 			if prov.Enabled() {
 				di := coreIndexOf(cores, dst)
+				effort.decisions++
 				prov.Record(provenance.Decision{
 					Stage: provenance.StagePhase3, Kind: provenance.KindMigrate,
 					Subject: v.ID, Target: coreName(si) + " -> " + coreName(di),
@@ -588,7 +734,7 @@ func balancePhase3(cores []*coreState, rec *metrics.Recorder, prov *provenance.R
 			}
 		}
 	}
-	rec.Add(MetricPhase3Migrations, migrations)
+	effort.add(effortPhase3Migrations, migrations)
 	return migrations > 0
 }
 

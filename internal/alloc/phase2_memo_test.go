@@ -138,7 +138,7 @@ func refAllocateAndBalance(cores []*coreState, plat model.Platform, rounds int, 
 	prevOverload := totalOverload(cores)
 	for round := 0; round < rounds; round++ {
 		touchAll()
-		if !balancePhase3(cores, nil, prov) {
+		if !balancePhase3(cores, &attemptEffort{}, prov) {
 			return false, cause
 		}
 		if ok, cause = refPhase2(cores, plat, prov); ok {
@@ -220,7 +220,7 @@ func TestPhase2MemoMatchesFresh(t *testing.T) {
 
 		sink := &memoCheckSink{t: t, cores: cores}
 		got := provenance.NewStreaming(sink)
-		ok, cause := allocateAndBalance(cores, plat, HyperConfig{MaxBalanceRounds: 16, Provenance: got})
+		ok, cause := allocateAndBalance(cores, plat, HyperConfig{MaxBalanceRounds: 16, Provenance: got}, &attemptEffort{})
 		checkMemos(t, cores, "after allocateAndBalance")
 
 		want := provenance.New()

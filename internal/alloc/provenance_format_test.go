@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"testing"
 
+	"vc2m/internal/model"
+	"vc2m/internal/parsec"
 	"vc2m/internal/provenance"
 	"vc2m/internal/rngutil"
 )
@@ -134,5 +136,68 @@ func TestAdmitReasonsMatchSprintf(t *testing.T) {
 			id[j] = byte(rng.Intn(256))
 		}
 		check(string(id), "vm"+strconv.Itoa(i), int(rng.Int63())-int(rng.Int63()), rng.Intn(64), rng.Intn(64))
+	}
+}
+
+// formatProbes returns the edge values a %.4g reason can print, then
+// random bit patterns, then random values spread over [1e-8, 1e4).
+func formatProbes(seed int64) []float64 {
+	probes := []float64{
+		0, math.Copysign(0, -1), 1, -1, 0.5, 1e-4, 1e-5, 12345, 123456, 0.00012345,
+		9.9995, 99995, 1e18, math.Inf(1), math.Inf(-1), math.NaN(),
+		math.SmallestNonzeroFloat64, math.Float64frombits(0x000fffffffffffff),
+		math.MaxFloat64, -math.MaxFloat64,
+	}
+	rng := rngutil.New(seed)
+	for i := 0; i < 20000; i++ {
+		probes = append(probes, math.Float64frombits(uint64(rng.Int63())|uint64(rng.Int63())<<63))
+	}
+	for i := 0; i < 20000; i++ {
+		probes = append(probes, rng.Float64()*math.Pow(10, float64(rng.Intn(12)-8)))
+	}
+	return probes
+}
+
+// TestWellRegulatedReasonMatchesSprintf: the well-regulated interface
+// reason prints exactly what its fmt.Sprintf form printed.
+func TestWellRegulatedReasonMatchesSprintf(t *testing.T) {
+	for _, p := range formatProbes(30) {
+		want := fmt.Sprintf("well-regulated (Theorem 2): period %.4g, bandwidth equals taskset utilization (zero abstraction overhead)", p)
+		if got := wellRegulatedReason(p); got != want {
+			t.Fatalf("wellRegulatedReason(%v) (bits %#x) = %q, want %q", p, math.Float64bits(p), got, want)
+		}
+	}
+}
+
+// TestMapReasonMatchesSprintf: every map decision of the cluster-packing
+// VM level carries exactly the reason its fmt.Sprintf form printed.
+func TestMapReasonMatchesSprintf(t *testing.T) {
+	p := model.PlatformA
+	var tasks []*model.Task
+	for i, name := range []string{"streamcluster", "swaptions", "canneal", "blackscholes", "ferret", "dedup"} {
+		bm, _ := parsec.ByName(name)
+		period := 100.0 * float64(int(1)<<uint(i%3))
+		tasks = append(tasks, &model.Task{ID: name, Period: period, WCET: bm.WCETTable(p, period*0.15), Benchmark: name})
+	}
+	vm := mkVM("vm1", tasks...)
+	for _, mode := range []CSAMode{OverheadFree, ExistingCSA} {
+		prov := provenance.New()
+		if _, err := VMLevel(vm, p, VMLevelConfig{Mode: mode, Provenance: prov}, 0, rngutil.New(7)); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("cluster packing (%s): least-loaded VCPU of the task's slowdown cluster", mode)
+		maps := 0
+		for _, d := range prov.Decisions() {
+			if d.Kind != provenance.KindMap {
+				continue
+			}
+			maps++
+			if d.Reason != want {
+				t.Fatalf("%s: map reason %q, want %q", mode, d.Reason, want)
+			}
+		}
+		if maps != len(tasks) {
+			t.Fatalf("%s: %d map decisions for %d tasks", mode, maps, len(tasks))
+		}
 	}
 }

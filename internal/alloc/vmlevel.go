@@ -16,9 +16,9 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 
 	"vc2m/internal/csa"
@@ -209,6 +209,10 @@ func clusterPackVM(vm *model.VM, plat model.Platform, cfg VMLevelConfig, firstIn
 	}
 
 	prov := cfg.Provenance
+	var mapReason string // the same for every task of the mode
+	if prov.Enabled() {
+		mapReason = "cluster packing (" + cfg.Mode.String() + "): least-loaded VCPU of the task's slowdown cluster"
+	}
 	out := make([]*model.VCPU, 0, len(vcpuTasks))
 	for i, group := range vcpuTasks {
 		idx := firstIndex + i
@@ -229,7 +233,7 @@ func clusterPackVM(vm *model.VM, plat model.Platform, cfg VMLevelConfig, firstIn
 					Stage: provenance.StageCSA, Kind: provenance.KindInterface,
 					Subject: v.ID, Cache: plat.C, BW: plat.B,
 					Value: v.RefBandwidth(), Accepted: true,
-					Reason: fmt.Sprintf("well-regulated (Theorem 2): period %.4g, bandwidth equals taskset utilization (zero abstraction overhead)", v.Period),
+					Reason: wellRegulatedReason(v.Period),
 				})
 			}
 		case ExistingCSA:
@@ -250,13 +254,24 @@ func clusterPackVM(vm *model.VM, plat model.Platform, cfg VMLevelConfig, firstIn
 					Stage: provenance.StageVMLevel, Kind: provenance.KindMap,
 					Subject: t.ID, Target: v.ID, Accepted: true,
 					Value:  t.RefUtil(),
-					Reason: fmt.Sprintf("cluster packing (%s): least-loaded VCPU of the task's slowdown cluster", cfg.Mode),
+					Reason: mapReason,
 				})
 			}
 		}
 		out = append(out, v)
 	}
 	return out, nil
+}
+
+// wellRegulatedReason renders a well-regulated VCPU's interface reason,
+// byte for byte what fmt.Sprintf("well-regulated (Theorem 2): period
+// %.4g, bandwidth equals taskset utilization (zero abstraction
+// overhead)", period) prints, without fmt's reflection.
+func wellRegulatedReason(period float64) string {
+	var buf [128]byte
+	b := append(buf[:0], "well-regulated (Theorem 2): period "...)
+	b = strconv.AppendFloat(b, period, 'g', 4, 64)
+	return string(append(b, ", bandwidth equals taskset utilization (zero abstraction overhead)"...))
 }
 
 // apportion distributes total VCPUs across clusters proportionally to
@@ -296,7 +311,9 @@ func apportion(utils []float64, groups [][]int, total int) []int {
 			if len(groups[c]) == 0 {
 				continue
 			}
-			share := utils[c] / sum * float64(remaining)
+			// The explicit conversion rounds the product, so that no
+			// compiler fuses it into share - float64(whole) below.
+			share := float64(utils[c] / sum * float64(remaining))
 			whole := int(share)
 			cap := len(groups[c]) - counts[c]
 			if whole > cap {
@@ -367,10 +384,12 @@ func slowdownPoints(n int, table func(i int) *model.ResourceTable) (buf *[]float
 }
 
 // clampVector caps entries in place (existing-CSA budget tables may
-// contain +Inf) and returns v.
+// contain +Inf) and returns v. An entry above the cap, +Inf or NaN is
+// capped: exactly the entries for which x <= slowdownCap is false, so one
+// compare decides.
 func clampVector(v []float64) []float64 {
 	for i, x := range v {
-		if x > slowdownCap || math.IsInf(x, 1) || math.IsNaN(x) {
+		if !(x <= slowdownCap) {
 			v[i] = slowdownCap
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"vc2m/internal/kmeans"
@@ -376,5 +377,51 @@ func TestSlowdownPointsClusterAllocs(t *testing.T) {
 	}))
 	if allocs != 1 {
 		t.Errorf("%d allocations per slowdownPoints + Cluster, want 1 (the assignment)", allocs)
+	}
+}
+
+// TestClampPredicateMatchesThreeTests: the single compare clampVector
+// makes, !(x <= slowdownCap), caps exactly the entries the three tests it
+// replaced capped.
+func TestClampPredicateMatchesThreeTests(t *testing.T) {
+	probes := []float64{
+		math.NaN(), math.Inf(1), math.Inf(-1), slowdownCap,
+		math.Nextafter(slowdownCap, math.Inf(1)), math.Nextafter(slowdownCap, math.Inf(-1)),
+		0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.Float64frombits(0x000fffffffffffff), -math.Float64frombits(0x000fffffffffffff),
+		1, -1, 200, math.MaxFloat64, -math.MaxFloat64,
+	}
+	for _, x := range probes {
+		old := x > slowdownCap || math.IsInf(x, 1) || math.IsNaN(x)
+		v := clampVector([]float64{x})
+		capped := math.Float64bits(v[0]) != math.Float64bits(x)
+		if math.IsNaN(x) {
+			capped = !math.IsNaN(v[0])
+		}
+		if capped != old {
+			t.Errorf("x = %v (bits %#x): clampVector caps %v, the three tests %v", x, math.Float64bits(x), capped, old)
+		}
+		if old && math.Float64bits(v[0]) != math.Float64bits(slowdownCap) {
+			t.Errorf("x = %v capped to %v, want %v", x, v[0], slowdownCap)
+		}
+	}
+}
+
+// TestApportionRoundsShare pins apportion's share to a rounded product.
+// The first two utilizations are adjacent floats whose shares round to
+// the same value, so their remainders tie and the first cluster takes the
+// spare VCPU. Fusing the product into the remainder (share -
+// float64(whole) as one multiply-add, which arm64 and others may emit)
+// would tell the exact shares apart and hand it to the second. The
+// inputs were found by search.
+func TestApportionRoundsShare(t *testing.T) {
+	utils := []float64{
+		math.Float64frombits(0x3fda372f94d70855),
+		math.Float64frombits(0x3fda372f94d70856),
+		math.Float64frombits(0x3f9e6225fad2fff8),
+	}
+	groups := [][]int{make([]int, 20), make([]int, 20), make([]int, 20)}
+	if got := apportion(utils, groups, 6); !slices.Equal(got, []int{3, 2, 1}) {
+		t.Fatalf("apportion = %v, want [3 2 1]", got)
 	}
 }

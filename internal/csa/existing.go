@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 
 	"vc2m/internal/metrics"
 	"vc2m/internal/model"
@@ -175,26 +176,67 @@ func ExistingVCPUObs(tasks []*model.Task, index int, plat model.Platform, rec *m
 		// the same bits — which is the interface's reference point.
 		theta := budget.Reference()
 		t, slack := decisiveCheckpoint(pi, theta, cps, dem, feasible)
-		why := fmt.Sprintf("least supply slack %.4g at checkpoint t=%.4g", slack, t)
-		if !feasible {
-			why = fmt.Sprintf("demand %.4g at checkpoint t=%.4g exceeds even a dedicated core", slack, t)
-		}
 		prov.Record(provenance.Decision{
 			Stage: provenance.StageCSA, Kind: provenance.KindInterface,
 			Subject: v.ID, Cache: plat.C, BW: plat.B,
 			Value: theta, Accepted: feasible,
-			Reason: fmt.Sprintf("existing CSA (Shin & Lee): period %.4g (half min task period), budget %.4g at full allocation; %d/%d (c,b) candidates feasible; %s",
-				pi, theta, feasibleAllocs, totalAllocs, why),
+			Reason: interfaceReason(pi, theta, feasibleAllocs, totalAllocs, t, slack, feasible),
 		})
 		prov.Record(provenance.Decision{
 			Stage: provenance.StageCSA, Kind: provenance.KindInterface,
 			Subject: v.ID, Cache: plat.Cmin, BW: plat.Bmin,
 			Value: budget.At(plat.Cmin, plat.Bmin), Accepted: budget.At(plat.Cmin, plat.Bmin) <= pi,
-			Reason: fmt.Sprintf("budget %.4g at the minimum (Cmin,Bmin) allocation — the other end of the interface's resource gradient",
-				budget.At(plat.Cmin, plat.Bmin)),
+			Reason: minAllocationReason(budget.At(plat.Cmin, plat.Bmin)),
 		})
 	}
 	return v, feasible, nil
+}
+
+// interfaceReason renders the reason of an existing-CSA interface at the
+// full allocation, byte for byte what
+//
+//	why := fmt.Sprintf("least supply slack %.4g at checkpoint t=%.4g", slack, t)
+//	if !feasible {
+//		why = fmt.Sprintf("demand %.4g at checkpoint t=%.4g exceeds even a dedicated core", slack, t)
+//	}
+//	fmt.Sprintf("existing CSA (Shin & Lee): period %.4g (half min task period), budget %.4g at full allocation; %d/%d (c,b) candidates feasible; %s",
+//		pi, theta, feasibleAllocs, totalAllocs, why)
+//
+// prints, without fmt's reflection.
+func interfaceReason(pi, theta float64, feasibleAllocs, totalAllocs int, t, slack float64, feasible bool) string {
+	var buf [256]byte
+	b := append(buf[:0], "existing CSA (Shin & Lee): period "...)
+	b = strconv.AppendFloat(b, pi, 'g', 4, 64)
+	b = append(b, " (half min task period), budget "...)
+	b = strconv.AppendFloat(b, theta, 'g', 4, 64)
+	b = append(b, " at full allocation; "...)
+	b = strconv.AppendInt(b, int64(feasibleAllocs), 10)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, int64(totalAllocs), 10)
+	b = append(b, " (c,b) candidates feasible; "...)
+	if feasible {
+		b = append(b, "least supply slack "...)
+	} else {
+		b = append(b, "demand "...)
+	}
+	b = strconv.AppendFloat(b, slack, 'g', 4, 64)
+	b = append(b, " at checkpoint t="...)
+	b = strconv.AppendFloat(b, t, 'g', 4, 64)
+	if !feasible {
+		b = append(b, " exceeds even a dedicated core"...)
+	}
+	return string(b)
+}
+
+// minAllocationReason renders the reason of an existing-CSA interface at
+// the minimum allocation, byte for byte what fmt.Sprintf("budget %.4g at
+// the minimum (Cmin,Bmin) allocation — the other end of the interface's
+// resource gradient", budget) prints.
+func minAllocationReason(budget float64) string {
+	var buf [128]byte
+	b := append(buf[:0], "budget "...)
+	b = strconv.AppendFloat(b, budget, 'g', 4, 64)
+	return string(append(b, " at the minimum (Cmin,Bmin) allocation — the other end of the interface's resource gradient"...))
 }
 
 // sameBits reports whether two float slices hold the same values, bit for

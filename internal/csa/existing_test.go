@@ -455,3 +455,46 @@ func FuzzExistingVCPUMatchesReference(f *testing.F) {
 		}
 	})
 }
+
+// TestInterfaceReasonsMatchSprintf is the differential oracle for the
+// fmt-free existing-CSA interface reasons: over edge values, random bit
+// patterns and random values at the scale of periods and budgets, they
+// print exactly what their fmt.Sprintf forms printed.
+func TestInterfaceReasonsMatchSprintf(t *testing.T) {
+	edges := []float64{
+		0, math.Copysign(0, -1), 1, -1, 0.5, 1e-4, 1e-5, 12345, 123456, 9.9995, 99995,
+		math.Inf(1), math.Inf(-1), math.NaN(), math.SmallestNonzeroFloat64,
+		math.Float64frombits(0x000fffffffffffff), math.MaxFloat64, -math.MaxFloat64,
+	}
+	rng := rngutil.New(30)
+	value := func(i int) float64 {
+		switch {
+		case i < len(edges):
+			return edges[i]
+		case i%2 == 0:
+			return math.Float64frombits(uint64(rng.Int63()) | uint64(rng.Int63())<<63)
+		default:
+			return rng.Float64() * math.Pow(10, float64(rng.Intn(12)-6))
+		}
+	}
+	for i := 0; i < 40000; i++ {
+		pi, theta, tt, slack := value(i), value(i/2), value(rng.Intn(i+1)), value(i)
+		feasibleAllocs, totalAllocs := rng.Intn(400), rng.Intn(400)
+		for _, feasible := range []bool{true, false} {
+			why := fmt.Sprintf("least supply slack %.4g at checkpoint t=%.4g", slack, tt)
+			if !feasible {
+				why = fmt.Sprintf("demand %.4g at checkpoint t=%.4g exceeds even a dedicated core", slack, tt)
+			}
+			want := fmt.Sprintf("existing CSA (Shin & Lee): period %.4g (half min task period), budget %.4g at full allocation; %d/%d (c,b) candidates feasible; %s",
+				pi, theta, feasibleAllocs, totalAllocs, why)
+			if got := interfaceReason(pi, theta, feasibleAllocs, totalAllocs, tt, slack, feasible); got != want {
+				t.Fatalf("interfaceReason(%v, %v, %d, %d, %v, %v, %v) = %q, want %q",
+					pi, theta, feasibleAllocs, totalAllocs, tt, slack, feasible, got, want)
+			}
+		}
+		want := fmt.Sprintf("budget %.4g at the minimum (Cmin,Bmin) allocation — the other end of the interface's resource gradient", theta)
+		if got := minAllocationReason(theta); got != want {
+			t.Fatalf("minAllocationReason(%v) = %q, want %q", theta, got, want)
+		}
+	}
+}

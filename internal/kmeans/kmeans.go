@@ -219,12 +219,14 @@ func (s *scratch) compact(assign []int, centers []float64, dim, k int) int {
 	return kept
 }
 
-// sqDist returns the squared Euclidean distance between a and b.
+// sqDist returns the squared Euclidean distance between a and b. Each
+// square is rounded before it is added (the explicit conversion forbids a
+// fused multiply-add), so every architecture sums the same terms.
 func sqDist(a, b []float64) float64 {
 	var s float64
 	for i := range a {
 		d := a[i] - b[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return s
 }
@@ -234,35 +236,36 @@ func sqDist(a, b []float64) float64 {
 // accumulator as sqDist and stops once a partial sum reaches the bound:
 // the terms are non-negative and rounded addition of a non-negative term
 // never decreases a sum, so no later term can bring it back below. Eight
-// terms go per bound check; the single accumulator keeps the rounding.
+// terms go per bound check; the single accumulator keeps the rounding, and
+// each square is rounded before it is added, as in sqDist.
 func sqDistBelow(a, b []float64, bound float64) float64 {
 	b = b[:len(a)]
 	var s float64
 	i := 0
 	for ; i+8 <= len(a); i += 8 {
 		d0 := a[i] - b[i]
-		s += d0 * d0
+		s += float64(d0 * d0)
 		d1 := a[i+1] - b[i+1]
-		s += d1 * d1
+		s += float64(d1 * d1)
 		d2 := a[i+2] - b[i+2]
-		s += d2 * d2
+		s += float64(d2 * d2)
 		d3 := a[i+3] - b[i+3]
-		s += d3 * d3
+		s += float64(d3 * d3)
 		d4 := a[i+4] - b[i+4]
-		s += d4 * d4
+		s += float64(d4 * d4)
 		d5 := a[i+5] - b[i+5]
-		s += d5 * d5
+		s += float64(d5 * d5)
 		d6 := a[i+6] - b[i+6]
-		s += d6 * d6
+		s += float64(d6 * d6)
 		d7 := a[i+7] - b[i+7]
-		s += d7 * d7
+		s += float64(d7 * d7)
 		if s >= bound {
 			return s
 		}
 	}
 	for ; i < len(a); i++ {
 		d := a[i] - b[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return s
 }

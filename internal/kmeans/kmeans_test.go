@@ -492,3 +492,43 @@ func TestSqDistBelowExact(t *testing.T) {
 		}
 	}
 }
+
+// fusedPair returns x, y whose squares sum differently when the second
+// square is fused into the addition: float64(x*x) + float64(y*y) differs
+// from math.FMA(y, y, float64(x*x)). The search is seeded, so the pair is
+// fixed.
+func fusedPair(t *testing.T) (x, y, want float64) {
+	t.Helper()
+	rng := rngutil.New(2)
+	for i := 0; i < 1000; i++ {
+		x, y = rng.Float64(), rng.Float64()
+		want = float64(x*x) + float64(y*y)
+		if math.Float64bits(want) != math.Float64bits(math.FMA(y, y, float64(x*x))) {
+			return x, y, want
+		}
+	}
+	t.Fatal("no pair whose fused sum differs")
+	return 0, 0, 0
+}
+
+// TestSqDistRoundsProducts pins every square of sqDist and sqDistBelow to
+// a rounded product: with a pair whose fused sum differs, each site, as
+// the second nonzero term of a sum, must give the unfused sum's bits. A
+// compiler that fused any of them (arm64, ppc64le, s390x, riscv64 may)
+// would change the clustering, and with it the layout.
+func TestSqDistRoundsProducts(t *testing.T) {
+	x, y, want := fusedPair(t)
+	if got := sqDist([]float64{x, y}, []float64{0, 0}); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("sqDist = %v, rounded sum %v", got, want)
+	}
+	// sqDistBelow adds eight terms per unrolled block, then the tail one
+	// by one. Positions 8..15 reach each of the block's eight sites with a
+	// nonzero sum before it; position 16 reaches the tail.
+	for p := 8; p <= 16; p++ {
+		a := make([]float64, 17)
+		a[p-1], a[p] = x, y
+		if got := sqDistBelow(a, make([]float64, 17), math.Inf(1)); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("sqDistBelow with the pair at %d, %d = %v, rounded sum %v", p-1, p, got, want)
+		}
+	}
+}

@@ -145,17 +145,30 @@ type Sink interface {
 // goroutines; all methods are mutex-protected, but deterministic streams
 // require recording from deterministic (serial) control flow.
 //
-// A recorded decision is never written again: Record only appends past
-// the stream's length and Reset drops the backing array instead of
-// reusing it. A slice header read under the mutex therefore stays valid
-// without it, which is what lets Each walk the stream unlocked and View
-// and Trim share the stream with the reports built from it.
+// The stream is append-only, repeats included: a recorded decision is
+// never written again. Record and RecordRepeat only append past the
+// stream's length, and Reset drops the backing array instead of reusing
+// it. A slice header read under the mutex therefore stays valid without
+// it, which is what lets Each walk the stream unlocked and View and Trim
+// share the stream with the reports built from it. RecordRepeat appends
+// copies of an earlier range like any other decisions, so sinks and
+// readers of the stream see them as such; the recorder also remembers the
+// range as a Repeat, which encoders may use to copy the source's bytes.
 type Recorder struct {
 	mu sync.Mutex
 	//vc2m:guardedby mu
 	decisions []Decision
 	//vc2m:guardedby mu
+	repeats []Repeat
+	//vc2m:guardedby mu
 	sink Sink
+}
+
+// Repeat names a range of the stream that copies an earlier range: the N
+// decisions from position At on equal the N from position From on in
+// every field but Seq. From+N <= At.
+type Repeat struct {
+	At, From, N int
 }
 
 // New returns an empty, enabled recorder.
@@ -182,6 +195,53 @@ func (r *Recorder) Record(d Decision) {
 	if sink != nil {
 		sink.Record(d)
 	}
+}
+
+// RecordRepeat appends a copy of the decisions at positions [from, to) of
+// the stream, each stamped with its new sequence number, under one lock,
+// and remembers the copy as a Repeat. A search that reaches a state it
+// has already explored re-records that state's decisions with it instead
+// of deriving them again. An empty or out-of-range [from, to) records
+// nothing.
+func (r *Recorder) RecordRepeat(from, to int) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	at := len(r.decisions)
+	if from < 0 || from >= to || to > at {
+		r.mu.Unlock()
+		return
+	}
+	r.decisions = append(r.decisions, r.decisions[from:to]...)
+	for i := at; i < len(r.decisions); i++ {
+		r.decisions[i].Seq = i
+	}
+	r.repeats = append(r.repeats, Repeat{At: at, From: from, N: to - from})
+	copies := r.decisions[at:len(r.decisions):len(r.decisions)]
+	sink := r.sink
+	r.mu.Unlock()
+	if sink != nil {
+		for _, d := range copies {
+			sink.Record(d)
+		}
+	}
+}
+
+// Repeats returns the ranges RecordRepeat has copied, in record order
+// (nil when none). Like View, the result shares the recorder's array with
+// its capacity capped at its length; callers must not modify it.
+func (r *Recorder) Repeats() []Repeat {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := len(r.repeats)
+	if n == 0 {
+		return nil
+	}
+	return r.repeats[:n:n]
 }
 
 // Len returns the number of decisions recorded so far (0 on nil).
@@ -277,13 +337,13 @@ func (r *Recorder) DecisionsFrom(n int) []Decision {
 }
 
 // Reset discards everything recorded so far; sequence numbers restart at
-// 0. The old stream's backing array is dropped, not reused: View, Trim
-// and Each may have handed it out.
+// 0. The old stream's backing array is dropped, not reused: View, Trim,
+// Repeats and Each may have handed it out.
 func (r *Recorder) Reset() {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	r.decisions = nil
+	r.decisions, r.repeats = nil, nil
 	r.mu.Unlock()
 }

@@ -251,3 +251,100 @@ func BenchmarkRecorderRecord(b *testing.B) {
 		}
 	}
 }
+
+// collectSink keeps every decision it is handed.
+type collectSink struct{ got []Decision }
+
+func (s *collectSink) Record(d Decision) {
+	if s == nil {
+		return
+	}
+	s.got = append(s.got, d)
+}
+
+// TestRecordRepeat: a repeat appends re-stamped copies of the range, which
+// the sink sees like any decision, remembers the range, leaves earlier
+// views and decisions as they were, and records nothing for an empty or
+// out-of-range request; Reset forgets the repeats with the stream.
+func TestRecordRepeat(t *testing.T) {
+	sink := &collectSink{}
+	r := NewStreaming(sink)
+	for i := 0; i < 5; i++ {
+		r.Record(grantShaped(i))
+	}
+	before := r.View()
+	r.RecordRepeat(1, 4)
+	r.RecordRepeat(6, 8) // copies part of the first copy
+	for _, bad := range [][2]int{{2, 2}, {3, 1}, {-1, 2}, {0, 11}, {9, 12}} {
+		r.RecordRepeat(bad[0], bad[1])
+	}
+	ds := r.Decisions()
+	if len(ds) != 10 {
+		t.Fatalf("%d decisions after repeating 3 and 2, want 10", len(ds))
+	}
+	src := []int{0, 1, 2, 3, 4, 1, 2, 3, 2, 3}
+	for i, d := range ds {
+		want := grantShaped(src[i])
+		want.Seq = i
+		if !reflect.DeepEqual(d, want) {
+			t.Fatalf("decision %d: %+v, want %+v", i, d, want)
+		}
+	}
+	if !reflect.DeepEqual(sink.got, ds) {
+		t.Fatalf("sink saw %d decisions, want the stream's %d", len(sink.got), len(ds))
+	}
+	if want := []Repeat{{At: 5, From: 1, N: 3}, {At: 8, From: 6, N: 2}}; !reflect.DeepEqual(r.Repeats(), want) {
+		t.Fatalf("Repeats() = %+v, want %+v", r.Repeats(), want)
+	}
+	for i, d := range before {
+		if d.Seq != i {
+			t.Fatalf("a repeat rewrote decision %d of an earlier view: seq %d", i, d.Seq)
+		}
+	}
+	r.Reset()
+	if r.Repeats() != nil || r.Len() != 0 {
+		t.Fatal("Reset kept repeats or decisions")
+	}
+	var nilRec *Recorder
+	nilRec.RecordRepeat(0, 1)
+	if nilRec.Repeats() != nil {
+		t.Fatal("nil recorder has repeats")
+	}
+}
+
+// TestRecordRepeatDuringRead repeats ranges of the stream while another
+// goroutine reads its views and repeats; run it under -race. Every repeat
+// inside a view reads as its source re-stamped.
+func TestRecordRepeatDuringRead(t *testing.T) {
+	r := New()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 500; i++ {
+			r.Record(grantShaped(i))
+			r.Record(grantShaped(i + 1))
+			n := r.Len()
+			r.RecordRepeat(n-2, n)
+		}
+	}()
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		ds := r.View()
+		for _, rep := range r.Repeats() {
+			for k := 0; k < rep.N && rep.At+k < len(ds); k++ {
+				got, want := ds[rep.At+k], ds[rep.From+k]
+				want.Seq = rep.At + k
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("repeat %+v: decision %d = %+v, want %+v", rep, rep.At+k, got, want)
+				}
+			}
+		}
+	}
+	if r.Len() != 2000 || len(r.Repeats()) != 500 {
+		t.Fatalf("%d decisions and %d repeats, want 2000 and 500", r.Len(), len(r.Repeats()))
+	}
+}

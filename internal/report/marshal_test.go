@@ -238,5 +238,82 @@ func FuzzReportMarshal(f *testing.F) {
 		if gotErr == nil {
 			assertDecisionLines(t, got, doc.Decisions)
 		}
+
+		// The same decisions from a recorder that repeats them, twice
+		// over: the second repeat copies a range holding the first. A
+		// built document's decisions may be edited, so cache picks a
+		// source or a copy to change after BuildRun.
+		prov := provenance.New()
+		prov.Record(d)
+		prov.Record(doc.Decisions[1])
+		prov.RecordRepeat(0, 2)
+		prov.RecordRepeat(1, 4)
+		rdoc := report.BuildRun(report.RunInput{Title: reason, Seed: int64(bw), Provenance: prov})
+		if edit := uint(cache) % 7; edit < uint(len(rdoc.Decisions)) {
+			rdoc.Decisions[edit].Reason += target
+			rdoc.Decisions[edit].Value = float64(bw)
+		}
+		got, gotErr = report.Marshal(rdoc)
+		spec, specErr = json.MarshalIndent(rdoc, "", "  ")
+		if (gotErr == nil) != (specErr == nil) {
+			t.Fatalf("repeats: errors differ: Marshal %v, encoding/json %v", gotErr, specErr)
+		}
+		if gotErr == nil && !bytes.Equal(got, append(spec, '\n')) {
+			t.Fatalf("repeats: Marshal differs from encoding/json:\ngot:  %q\nwant: %q", got, spec)
+		}
 	})
+}
+
+// TestMarshalRepeats: a document whose recorder repeated ranges of its
+// stream marshals to encoding/json's bytes, also after any one of its
+// decisions, a source or a copy, was edited after BuildRun.
+func TestMarshalRepeats(t *testing.T) {
+	sys, err := vc2m.GenerateWorkload(vc2m.WorkloadConfig{Platform: vc2m.PlatformA, TargetRefUtil: 1.2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prov := vc2m.NewProvenance()
+	a, err := vc2m.Allocate(sys, vc2m.Options{Mode: vc2m.ExistingCSA, Provenance: prov})
+	if err != nil {
+		t.Fatal(err)
+	}
+	repeats := prov.Repeats()
+	if len(repeats) == 0 {
+		t.Fatal("the existing-CSA run repeats no packing attempt")
+	}
+	build := func() *report.Document {
+		return report.BuildRun(report.RunInput{Title: "repeats", Seed: 1, Mode: "existing", Platform: sys.Platform, Allocation: a, Provenance: prov})
+	}
+	assertMarshalMatchesEncodingJSON(t, build())
+
+	// Edit one field of the first or last decision of the first repeat's
+	// source or copy at a time, and restore it after the check: whichever
+	// field differs, the copy must be written afresh.
+	edits := []func(d *provenance.Decision){
+		func(d *provenance.Decision) { d.Stage += "x" },
+		func(d *provenance.Decision) { d.Kind += "x" },
+		func(d *provenance.Decision) { d.Subject += "x" },
+		func(d *provenance.Decision) { d.Target += "x" },
+		func(d *provenance.Decision) { d.Cache++ },
+		func(d *provenance.Decision) { d.BW++ },
+		func(d *provenance.Decision) { d.Value = math.Nextafter(d.Value, math.Inf(1)) },
+		func(d *provenance.Decision) { d.Accepted = !d.Accepted },
+		func(d *provenance.Decision) { d.Reason += " (edited)" },
+		func(d *provenance.Decision) { d.Violated = []provenance.Resource{provenance.Cache} },
+	}
+	r := repeats[0]
+	for _, i := range []int{r.From, r.From + r.N - 1, r.At, r.At + r.N - 1} {
+		for _, edit := range edits {
+			doc := build()
+			saved := doc.Decisions[i]
+			edit(&doc.Decisions[i])
+			assertMarshalMatchesEncodingJSON(t, doc)
+			doc.Decisions[i] = saved
+		}
+	}
+	// Dropping the first decision shifts every position: a repeat then
+	// names decisions that no longer match and must not be copied.
+	doc := build()
+	doc.Decisions = doc.Decisions[1:]
+	assertMarshalMatchesEncodingJSON(t, doc)
 }

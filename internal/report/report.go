@@ -22,7 +22,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -156,6 +158,12 @@ type Document struct {
 	// instead of copying it: writing a built document's decisions writes
 	// the recorder's stream.
 	Decisions []provenance.Decision `json:"decisions,omitempty"`
+
+	// repeats are the recorder's repeated ranges of Decisions
+	// (provenance.Recorder.Repeats). They are not part of the document:
+	// Marshal writes a repeated decision by copying its source's bytes,
+	// once it has checked the two are equal but for Seq.
+	repeats []provenance.Repeat
 }
 
 // RunInput collects the sources BuildRun joins. Every field except Title,
@@ -189,6 +197,7 @@ func BuildRun(in RunInput) *Document {
 		Misses:     summarizeMisses(in.Diagnosis),
 		Counters:   counterSnapshot(in.Metrics),
 		Decisions:  in.Provenance.View(),
+		repeats:    in.Provenance.Repeats(),
 	}
 	return doc
 }
@@ -217,6 +226,7 @@ func BuildSweep(in SweepInput) *Document {
 		Sweep:     in.Sweep,
 		Counters:  counterSnapshot(in.Metrics),
 		Decisions: in.Provenance.View(),
+		repeats:   in.Provenance.Repeats(),
 	}
 }
 
@@ -324,14 +334,18 @@ func Save(path string, doc *Document) error {
 // json.MarshalIndent(doc, "", "  ") plus a trailing newline. The decision
 // stream is nearly all of a run report's bytes, so only the document head
 // goes through json.MarshalIndent; the decisions are appended directly
-// at their fixed indentation, into a buffer sized once.
-// TestMarshalMatchesEncodingJSON and FuzzReportMarshal hold the result to
-// encoding/json.
+// at their fixed indentation, into a buffer sized once. A decision the
+// recorder repeated (provenance.Repeat) that still equals its source but
+// for Seq is written by copying the bytes its source produced after
+// "seq". TestMarshalMatchesEncodingJSON and FuzzReportMarshal hold the
+// result to encoding/json.
 func Marshal(doc *Document) ([]byte, error) {
 	var decisions []provenance.Decision
+	var repeats []provenance.Repeat
 	if doc != nil {
 		head := *doc
 		decisions, head.Decisions = doc.Decisions, nil
+		repeats = doc.repeats
 		doc = &head
 	}
 	data, err := json.MarshalIndent(doc, "", "  ")
@@ -350,15 +364,56 @@ func Marshal(doc *Document) ([]byte, error) {
 	}
 	out := append(make([]byte, 0, size), data...)
 	out = append(out, decisionsOpen...)
+	// bodies[2*i:2*i+2] is the byte range of decision i after its seq,
+	// kept only when some decision repeats another.
+	var bodies []int
+	if len(repeats) > 0 {
+		bodies = make([]int, 2*len(decisions))
+	}
+	r := 0 // the first repeat that does not end before decision i
 	for i := range decisions {
+		d := &decisions[i]
 		if i > 0 {
 			out = append(out, ',')
 		}
-		if out, err = appendDecision(out, &decisions[i]); err != nil {
+		out = append(out, decisionOpen...)
+		out = strconv.AppendInt(out, int64(d.Seq), 10)
+		start := len(out)
+		for r < len(repeats) && repeats[r].At+repeats[r].N <= i {
+			r++
+		}
+		if j := repeatSource(repeats, r, i); j >= 0 && sameButSeq(d, &decisions[j]) {
+			out = append(out, out[bodies[2*j]:bodies[2*j+1]]...)
+		} else if out, err = appendDecisionBody(out, d); err != nil {
 			return nil, fmt.Errorf("report: marshal: %w", err)
+		}
+		if bodies != nil {
+			bodies[2*i], bodies[2*i+1] = start, len(out)
 		}
 	}
 	return append(out, decisionsClose...), nil
+}
+
+// repeatSource returns the position of the decision that decision i
+// repeats under repeats[r], or -1 when it repeats none before it.
+func repeatSource(repeats []provenance.Repeat, r, i int) int {
+	if r >= len(repeats) || repeats[r].At > i {
+		return -1
+	}
+	if j := repeats[r].From + i - repeats[r].At; j >= 0 && j < i {
+		return j
+	}
+	return -1
+}
+
+// sameButSeq reports whether a and b encode alike after "seq": equal in
+// every field but Seq, Value compared by bits.
+func sameButSeq(a, b *provenance.Decision) bool {
+	return a.Stage == b.Stage && a.Kind == b.Kind && a.Subject == b.Subject &&
+		a.Target == b.Target && a.Cache == b.Cache && a.BW == b.BW &&
+		math.Float64bits(a.Value) == math.Float64bits(b.Value) &&
+		a.Accepted == b.Accepted && a.Reason == b.Reason &&
+		slices.Equal(a.Violated, b.Violated)
 }
 
 // The decisions array as json.MarshalIndent lays it out in a Document:
@@ -379,12 +434,10 @@ const (
 	maxFloatLen = 25
 )
 
-// appendDecision appends d as json.MarshalIndent writes it inside
-// Document.Decisions: Decision's field order and omitempty rules, violated
-// as an indented array.
-func appendDecision(b []byte, d *provenance.Decision) ([]byte, error) {
-	b = append(b, decisionOpen...)
-	b = strconv.AppendInt(b, int64(d.Seq), 10)
+// appendDecisionBody appends what follows d's seq when json.MarshalIndent
+// writes d inside Document.Decisions: Decision's field order and
+// omitempty rules, violated as an indented array, and the closing brace.
+func appendDecisionBody(b []byte, d *provenance.Decision) ([]byte, error) {
 	b = wirejson.AppendString(appendKey(b, "stage"), d.Stage)
 	b = wirejson.AppendString(appendKey(b, "kind"), d.Kind)
 	if d.Subject != "" {
@@ -430,8 +483,9 @@ func appendKey(b []byte, key string) []byte {
 }
 
 // decisionSize is the length of d's element in the decisions array, its
-// separating comma included: appendDecision's output with every number at
-// its longest, exact unless a string needs escaping.
+// separating comma included: its open, its seq and appendDecisionBody's
+// output, with every number at its longest; exact unless a string needs
+// escaping.
 func decisionSize(d *provenance.Decision) int {
 	key := func(k string) int { return len(memberOpen) + len(k) + len(memberColon) }
 	str := func(k, s string) int { return key(k) + len(s) + len(`""`) }
@@ -449,7 +503,7 @@ func decisionSize(d *provenance.Decision) int {
 	if d.BW != 0 {
 		n += key("bw") + intLen(d.BW)
 	}
-	if d.Value != 0 { //vc2m:floateq mirrors appendDecision's omitempty test
+	if d.Value != 0 { //vc2m:floateq mirrors appendDecisionBody's omitempty test
 		n += key("value") + maxFloatLen
 	}
 	if d.Reason != "" {
