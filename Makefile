@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmtcheck lint lint-tests lint-sarif test bench bench-smoke bench-check churn-bench fuzz-smoke e2e-smoke race cover ci determinism report-smoke server-smoke obs-smoke paper paper-smoke examples clean
+.PHONY: all build vet fmtcheck fma-check lint lint-tests lint-sarif test bench bench-smoke bench-check churn-bench fuzz-smoke e2e-smoke race cover ci determinism report-smoke server-smoke obs-smoke paper paper-smoke examples clean
 
 all: build vet test
 
@@ -17,6 +17,29 @@ vet:
 fmtcheck:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+# No fused multiply-add in vc2m code: cross-build every command for arm64
+# (offline; the toolchain builds std from GOROOT), disassemble it, and fail
+# on any FMADD/FMSUB/FNMADD/FNMSUB in a vc2m/ or main. symbol. arm64's
+# compiler fuses x*y + z unless the product is rounded with float64(...),
+# which would change the last bit of results against amd64. This reads the
+# instructions only; no emulator runs the arm64 binaries, so their output
+# itself is not verified.
+fma-check:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	GOOS=linux GOARCH=arm64 $(GO) build -o $$tmp/ ./cmd/... || exit 1; \
+	total=0; \
+	for bin in $$tmp/*; do \
+		hits=$$($(GO) tool objdump $$bin | awk '/^TEXT /{sym=$$2} \
+			/\t(FMADD|FMSUB|FNMADD|FNMSUB)[DS] / && sym ~ /^(vc2m\/|main\.)/ {print "  " sym " " $$1 " " $$4}'); \
+		if [ -n "$$hits" ]; then \
+			n=$$(printf '%s\n' "$$hits" | wc -l); total=$$((total+n)); \
+			echo "fma-check: $$(basename $$bin): $$n fused instruction(s):"; \
+			printf '%s\n' "$$hits"; \
+		fi; \
+	done; \
+	if [ $$total -ne 0 ]; then echo "fma-check: $$total fused instruction(s) in vc2m code"; exit 1; fi; \
+	echo "fma-check: no fused multiply-add in vc2m code on arm64 ($$(ls $$tmp | wc -l) commands)"
 
 # Domain-invariant static analysis (determinism, time units, nil-safe
 # sinks, float equality, lock discipline, context flow, close/flush
@@ -117,7 +140,7 @@ e2e-smoke:
 # Everything CI runs, locally. The workflow (.github/workflows/ci.yml)
 # calls these same targets step by step, so this list is the single
 # source of truth for what a green build means.
-ci: build vet fmtcheck lint lint-sarif test race bench-smoke bench-check churn-bench fuzz-smoke e2e-smoke determinism report-smoke server-smoke obs-smoke paper-smoke
+ci: build vet fmtcheck fma-check lint lint-sarif test race bench-smoke bench-check churn-bench fuzz-smoke e2e-smoke determinism report-smoke server-smoke obs-smoke paper-smoke
 
 race:
 	$(GO) test -race ./...

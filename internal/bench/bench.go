@@ -6,8 +6,7 @@
 // decoding and report encoding.
 //
 // Where an optimization kept its pre-optimization reference implementation
-// (the simulator's linear dispatch, the minimum-budget bisection,
-// encoding/json for the wire codec)
+// (the minimum-budget bisection, encoding/json for the wire codec)
 // the suite runs both and reports the speedup, so every committed
 // BENCH_*.json carries its own before/after evidence. Workloads are seeded
 // and fixed; throughput values drift with the machine but the benchmark
@@ -63,7 +62,7 @@ func (o Options) withDefaults() Options {
 // Baseline is the reference implementation's measurement for a benchmark
 // that has one.
 type Baseline struct {
-	// Name identifies the reference implementation (e.g. "linear-dispatch").
+	// Name identifies the reference implementation (e.g. "bisection").
 	Name string `json:"name"`
 	// Value is the reference throughput in the benchmark's metric.
 	Value float64 `json:"value"`

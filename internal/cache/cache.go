@@ -211,13 +211,6 @@ func (c *Cache) Access(core int, addr uint64) bool {
 // Stats returns the core's counters.
 func (c *Cache) Stats(core int) Stats { return c.stats[core] }
 
-// ResetStats clears all counters.
-func (c *Cache) ResetStats() {
-	for i := range c.stats {
-		c.stats[i] = Stats{}
-	}
-}
-
 // Flush invalidates the entire cache contents (counters are kept).
 func (c *Cache) Flush() {
 	for s := range c.sets {

@@ -5,51 +5,17 @@ import (
 )
 
 // Overheads models the intra-core cache-related overhead accounted for by
-// WCET/budget inflation, following the technique of [17] (cache-aware
-// compositional analysis): tasks and VCPUs running on the same core still
-// suffer cache-related preemption/completion delay even with inter-core
-// isolation, and the analysis absorbs it by inflating WCETs and budgets
-// before allocation. All values are in milliseconds; the zero value
+// budget inflation, following the technique of [17] (cache-aware
+// compositional analysis): VCPUs running on the same core still suffer
+// cache-related preemption/completion delay even with inter-core
+// isolation, and the analysis absorbs it by inflating VCPU budgets before
+// allocation. All values are in milliseconds; the zero value
 // disables inflation (the default in the experiments, matching the paper's
 // evaluation, which reports overhead separately in Tables 1-2).
 type Overheads struct {
-	// TaskPreemption is the cache-reload overhead charged once per task
-	// job for each preemption it may suffer within its VCPU.
-	TaskPreemption float64
 	// VCPUPreemption is charged to a VCPU's budget once per VCPU period for
 	// each preemption/completion event pair on its core.
 	VCPUPreemption float64
-}
-
-// InflateTasks returns copies of the tasks with WCET tables inflated by the
-// task-preemption overhead. Within a VCPU scheduled under EDF, a job of
-// task i can be preempted at most by jobs of tasks with shorter periods; we
-// charge one reload per such task, the standard (safe) count. Tasks are
-// inflated uniformly across (c,b) because the reload cost is bounded by the
-// allocated cache size, which is the same for all tasks on a core.
-//
-// With a zero overhead the original slice is returned unchanged.
-func (o Overheads) InflateTasks(tasks []*model.Task) []*model.Task {
-	if o.TaskPreemption <= 0 {
-		return tasks
-	}
-	out := make([]*model.Task, len(tasks))
-	for i, t := range tasks {
-		preempters := 0
-		for _, u := range tasks {
-			if u != t && u.Period < t.Period {
-				preempters++
-			}
-		}
-		inflated := t.WCET.Clone()
-		extra := float64(preempters+1) * o.TaskPreemption
-		inflated.Fill(func(c, b int) float64 { return t.WCET.At(c, b) + extra })
-		out[i] = &model.Task{
-			ID: t.ID, VM: t.VM, Period: t.Period,
-			WCET: inflated, Benchmark: t.Benchmark,
-		}
-	}
-	return out
 }
 
 // InflateVCPU inflates a VCPU's budget table in place by the

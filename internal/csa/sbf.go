@@ -11,7 +11,7 @@
 //     EDF-schedulable on a well-regulated VCPU with Pi = min p_i and
 //     Theta(c,b) = Pi * sum e_i(c,b)/p_i, i.e. a VCPU bandwidth equal to the
 //     taskset's utilization;
-//   - WCET/budget inflation hooks for intra-core preemption overhead [17].
+//   - budget inflation hooks for intra-core preemption overhead [17].
 //
 // All times are in milliseconds, matching package model.
 package csa

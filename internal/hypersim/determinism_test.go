@@ -2,7 +2,6 @@ package hypersim
 
 import (
 	"errors"
-	"math"
 	"testing"
 
 	"vc2m/internal/alloc"
@@ -35,7 +34,7 @@ func TestSimulationDeterminism(t *testing.T) {
 	}
 
 	run := func() *Result {
-		s, err := New(a, Config{RecordTrace: true, CollectResponses: true})
+		s, err := New(a, Config{RecordTrace: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,44 +74,6 @@ func TestSimulationDeterminism(t *testing.T) {
 	for _, id := range sortedKeys(r1.Tasks) {
 		if m1, m2 := r1.Tasks[id], r2.Tasks[id]; m1 != m2 {
 			t.Fatalf("task %s metrics differ: %+v vs %+v", id, m1, m2)
-		}
-	}
-}
-
-// TestResponsePercentiles exercises the CollectResponses path.
-func TestResponsePercentiles(t *testing.T) {
-	a := flatAlloc(t, model.PlatformA, 10, 10, [2]float64{10, 2}, [2]float64{20, 8})
-	s, err := New(a, Config{CollectResponses: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := s.Run(timeunit.FromMillis(2000))
-	for _, id := range sortedKeys(res.Tasks) {
-		tm := res.Tasks[id]
-		if tm.Completed == 0 {
-			continue
-		}
-		if tm.ResponseP50Ms <= 0 {
-			t.Errorf("%s: P50 missing", id)
-		}
-		if tm.ResponseP50Ms > tm.ResponseP95Ms+1e-9 || tm.ResponseP95Ms > tm.ResponseP99Ms+1e-9 {
-			t.Errorf("%s: percentiles not ordered: %v %v %v",
-				id, tm.ResponseP50Ms, tm.ResponseP95Ms, tm.ResponseP99Ms)
-		}
-		if tm.ResponseP99Ms > tm.MaxResponse.Millis()+1e-9 {
-			t.Errorf("%s: P99 %v exceeds max %v", id, tm.ResponseP99Ms, tm.MaxResponse.Millis())
-		}
-	}
-	// Without collection the percentile fields stay zero.
-	s2, err := New(flatAlloc(t, model.PlatformA, 10, 10, [2]float64{10, 2}), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2 := s2.Run(timeunit.FromMillis(100))
-	for _, id := range sortedKeys(res2.Tasks) {
-		// Never computed without CollectResponses: exactly +0, bit for bit.
-		if math.Float64bits(res2.Tasks[id].ResponseP50Ms) != 0 {
-			t.Errorf("%s: percentiles populated without CollectResponses", id)
 		}
 	}
 }

@@ -59,30 +59,24 @@ type Config struct {
 	// DesyncTasks gives every task the given release offset while leaving
 	// VCPU releases at zero — deliberately breaking the release
 	// synchronization of Theorem 1 to demonstrate its necessity. The
-	// offset is per task index i: offset = DesyncTasks * (i+1).
+	// offset is per task index i: offset = DesyncTasks * (i+1). Kept
+	// as the counter-case that shows Theorem 1's synchronization is needed.
 	DesyncTasks timeunit.Ticks
 	// ContextSwitchCost injects a per-context-switch overhead: whenever a
 	// different VCPU takes the core, the first ContextSwitchCost ticks of
 	// its slice drain budget without advancing the task — the intra-core
 	// overhead that the analysis-side inflation (csa.Overheads) must
-	// cover. Zero disables injection.
+	// cover. Zero disables injection. Kept to check that [17]'s
+	// overhead inflation covers the cost it models.
 	ContextSwitchCost timeunit.Ticks
-	// CollectResponses retains every job's response time so that the
-	// result can report per-task percentiles, not just the maximum.
-	CollectResponses bool
 	// OverrunFactor injects WCET overruns: a task listed here demands
 	// factor times its declared WCET per job (factor > 1 models a faulty
 	// or mis-profiled task). The periodic-server architecture contains
 	// the fault: an overrunning task exhausts its own VCPU's budget and
 	// misses its own deadlines, but tasks on other VCPUs — even on the
-	// same core — keep their guarantees.
+	// same core — keep their guarantees. Kept to check that containment
+	// in tests.
 	OverrunFactor map[string]float64
-	// ContinueLateJobs keeps executing a job past its missed deadline
-	// instead of discarding it (the next release is then skipped while
-	// the late job runs). Use it to measure tardiness under overload:
-	// TaskMetrics.MaxLateness reports how late jobs finished. The default
-	// (discard) isolates miss counting from cascade effects.
-	ContinueLateJobs bool
 	// Metrics, when non-nil, receives the run's aggregate event counters
 	// (context switches, scheduler invocations, replenishments, throttle
 	// events, deadline misses — see the Metric* constants) at the end of
@@ -95,14 +89,6 @@ type Config struct {
 	// at no cost (one pointer check per site). RecordTrace composes with
 	// it: the Result.Trace slice view is rebuilt from the same stream.
 	Trace trace.Sink
-	// LinearDispatch selects the reference dispatch implementation: the
-	// scheduler picks the next VCPU and task by scanning the full list
-	// instead of reading the top of the ready heaps. Both implementations
-	// realize the same strict total order (EDF with the deterministic
-	// tie-breaking rule), so traces are byte-identical either way; the
-	// linear path is retained as the oracle for differential tests and
-	// the performance baseline for the bench harness.
-	LinearDispatch bool
 	// Span, when non-nil, is the parent under which Run opens one
 	// hypersim.run wall-clock span annotated with the run's volume
 	// (engine steps, jobs, misses). Nil disables at no cost; spans never
@@ -134,21 +120,28 @@ type taskState struct {
 	offset   timeunit.Ticks
 	vcpu     *vcpuState
 
-	nextRelease timeunit.Ticks
-	deadline    timeunit.Ticks
-	remaining   timeunit.Ticks
-	active      bool
+	deadline  timeunit.Ticks
+	remaining timeunit.Ticks
+	active    bool // set only through setActive
 
 	released  int
 	completed int
 	missed    int
-	maxLate   timeunit.Ticks
 	maxResp   timeunit.Ticks
-	responses *stats.Sample // nil unless Config.CollectResponses
+}
 
-	// heapIdx is the task's position in its VCPU's ready heap, -1 when
-	// the task is not active (maintained by taskHeap.Swap/Push/Pop).
-	heapIdx int
+// setActive sets the task's active flag and keeps its VCPU's activeTasks
+// count in step with it.
+func (t *taskState) setActive(active bool) {
+	if active == t.active {
+		return
+	}
+	t.active = active
+	if active {
+		t.vcpu.activeTasks++
+	} else {
+		t.vcpu.activeTasks--
+	}
 }
 
 // vcpuState is a VCPU's runtime state (a periodic server).
@@ -159,18 +152,12 @@ type vcpuState struct {
 	budget timeunit.Ticks // at the core's allocation
 	offset timeunit.Ticks
 
-	nextRelease timeunit.Ticks
-	deadline    timeunit.Ticks
-	remaining   timeunit.Ticks
-	released    bool
+	deadline  timeunit.Ticks
+	remaining timeunit.Ticks
+	released  bool
 
-	tasks []*taskState
-
-	// readyTasks is the EDF min-heap of active tasks (heap dispatch);
-	// heapIdx is this VCPU's position in its core's ready heap, -1 when
-	// the VCPU is not runnable.
-	readyTasks taskHeap
-	heapIdx    int
+	tasks       []*taskState
+	activeTasks int // tasks with an active job, kept by taskState.setActive
 
 	replenishments uint64
 	execTicks      timeunit.Ticks
@@ -185,7 +172,6 @@ func (v *vcpuState) idleConsume() bool { return v.spec.WellRegulated }
 type coreState struct {
 	id            int
 	vcpus         []*vcpuState
-	ready         vcpuHeap // runnable VCPUs in EDF order (heap dispatch)
 	current       *vcpuState
 	curTask       *taskState
 	runStart      timeunit.Ticks
@@ -286,11 +272,10 @@ func New(alloc *model.Allocation, cfg Config) (*Simulator, error) {
 		for _, v := range ca.VCPUs {
 			budgetMs := v.Budget.At(ca.Cache, ca.BW)
 			vs := &vcpuState{
-				spec:    v,
-				core:    len(s.cores),
-				period:  timeunit.FromMillis(v.Period),
-				budget:  timeunit.FromMillisCeil(budgetMs),
-				heapIdx: -1,
+				spec:   v,
+				core:   len(s.cores),
+				period: timeunit.FromMillis(v.Period),
+				budget: timeunit.FromMillisCeil(budgetMs),
 			}
 			if _, ok := s.vcpuByID[v.ID]; !ok {
 				s.vcpuByID[v.ID] = vs
@@ -311,7 +296,6 @@ func New(alloc *model.Allocation, cfg Config) (*Simulator, error) {
 					declared: timeunit.FromMillisFloor(declared),
 					period:   timeunit.FromMillis(task.Period),
 					vcpu:     vs,
-					heapIdx:  -1,
 				}
 				if _, ok := s.taskByID[task.ID]; !ok {
 					s.taskByID[task.ID] = ts

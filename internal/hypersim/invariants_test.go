@@ -55,14 +55,13 @@ func invariantAllocs(t *testing.T, minOK int) []*model.Allocation {
 //     server was last replenished with;
 //   - Result.Trace is exactly the EvExecSlice projection of Result.Events
 //     (checked against an independent inline projection, not the library's
-//     own SlicesFromEvents).
+//     own SlicesFromEvents);
+//   - at every emitted event, each VCPU's activeTasks count equals the
+//     number of its tasks holding an active job (the count the dispatcher
+//     reads instead of walking the tasks).
 func TestInvariantsAcrossRandomWorkloads(t *testing.T) {
 	for i, a := range invariantAllocs(t, 10) {
-		s, err := New(a, Config{RecordTrace: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := s.Run(timeunit.FromMillis(800))
+		res := runCheckingActiveCounts(t, i, a, Config{RecordTrace: true}, timeunit.FromMillis(800))
 		checkEventInvariants(t, i, res)
 	}
 }
@@ -84,18 +83,54 @@ func TestInvariantsUnderRegulation(t *testing.T) {
 				}
 			}
 		}
-		s, err := New(a, Config{
+		res := runCheckingActiveCounts(t, i, a, Config{
 			RecordTrace:      true,
 			RegulationPeriod: timeunit.FromMillis(1),
 			BWBudgets:        budgets,
 			MemRate:          memRate,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := s.Run(timeunit.FromMillis(500))
+		}, timeunit.FromMillis(500))
 		checkEventInvariants(t, i, res)
 	}
+}
+
+// activeCountSink checks, at every event the simulator emits, that each
+// VCPU's activeTasks count equals the number of its active tasks.
+type activeCountSink struct {
+	t    *testing.T
+	s    *Simulator
+	seed int
+}
+
+func (c *activeCountSink) Record(ev trace.Event) {
+	if c == nil {
+		return
+	}
+	for _, v := range c.s.vcpus {
+		n := 0
+		for _, task := range v.tasks {
+			if task.active {
+				n++
+			}
+		}
+		if v.activeTasks != n {
+			c.t.Fatalf("workload %d: at %+v VCPU %s counts %d active tasks, has %d",
+				c.seed, ev, v.spec.ID, v.activeTasks, n)
+		}
+	}
+}
+
+// runCheckingActiveCounts simulates a under cfg with an activeCountSink
+// attached to the event stream.
+func runCheckingActiveCounts(t *testing.T, seed int, a *model.Allocation, cfg Config, horizon timeunit.Ticks) *Result {
+	t.Helper()
+	check := &activeCountSink{t: t, seed: seed}
+	cfg.Trace = check
+	s, err := New(a, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check.s = s
+	return s.Run(horizon)
 }
 
 func checkEventInvariants(t *testing.T, seed int, res *Result) {
@@ -148,37 +183,6 @@ func checkEventInvariants(t *testing.T, seed int, res *Result) {
 	for i := range projected {
 		if projected[i] != res.Trace[i] {
 			t.Fatalf("workload %d: Trace[%d] = %+v but Events project %+v", seed, i, res.Trace[i], projected[i])
-		}
-	}
-}
-
-// TestHeapAndLinearDispatchIdentical: the heap-based ready queues and the
-// retained linear-scan dispatch realize the same strict total order, so
-// identical seeds must yield bit-identical flight-recorder streams — the
-// differential guarantee the bench harness and Config.LinearDispatch's
-// doc comment promise.
-func TestHeapAndLinearDispatchIdentical(t *testing.T) {
-	for i, a := range invariantAllocs(t, 10) {
-		run := func(linear bool) *Result {
-			s, err := New(a, Config{RecordTrace: true, LinearDispatch: linear})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s.Run(timeunit.FromMillis(800))
-		}
-		rh, rl := run(false), run(true)
-		if len(rh.Events) != len(rl.Events) {
-			t.Fatalf("workload %d: event counts differ: heap %d, linear %d", i, len(rh.Events), len(rl.Events))
-		}
-		for j := range rh.Events {
-			if rh.Events[j] != rl.Events[j] {
-				t.Fatalf("workload %d: dispatch paths diverge at event %d:\nheap:   %+v\nlinear: %+v",
-					i, j, rh.Events[j], rl.Events[j])
-			}
-		}
-		if rh.Released != rl.Released || rh.Completed != rl.Completed || rh.Missed != rl.Missed ||
-			rh.ContextSwitches != rl.ContextSwitches || rh.SchedInvocations != rl.SchedInvocations {
-			t.Fatalf("workload %d: aggregate metrics differ between dispatch paths", i)
 		}
 	}
 }

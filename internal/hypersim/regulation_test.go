@@ -1,10 +1,12 @@
 package hypersim
 
 import (
+	"math"
 	"testing"
 
 	"vc2m/internal/csa"
 	"vc2m/internal/model"
+	"vc2m/internal/sim"
 	"vc2m/internal/timeunit"
 )
 
@@ -193,5 +195,35 @@ func TestOverheadsAbsentWithoutMeasurement(t *testing.T) {
 	}
 	if res := s.Run(timeunit.FromMillis(10)); res.Overheads != nil {
 		t.Error("overheads populated without MeasureOverheads")
+	}
+}
+
+// TestChargeRoundsRequestProduct pins charge's request accounting at an
+// input, found by search, where a fused multiply-add of the slice's
+// requests and the carried fraction changes the last bit: 19 ticks at 30
+// requests/ms with 0.5 carried gives 1.0699999999999998 requests rounded
+// (one request issued, the rest carried) but 1.07 fused. The
+// explicit conversion rounds the product, so the carry, and with it every
+// later throttle instant, does not depend on whether a compiler fuses the
+// two, as arm64's may.
+func TestChargeRoundsRequestProduct(t *testing.T) {
+	s, err := New(regAlloc(t, 10, 2), Config{
+		RegulationPeriod: timeunit.FromMillis(1),
+		BWBudgets:        []int64{1000},
+		MemRate:          map[string]float64{"memtask": 30},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	core, v, task := s.cores[0], s.vcpus[0], s.tasks[0]
+	v.remaining, task.remaining = 1000, 1000
+	core.current, core.curTask, core.reqCarry = v, task, 0.5
+	s.engine.At(19, sim.PrioDefault, func() { s.charge(core) })
+	s.engine.RunUntil(19)
+	if got := math.Float64bits(core.reqCarry); got != 0x3fb1eb851eb851e0 { // fused: ...51f0
+		t.Errorf("carried requests bits %#x, want 0x3fb1eb851eb851e0", got)
+	}
+	if got := s.reg.Stats(0).Requests; got != 1 {
+		t.Errorf("requests issued %d, want 1", got)
 	}
 }

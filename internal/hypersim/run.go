@@ -19,25 +19,9 @@ type TaskMetrics struct {
 	// Missed is the number of jobs unfinished at their deadline (such jobs
 	// are discarded, so one overload does not cascade into later jobs).
 	Missed int
-	// MaxLateness is the largest completion time past a deadline observed
-	// (0 when every job met its deadline), in ticks.
-	MaxLateness timeunit.Ticks
 	// MaxResponse is the largest observed job response time (completion
 	// minus release), in ticks.
 	MaxResponse timeunit.Ticks
-	// ResponseP50, ResponseP95 and ResponseP99 are response-time
-	// percentiles in ticks — the same unit as MaxResponse/MaxLateness,
-	// so the fields compare directly. Populated only when
-	// Config.CollectResponses is set and the task completed jobs.
-	ResponseP50 timeunit.Ticks
-	ResponseP95 timeunit.Ticks
-	ResponseP99 timeunit.Ticks
-	// ResponseP50Ms, ResponseP95Ms and ResponseP99Ms are the same
-	// percentiles in milliseconds, kept for render paths that report ms;
-	// convert tick fields with Ticks.Millis rather than mixing units.
-	ResponseP50Ms float64
-	ResponseP95Ms float64
-	ResponseP99Ms float64
 }
 
 // Result summarizes a simulation run.
@@ -107,7 +91,6 @@ func (s *Simulator) vcpuRelease(v *vcpuState) {
 		v.deadline = now + v.period
 		v.replenishments++
 	})
-	s.syncVCPUReady(v, true) // replenishment moves the EDF deadline
 	if s.sink != nil {
 		s.sink.Record(trace.Event{
 			Type: trace.EvVCPUReplenish, Time: s.engine.Now(),
@@ -135,14 +118,6 @@ func (s *Simulator) taskRelease(t *taskState, v *vcpuState) {
 				Deadline: t.deadline, Demand: t.remaining,
 			})
 		}
-		if s.cfg.ContinueLateJobs {
-			// Tardiness mode: the late job keeps running; this release is
-			// skipped (its work is shed rather than queued, bounding the
-			// backlog at one job).
-			s.engine.After(t.period, sim.PrioRelease, func() { s.taskRelease(t, v) })
-			s.requestReschedule(core)
-			return
-		}
 		if core.curTask == t {
 			core.curTask = nil
 		}
@@ -150,9 +125,7 @@ func (s *Simulator) taskRelease(t *taskState, v *vcpuState) {
 	t.released++
 	t.remaining = t.wcet
 	t.deadline = now + t.period
-	t.active = t.remaining > 0
-	s.syncTaskReady(t, true) // the release moves the job deadline
-	s.syncVCPUReady(v, false)
+	t.setActive(t.remaining > 0)
 	if s.sink != nil {
 		s.sink.Record(trace.Event{
 			Type: trace.EvJobRelease, Time: now,
@@ -269,22 +242,12 @@ func (s *Simulator) Run(horizon timeunit.Ticks) *Result {
 		res.Trace = SlicesFromEvents(res.Events)
 	}
 	for _, t := range s.tasks {
-		tm := TaskMetrics{
+		res.Tasks[t.spec.ID] = TaskMetrics{
 			Released:    t.released,
 			Completed:   t.completed,
 			Missed:      t.missed,
-			MaxLateness: t.maxLate,
 			MaxResponse: t.maxResp,
 		}
-		if t.responses != nil && t.responses.N() > 0 {
-			tm.ResponseP50Ms = t.responses.Percentile(50)
-			tm.ResponseP95Ms = t.responses.Percentile(95)
-			tm.ResponseP99Ms = t.responses.Percentile(99)
-			tm.ResponseP50 = timeunit.FromMillis(tm.ResponseP50Ms)
-			tm.ResponseP95 = timeunit.FromMillis(tm.ResponseP95Ms)
-			tm.ResponseP99 = timeunit.FromMillis(tm.ResponseP99Ms)
-		}
-		res.Tasks[t.spec.ID] = tm
 		res.Released += t.released
 		res.Completed += t.completed
 		res.Missed += t.missed

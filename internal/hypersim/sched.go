@@ -4,209 +4,9 @@ import (
 	"math"
 
 	"vc2m/internal/sim"
-	"vc2m/internal/stats"
 	"vc2m/internal/timeunit"
 	"vc2m/internal/trace"
 )
-
-// vcpuHeap is the per-core ready queue: a min-heap of runnable VCPUs under
-// the EDF order with vC2M's deterministic tie-breaking (vcpuLess). The top
-// of the heap is exactly the VCPU the reference linear scan would pick,
-// because vcpuLess is a strict total order (the VCPU index breaks every
-// tie), so heap dispatch and linear dispatch produce byte-identical traces.
-// Like the sim engine's event queue it is hand-rolled rather than built on
-// container/heap: sift steps are direct calls on a concrete slice instead
-// of interface dispatches, which is what makes the queue cheaper than the
-// linear scan it replaces at realistic VCPU counts.
-type vcpuHeap []*vcpuState
-
-func (h *vcpuHeap) push(v *vcpuState) {
-	v.heapIdx = len(*h)
-	*h = append(*h, v)
-	h.siftUp(v.heapIdx)
-}
-
-// fix restores the heap property after the key of the element at i changed.
-func (h *vcpuHeap) fix(i int) {
-	if !h.siftDown(i) {
-		h.siftUp(i)
-	}
-}
-
-// remove deletes the element at index i.
-func (h *vcpuHeap) remove(i int) {
-	q := *h
-	n := len(q) - 1
-	q[i].heapIdx = -1
-	if i != n {
-		q[i] = q[n]
-		q[i].heapIdx = i
-	}
-	q[n] = nil
-	*h = q[:n]
-	if i != n {
-		h.fix(i)
-	}
-}
-
-func (h *vcpuHeap) siftUp(i int) {
-	q := *h
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !vcpuLess(q[i], q[parent]) {
-			break
-		}
-		q[i], q[parent] = q[parent], q[i]
-		q[i].heapIdx = i
-		q[parent].heapIdx = parent
-		i = parent
-	}
-}
-
-func (h *vcpuHeap) siftDown(i int) bool {
-	q := *h
-	n := len(q)
-	moved := false
-	for {
-		l, r := 2*i+1, 2*i+2
-		if l >= n {
-			return moved
-		}
-		child := l
-		if r < n && vcpuLess(q[r], q[l]) {
-			child = r
-		}
-		if !vcpuLess(q[child], q[i]) {
-			return moved
-		}
-		q[i], q[child] = q[child], q[i]
-		q[i].heapIdx = i
-		q[child].heapIdx = child
-		i = child
-		moved = true
-	}
-}
-
-// taskHeap is the per-VCPU ready queue of active tasks in EDF order with
-// the task-index tie-break (taskLess) — again a strict total order, so the
-// top equals the linear scan's pick. Hand-rolled for the same reason as
-// vcpuHeap.
-type taskHeap []*taskState
-
-func (h *taskHeap) push(t *taskState) {
-	t.heapIdx = len(*h)
-	*h = append(*h, t)
-	h.siftUp(t.heapIdx)
-}
-
-func (h *taskHeap) fix(i int) {
-	if !h.siftDown(i) {
-		h.siftUp(i)
-	}
-}
-
-func (h *taskHeap) remove(i int) {
-	q := *h
-	n := len(q) - 1
-	q[i].heapIdx = -1
-	if i != n {
-		q[i] = q[n]
-		q[i].heapIdx = i
-	}
-	q[n] = nil
-	*h = q[:n]
-	if i != n {
-		h.fix(i)
-	}
-}
-
-func (h *taskHeap) siftUp(i int) {
-	q := *h
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !taskLess(q[i], q[parent]) {
-			break
-		}
-		q[i], q[parent] = q[parent], q[i]
-		q[i].heapIdx = i
-		q[parent].heapIdx = parent
-		i = parent
-	}
-}
-
-func (h *taskHeap) siftDown(i int) bool {
-	q := *h
-	n := len(q)
-	moved := false
-	for {
-		l, r := 2*i+1, 2*i+2
-		if l >= n {
-			return moved
-		}
-		child := l
-		if r < n && taskLess(q[r], q[l]) {
-			child = r
-		}
-		if !taskLess(q[child], q[i]) {
-			return moved
-		}
-		q[i], q[child] = q[child], q[i]
-		q[i].heapIdx = i
-		q[child].heapIdx = child
-		i = child
-		moved = true
-	}
-}
-
-// vcpuRunnable is the ready-queue membership predicate: released, with
-// budget remaining, and either holding an active task or required to
-// consume budget while idle (well-regulated servers). It mirrors the
-// linear scan's skip conditions exactly.
-func vcpuRunnable(v *vcpuState) bool {
-	return v.released && v.remaining > 0 && (v.idleConsume() || len(v.readyTasks) > 0)
-}
-
-// syncVCPUReady reconciles v's membership and position in its core's ready
-// heap. It must be called after any change to the VCPU's release state,
-// budget, deadline, or active-task set — and after syncTaskReady for the
-// affected task, since runnability reads the task heap's size. keyChanged
-// must be true when the heap key (the EDF deadline) may have moved; most
-// mutations (budget decrements, task-set changes) only affect membership,
-// and skipping the heap.Fix for those keeps the common path O(1).
-func (s *Simulator) syncVCPUReady(v *vcpuState, keyChanged bool) {
-	if s.cfg.LinearDispatch {
-		return
-	}
-	core := s.cores[v.core]
-	if vcpuRunnable(v) {
-		if v.heapIdx < 0 {
-			core.ready.push(v)
-		} else if keyChanged {
-			core.ready.fix(v.heapIdx)
-		}
-	} else if v.heapIdx >= 0 {
-		core.ready.remove(v.heapIdx)
-	}
-}
-
-// syncTaskReady reconciles t's membership and position in its VCPU's ready
-// heap after any change to the task's active flag or deadline. keyChanged
-// follows the same contract as syncVCPUReady's.
-func (s *Simulator) syncTaskReady(t *taskState, keyChanged bool) {
-	if s.cfg.LinearDispatch {
-		return
-	}
-	v := t.vcpu
-	if t.active {
-		if t.heapIdx < 0 {
-			v.readyTasks.push(t)
-		} else if keyChanged {
-			v.readyTasks.fix(t.heapIdx)
-		}
-	} else if t.heapIdx >= 0 {
-		v.readyTasks.remove(t.heapIdx)
-	}
-}
 
 // charge accounts the elapsed execution of the core's current slice: it
 // debits the running VCPU's budget and task's remaining demand, issues the
@@ -256,7 +56,9 @@ func (s *Simulator) charge(core *coreState) {
 		if s.reg != nil {
 			if rate := s.cfg.MemRate[task.spec.ID]; rate > 0 {
 				perTick := rate / float64(timeunit.TicksPerMilli)
-				exact := taskElapsed.Count()*perTick + core.reqCarry
+				// The explicit conversion rounds the product, so that no
+				// compiler fuses it into the addition.
+				exact := float64(taskElapsed.Count()*perTick) + core.reqCarry
 				whole := math.Floor(exact)
 				core.reqCarry = exact - whole
 				s.reg.RequestN(core.id, int64(whole))
@@ -268,20 +70,14 @@ func (s *Simulator) charge(core *coreState) {
 		}
 	}
 	core.runStart = now
-	s.syncVCPUReady(v, false) // the budget decrement may have drained the VCPU
 }
 
 // completeTask marks the current job finished.
 func (s *Simulator) completeTask(task *taskState) {
 	task.remaining = 0
-	task.active = false
+	task.setActive(false)
 	task.completed++
-	s.syncTaskReady(task, false)
-	s.syncVCPUReady(task.vcpu, false)
 	now := s.engine.Now()
-	if late := now - task.deadline; late > task.maxLate {
-		task.maxLate = late
-	}
 	// Response time relative to the job's release (deadline - period for
 	// implicit-deadline tasks). Release desynchronization shows up here as
 	// an inflated worst-case response — the abstraction overhead the
@@ -289,12 +85,6 @@ func (s *Simulator) completeTask(task *taskState) {
 	resp := now - (task.deadline - task.period)
 	if resp > task.maxResp {
 		task.maxResp = resp
-	}
-	if s.cfg.CollectResponses {
-		if task.responses == nil {
-			task.responses = &stats.Sample{}
-		}
-		task.responses.Add(resp.Millis())
 	}
 	if s.sink != nil {
 		s.sink.Record(trace.Event{
@@ -334,9 +124,9 @@ func (s *Simulator) doSchedule(core *coreState) {
 	s.measure(OvSchedule, func() {
 		core.schedInvocations++
 		if !core.throttled {
-			next = s.pickVCPU(core)
+			next = pickVCPU(core)
 			if next != nil {
-				nextTask = s.pickTask(next)
+				nextTask = pickTask(next)
 			}
 		}
 	})
@@ -439,28 +229,17 @@ func (s *Simulator) sliceEnd(core *coreState) {
 // with budget remaining, and either holding an active task or required to
 // consume budget while idle (well-regulated servers). Ties break first by
 // smaller period, then by smaller VCPU index — the deterministic rule that
-// makes well-regulated execution reproducible (Section 3.2). The default
-// implementation peeks at the core's ready heap; Config.LinearDispatch
-// selects the reference scan over all VCPUs instead.
-func (s *Simulator) pickVCPU(core *coreState) *vcpuState {
-	if s.cfg.LinearDispatch {
-		return pickVCPULinear(core)
-	}
-	if len(core.ready) == 0 {
-		return nil
-	}
-	return core.ready[0]
-}
-
-// pickVCPULinear is the reference linear-scan dispatch, kept as the oracle
-// for differential tests and the bench harness's before/after comparison.
-func pickVCPULinear(core *coreState) *vcpuState {
+// makes well-regulated execution reproducible (Section 3.2). A core holds
+// a few dozen VCPUs at most in every experiment, where a scan over them is
+// as fast as a ready queue; activeTasks spares it a walk over each VCPU's
+// tasks.
+func pickVCPU(core *coreState) *vcpuState {
 	var best *vcpuState
 	for _, v := range core.vcpus {
 		if !v.released || v.remaining <= 0 {
 			continue
 		}
-		if !v.idleConsume() && !hasActiveTask(v) {
+		if !v.idleConsume() && v.activeTasks == 0 {
 			continue
 		}
 		if best == nil || vcpuLess(v, best) {
@@ -468,15 +247,6 @@ func pickVCPULinear(core *coreState) *vcpuState {
 		}
 	}
 	return best
-}
-
-func hasActiveTask(v *vcpuState) bool {
-	for _, t := range v.tasks {
-		if t.active {
-			return true
-		}
-	}
-	return false
 }
 
 // vcpuLess is the EDF order with vC2M's deterministic tie-breaking.
@@ -499,20 +269,8 @@ func taskLess(a, b *taskState) bool {
 }
 
 // pickTask returns the EDF-minimal active task on the VCPU (the guest OS
-// also schedules under EDF), breaking ties by task index. Like pickVCPU it
-// peeks at the ready heap unless Config.LinearDispatch selects the scan.
-func (s *Simulator) pickTask(v *vcpuState) *taskState {
-	if s.cfg.LinearDispatch {
-		return pickTaskLinear(v)
-	}
-	if len(v.readyTasks) == 0 {
-		return nil
-	}
-	return v.readyTasks[0]
-}
-
-// pickTaskLinear is the reference linear-scan task dispatch.
-func pickTaskLinear(v *vcpuState) *taskState {
+// also schedules under EDF), breaking ties by task index.
+func pickTask(v *vcpuState) *taskState {
 	var best *taskState
 	for _, t := range v.tasks {
 		if !t.active {

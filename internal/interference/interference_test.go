@@ -1,6 +1,7 @@
 package interference
 
 import (
+	"math"
 	"testing"
 
 	"vc2m/internal/parsec"
@@ -41,7 +42,7 @@ func TestSoloDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.TimeMs[0] != b.TimeMs[0] {
+	if math.Float64bits(a.TimeMs[0]) != math.Float64bits(b.TimeMs[0]) {
 		t.Errorf("same seed produced different times: %v vs %v", a.TimeMs[0], b.TimeMs[0])
 	}
 }
@@ -129,10 +130,10 @@ func TestRegulationThrottlesInIsolatedMode(t *testing.T) {
 
 func TestStudyRowRatios(t *testing.T) {
 	row := StudyRow{Benchmark: "x", SoloMs: 2, SharedMs: 6, IsolatedMs: 3}
-	if row.SharedSlowdown() != 3 {
+	if math.Float64bits(row.SharedSlowdown()) != math.Float64bits(3) {
 		t.Errorf("SharedSlowdown = %v, want 3", row.SharedSlowdown())
 	}
-	if row.IsolatedSlowdown() != 1.5 {
+	if math.Float64bits(row.IsolatedSlowdown()) != math.Float64bits(1.5) {
 		t.Errorf("IsolatedSlowdown = %v, want 1.5", row.IsolatedSlowdown())
 	}
 }

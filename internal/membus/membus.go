@@ -12,8 +12,8 @@
 //     hypervisor scheduler to de-schedule the core's current VCPU and marks
 //     the core throttled in a shared bitmask (step 3).
 //   - A periodic timer drives the BW refiller, which replenishes every
-//     core's budget, clears the overflow status, and invokes the scheduler
-//     on previously throttled cores (step 4).
+//     core's budget, clears the throttle bitmask, and invokes the
+//     scheduler on previously throttled cores (step 4).
 //
 // Unlike MemGuard, throttled cores stay idle rather than busy-waiting —
 // the hypervisor simply schedules nothing on them — matching vC2M's
@@ -73,7 +73,6 @@ type Regulator struct {
 	cfg       Config
 	remaining []int64
 	throttled uint64 // bitmask of throttled cores, as in Fig. 1
-	overflow  uint64 // overflow status register
 	stats     []Stats
 
 	// OnThrottle, if non-nil, is the BW enforcer handler invoked when a
@@ -111,16 +110,12 @@ func (r *Regulator) Throttled(core int) bool {
 	return r.throttled&(1<<uint(core)) != 0
 }
 
-// ThrottledMask returns the bitmask of throttled cores.
-func (r *Regulator) ThrottledMask() uint64 { return r.throttled }
-
 // Remaining returns the core's remaining budget in this period.
 func (r *Regulator) Remaining(core int) int64 { return r.remaining[core] }
 
 // Request records one memory request from the core and returns whether the
 // core may proceed. When the request exhausts the budget, the core is
-// marked throttled, the overflow status bit is set, and the BW enforcer
-// handler runs — the PC-overflow-interrupt path of Fig. 1. Requests from an
+// marked throttled and the BW enforcer handler runs — the PC-overflow-interrupt path of Fig. 1. Requests from an
 // already-throttled core are denied and counted separately (a correctly
 // integrated scheduler never issues them).
 func (r *Regulator) Request(core int) bool {
@@ -174,21 +169,18 @@ func (r *Regulator) RequestN(core int, n int64) int64 {
 // throttle is the BW enforcer path.
 func (r *Regulator) throttle(core int) {
 	r.throttled |= 1 << uint(core)
-	r.overflow |= 1 << uint(core)
 	r.stats[core].Throttles++
 	if r.OnThrottle != nil {
 		r.OnThrottle(core)
 	}
 }
 
-// Replenish is the BW refiller: it resets every core's budget, clears the
-// overflow status register, un-throttles all cores, and invokes
-// OnReplenish per core. The hypervisor calls it at each regulation-period
+// Replenish is the BW refiller: it resets every core's budget,
+// un-throttles all cores, and invokes OnReplenish per core. The hypervisor calls it at each regulation-period
 // boundary.
 func (r *Regulator) Replenish() {
 	wasThrottled := r.throttled
 	r.throttled = 0
-	r.overflow = 0
 	for core := range r.remaining {
 		r.remaining[core] = r.cfg.Budgets[core]
 		if r.OnReplenish != nil {
@@ -197,19 +189,8 @@ func (r *Regulator) Replenish() {
 	}
 }
 
-// OverflowStatus returns the overflow status register (bit per core whose
-// PC overflowed in the current period).
-func (r *Regulator) OverflowStatus() uint64 { return r.overflow }
-
 // Stats returns the core's counters.
 func (r *Regulator) Stats(core int) Stats { return r.stats[core] }
-
-// ResetStats clears all counters.
-func (r *Regulator) ResetStats() {
-	for i := range r.stats {
-		r.stats[i] = Stats{}
-	}
-}
 
 // Bus models shared memory-bus contention for the interference workbench:
 // with N cores actively issuing requests, each request's service time
@@ -231,6 +212,8 @@ func (b Bus) Latency(n int) timeunit.Ticks {
 	if n < 1 {
 		n = 1
 	}
-	stretch := 1 + b.ContentionFactor*float64(n-1)
+	// The explicit conversion rounds the product, so that no compiler
+	// fuses it into the addition.
+	stretch := 1 + float64(b.ContentionFactor*float64(n-1))
 	return b.BaseLatency.Scale(stretch)
 }

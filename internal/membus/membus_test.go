@@ -100,23 +100,6 @@ func TestReplenishRestoresBudgets(t *testing.T) {
 	}
 }
 
-func TestOverflowStatusRegister(t *testing.T) {
-	r := mkReg(t, 1, 1, 100)
-	r.Request(0)
-	r.Request(2)
-	if r.OverflowStatus() != 0b001 {
-		t.Errorf("overflow status = %#b, want 0b001", r.OverflowStatus())
-	}
-	r.Request(1)
-	if r.OverflowStatus() != 0b011 {
-		t.Errorf("overflow status = %#b, want 0b011", r.OverflowStatus())
-	}
-	r.Replenish()
-	if r.OverflowStatus() != 0 {
-		t.Error("overflow status not cleared by replenish")
-	}
-}
-
 func TestZeroBudgetDisablesRegulation(t *testing.T) {
 	r := mkReg(t, 0)
 	for i := 0; i < 10000; i++ {
@@ -126,14 +109,6 @@ func TestZeroBudgetDisablesRegulation(t *testing.T) {
 	}
 	if r.Throttled(0) {
 		t.Error("unregulated core marked throttled")
-	}
-}
-
-func TestThrottledMask(t *testing.T) {
-	r := mkReg(t, 1, 1, 1)
-	r.Request(1)
-	if r.ThrottledMask() != 0b010 {
-		t.Errorf("mask = %#b, want 0b010", r.ThrottledMask())
 	}
 }
 
@@ -223,15 +198,6 @@ func TestRequestNEdgeCases(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	r := mkReg(t, 10)
-	r.Request(0)
-	r.ResetStats()
-	if st := r.Stats(0); st.Requests != 0 {
-		t.Errorf("stats after reset = %+v", st)
-	}
-}
-
 func TestBusLatency(t *testing.T) {
 	b := Bus{BaseLatency: 100, ContentionFactor: 0.5}
 	if got := b.Latency(1); got != 100 {
@@ -242,6 +208,19 @@ func TestBusLatency(t *testing.T) {
 	}
 	if got := b.Latency(0); got != 100 {
 		t.Errorf("Latency(0) = %v, want clamped to 100", got)
+	}
+}
+
+// TestBusLatencyRoundsProduct pins Latency at an input, found by search,
+// where a fused multiply-add of 1 + ContentionFactor*(n-1) changes the
+// last bit and the truncated latency with it: 1.1099999999999999 rounded
+// gives 110 ticks, 1.11 fused gives 111. The explicit conversion rounds
+// the product, so the interference workbench's clock does not depend on
+// whether a compiler fuses the two, as arm64's may.
+func TestBusLatencyRoundsProduct(t *testing.T) {
+	b := Bus{BaseLatency: 100, ContentionFactor: 0.022}
+	if got := b.Latency(6); got != 110 { // fused: 111
+		t.Errorf("Latency(6) = %v ticks, want 110", int64(got))
 	}
 }
 

@@ -419,15 +419,6 @@ func (v *VCPU) RefBandwidth() float64 { return v.Budget.Reference() / v.Period }
 // Bandwidth returns Theta(c,b)/Pi under the given allocation.
 func (v *VCPU) Bandwidth(c, b int) float64 { return v.Budget.At(c, b) / v.Period }
 
-// TaskRefUtil returns the total reference utilization of the VCPU's tasks.
-func (v *VCPU) TaskRefUtil() float64 {
-	var u float64
-	for _, t := range v.Tasks {
-		u += t.RefUtil()
-	}
-	return u
-}
-
 // Validate reports an error if the VCPU is malformed.
 func (v *VCPU) Validate() error {
 	if v.Period <= 0 {
@@ -459,15 +450,6 @@ func (ca *CoreAlloc) Utilization() float64 {
 	var u float64
 	for _, v := range ca.VCPUs {
 		u += v.Bandwidth(ca.Cache, ca.BW)
-	}
-	return u
-}
-
-// RefUtilization returns the total reference bandwidth of the core's VCPUs.
-func (ca *CoreAlloc) RefUtilization() float64 {
-	var u float64
-	for _, v := range ca.VCPUs {
-		u += v.RefBandwidth()
 	}
 	return u
 }

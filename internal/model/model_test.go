@@ -328,9 +328,6 @@ func TestCoreAllocUtilization(t *testing.T) {
 	if got := core.Utilization(); math.Abs(got-0.45) > 1e-12 {
 		t.Errorf("Utilization = %v, want 0.45", got)
 	}
-	if got := core.RefUtilization(); math.Abs(got-0.45) > 1e-12 {
-		t.Errorf("RefUtilization = %v, want 0.45", got)
-	}
 }
 
 func validAllocation() (*Allocation, []*Task) {

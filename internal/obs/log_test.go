@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"log/slog"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -82,7 +83,8 @@ func TestLogFlagsAndBuild(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {
 		t.Fatalf("log line not JSON: %v\n%s", err, buf.String())
 	}
-	if rec["msg"] != "hello" || rec["version"] != "test" || rec["answer"] != float64(42) {
+	answer, _ := rec["answer"].(float64)
+	if rec["msg"] != "hello" || rec["version"] != "test" || math.Float64bits(answer) != math.Float64bits(42) {
 		t.Fatalf("record = %v", rec)
 	}
 	if strings.Contains(buf.String(), "dropped") {

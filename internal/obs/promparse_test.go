@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -24,7 +25,7 @@ vc2m_queue_depth 2 1712000000000
 	if fams[0].Name != "vc2m_runs_total" || len(fams[0].Samples) != 2 {
 		t.Fatalf("family 0 = %+v", fams[0])
 	}
-	if fams[1].Samples[0].Value != 2 {
+	if math.Float64bits(fams[1].Samples[0].Value) != math.Float64bits(2) {
 		t.Fatalf("gauge value = %v", fams[1].Samples[0].Value)
 	}
 }

@@ -4,23 +4,16 @@
 // fractions).
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "fmt"
 
 // Summary accumulates observations and reports min, mean and max. The zero
-// value is an empty summary ready for use. Mean and variance are maintained
-// with Welford's online algorithm, which stays accurate for large-magnitude,
-// low-variance observations (e.g. nanosecond-scale timestamps) where the
-// textbook sum-of-squares formula cancels catastrophically.
+// value is an empty summary ready for use. The mean is a running mean,
+// updated by each observation's deviation from it.
 type Summary struct {
 	n    int
 	min  float64
 	max  float64
 	mean float64
-	m2   float64 // sum of squared deviations from the running mean
 }
 
 // Add records one observation.
@@ -39,7 +32,6 @@ func (s *Summary) Add(x float64) {
 	s.n++
 	delta := x - s.mean
 	s.mean += delta / float64(s.n)
-	s.m2 += delta * (x - s.mean)
 }
 
 // N returns the number of observations recorded.
@@ -66,66 +58,25 @@ func (s *Summary) Mean() float64 {
 	return s.mean
 }
 
-// StdDev returns the population standard deviation, or 0 for fewer than two
-// observations.
-func (s *Summary) StdDev() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	v := s.m2 / float64(s.n)
-	if v < 0 {
-		v = 0 // guard against rounding
-	}
-	return math.Sqrt(v)
-}
-
 // Row formats the summary as "min | avg | max" with the given printf verb
 // applied to each value, matching the layout of the paper's overhead tables.
 func (s *Summary) Row(format string) string {
 	return fmt.Sprintf(format+" | "+format+" | "+format, s.Min(), s.Mean(), s.Max())
 }
 
-// Sample retains all observations so that percentiles can be computed. The
-// zero value is ready for use.
+// Sample retains all observations, to be summarized once recording ends.
+// The zero value is ready for use.
 type Sample struct {
-	xs     []float64
-	sorted bool
+	xs []float64
 }
 
 // Add records one observation.
 func (p *Sample) Add(x float64) {
 	p.xs = append(p.xs, x)
-	p.sorted = false
 }
 
 // N returns the number of observations.
 func (p *Sample) N() int { return len(p.xs) }
-
-// Percentile returns the q-th percentile (q in [0, 100]) using linear
-// interpolation between closest ranks. It returns 0 for an empty sample.
-func (p *Sample) Percentile(q float64) float64 {
-	if len(p.xs) == 0 {
-		return 0
-	}
-	if !p.sorted {
-		sort.Float64s(p.xs)
-		p.sorted = true
-	}
-	if q <= 0 {
-		return p.xs[0]
-	}
-	if q >= 100 {
-		return p.xs[len(p.xs)-1]
-	}
-	pos := q / 100 * float64(len(p.xs)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return p.xs[lo]
-	}
-	frac := pos - float64(lo)
-	return p.xs[lo]*(1-frac) + p.xs[hi]*frac
-}
 
 // Summary converts the sample to a Summary.
 func (p *Sample) Summary() Summary {

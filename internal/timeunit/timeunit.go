@@ -196,12 +196,3 @@ func Harmonic(vs []int64) bool {
 	}
 	return true
 }
-
-// HarmonicTicks is Harmonic for Ticks values.
-func HarmonicTicks(vs []Ticks) bool {
-	raw := make([]int64, len(vs))
-	for i, v := range vs {
-		raw[i] = int64(v)
-	}
-	return Harmonic(raw)
-}

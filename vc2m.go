@@ -284,7 +284,7 @@ type Options struct {
 	// Clusters is the KMeans cluster count for grouping by slowdown
 	// similarity; zero picks a default.
 	Clusters int
-	// Overheads inflates WCETs/budgets for intra-core preemption overhead
+	// Overheads inflates VCPU budgets for intra-core preemption overhead
 	// before allocation; the zero value disables inflation.
 	Overheads Overheads
 	// Metrics, when non-nil, records the allocator's search effort

@@ -174,7 +174,7 @@ func TestGenerateWorkload(t *testing.T) {
 
 func TestWCETFromFunc(t *testing.T) {
 	tab := WCETFromFunc(PlatformA, func(c, b int) float64 { return float64(100 - c - b) })
-	if tab.At(2, 1) != 97 {
+	if math.Float64bits(tab.At(2, 1)) != math.Float64bits(97) {
 		t.Errorf("At(2,1) = %v, want 97", tab.At(2, 1))
 	}
 }
